@@ -18,17 +18,6 @@ from itertools import combinations
 RING_CAP = 20  # 2^n brute-force checks stay feasible well below this
 
 
-def check_ring_size(n: int) -> None:
-    if not 1 <= n <= RING_CAP:
-        raise ValueError(f"ring size must be in 1..{RING_CAP}, got {n}")
-
-
-def check_config(bits: int, n: int) -> None:
-    check_ring_size(n)
-    if bits < 0 or bits >> n:
-        raise ValueError(f"configuration {bits:#b} has bits outside 0..{n - 1}")
-
-
 def popcount(bits: int) -> int:
     return bits.bit_count()
 
@@ -107,7 +96,8 @@ class SectorBasis:
 
 def enumerate_sector(n: int, k: int) -> SectorBasis:
     """Ordered basis of the k-up-spin sector with an inverse lookup."""
-    check_ring_size(n)
+    if not 1 <= n <= RING_CAP:
+        raise ValueError(f"ring size must be in 1..{RING_CAP}, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"up-spin count must be in 0..{n}, got {k}")
     configs = sorted(sum(1 << i for i in sites) for sites in combinations(range(n), k))

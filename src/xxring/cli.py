@@ -18,13 +18,11 @@ import sys
 import time
 
 from . import __version__
-from .basis import enumerate_sector, translation_orbits
 from .concurrence import concurrence_wootters, manifold_pair_density
-from .hamiltonian import (Coupling, FieldSetting, build_momentum_block, hop_table,
-                          sector_energy_offset)
+from .hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from .oracle import compare_with_pipeline
 from .polarization import lp_table
-from .spectra import DEGENERACY_RTOL, eigh, ground_manifold
+from .spectra import DEGENERACY_RTOL, block_levels, ground_manifold
 from .sweeps import extrapolate, sweep
 
 
@@ -201,17 +199,11 @@ def _cmd_spectrum(args) -> int:
     coupling = Coupling(j=args.j)
     ks = range(args.n + 1) if args.k is None else [args.k]
     rows = []
+    ms = range(args.n) if args.m is None else [args.m]
     for k in ks:
-        basis = enumerate_sector(args.n, k)
-        orbits = translation_orbits(basis)
-        hops = hop_table(basis, orbits)
         offset = sector_energy_offset(k, args.n, field)
-        ms = range(args.n) if args.m is None else [args.m]
         for m in ms:
-            block = build_momentum_block(basis, orbits, m, coupling, hops=hops)
-            if block.dim == 0:
-                continue
-            for level, energy in enumerate(eigh(block.matrix).values):
+            for level, energy in enumerate(block_levels(args.n, k, m, coupling)):
                 rows.append({"k": k, "m": m, "level": level,
                              "energy": float(energy) + offset})
     config = {"n": args.n, "j": args.j, "b": args.b,

@@ -15,16 +15,19 @@ period p is
 
 which is nonzero iff m*p = 0 (mod n).  A uniform field b couples only to
 the conserved total magnetization, so it enters as the per-sector scalar
-offset -b*(k - n/2) and never as a matrix term.
+offset -b*(k - n/2) and never as a matrix term.  ``sector_plan`` builds a
+sector's basis, orbits and hop table once per process for all its blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import SectorBasis, TranslationOrbit, orbit_representative
+from .basis import (SectorBasis, TranslationOrbit, enumerate_sector, orbit_representative,
+                    translation_orbits)
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,12 @@ class MomentumBlock:
         return len(self.reps)
 
 
-def hop_table(basis: SectorBasis,
-              orbits: list[TranslationOrbit]) -> list[tuple[int, int, int, float]]:
+def hop_table(basis: SectorBasis, orbits: list[TranslationOrbit]) -> np.ndarray:
     """All bond swaps between orbit representatives, resolved once per sector.
 
-    Entries (a, b, shift, weight): the swap takes representative ``a`` (by
-    orbit index) to ``rotate(reps[b], shift)`` and carries the amplitude
-    ratio sqrt(period_a / period_b).  Reused by every momentum block.
+    One row (a, b, shift, weight) per hop, indices as exact floats: the swap
+    takes representative ``a`` (by orbit index) to ``rotate(reps[b], shift)``
+    and carries the amplitude ratio sqrt(period_a / period_b).
     """
     n = basis.n
     rep_index = {orb.representative: i for i, orb in enumerate(orbits)}
@@ -125,12 +127,21 @@ def hop_table(basis: SectorBasis,
             rep, shift = orbit_representative(c ^ ((1 << i) | (1 << j)), n)
             b = rep_index[rep]
             hops.append((a, b, shift, np.sqrt(orb.period / orbits[b].period)))
-    return hops
+    return np.array(hops, dtype=float).reshape(-1, 4)
+
+
+@lru_cache(maxsize=None)
+def sector_plan(n: int, k: int) -> tuple[SectorBasis, tuple[TranslationOrbit, ...], np.ndarray]:
+    """Basis, translation orbits and read-only hop table of sector (n, k), built once."""
+    basis = enumerate_sector(n, k)
+    orbits = translation_orbits(basis)
+    hops = hop_table(basis, orbits)
+    hops.flags.writeable = False
+    return basis, tuple(orbits), hops
 
 
 def build_momentum_block(basis: SectorBasis, orbits: list[TranslationOrbit], m: int,
-                         coupling: Coupling,
-                         hops: list[tuple[int, int, int, float]] | None = None) -> MomentumBlock:
+                         coupling: Coupling, hops: np.ndarray | None = None) -> MomentumBlock:
     """Complex Hermitian block of the sector Hamiltonian at momentum m."""
     n = basis.n
     if not 0 <= m < n:
@@ -138,13 +149,14 @@ def build_momentum_block(basis: SectorBasis, orbits: list[TranslationOrbit], m: 
     if hops is None:
         hops = hop_table(basis, orbits)
     admissible = [i for i, orb in enumerate(orbits) if (m * orb.period) % n == 0]
-    col = {orig: blk for blk, orig in enumerate(admissible)}
-    dim = len(admissible)
-    matrix = np.zeros((dim, dim), dtype=complex)
+    col = np.full(len(orbits), -1)
+    col[admissible] = np.arange(len(admissible))
+    a, b, shift = hops[:, :3].astype(int).T
+    keep = (col[a] >= 0) & (col[b] >= 0)
+    matrix = np.zeros((len(admissible),) * 2, dtype=complex)
     phase = np.exp(2j * np.pi * m * np.arange(n) / n)
-    for a, b, shift, weight in hops:
-        if a in col and b in col:
-            matrix[col[b], col[a]] += coupling.j * phase[shift] * weight
+    np.add.at(matrix, (col[b[keep]], col[a[keep]]),
+              coupling.j * phase[shift[keep]] * hops[keep, 3])
     reps = tuple(orbits[i].representative for i in admissible)
     periods = tuple(orbits[i].period for i in admissible)
     norms = tuple(n * n / p for p in periods)

@@ -2,11 +2,16 @@
 
 ``eigh`` wraps the LAPACK Hermitian solver with a symmetry check and a
 deterministic phase convention (largest component of each eigenvector made
-real positive).  ``ground_manifold`` scans every magnetization sector of the
-ring through its momentum blocks, applies the field offset, and collects all
-states within a relative tolerance of the global minimum.  Exact ground-level
-degeneracies here are symmetry-protected, so the default tolerance of 1e-9
-times the spectral range separates them cleanly from solver noise.
+real positive); ``block_levels`` gives one momentum block's eigenvalues after
+the same check.  ``ground_manifold`` solves in two phases.  It scans the
+eigenvalues of the blocks k <= n/2, m <= n/2 only: the spin flip maps sector
+k onto sector n-k at equal momentum (particle-hole symmetry), and block n-m
+is the complex conjugate of block m, so each scanned block also stands for
+up to three others, each with its own field offset -b*(k - n/2).  The ground
+energy and tolerance window come from that full multiset; then only blocks
+reaching the window are fully solved and lifted.  Exact ground-level
+degeneracies are symmetry-protected, so the default tolerance of 1e-9 times
+the spectral range separates them cleanly from solver noise.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, enumerate_sector, rotate, translation_orbits
-from .hamiltonian import (Coupling, FieldSetting, MomentumBlock,
-                          build_momentum_block, hop_table, sector_energy_offset)
+from .basis import SectorBasis, rotate
+from .hamiltonian import (Coupling, FieldSetting, MomentumBlock, build_momentum_block,
+                          sector_energy_offset, sector_plan)
 
 HERMITICITY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-9
@@ -43,14 +48,28 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigh(matrix: np.ndarray, source: str = "") -> Spectrum:
-    """Full decomposition of a Hermitian matrix with fixed phases."""
-    matrix = np.asarray(matrix)
+def _hermitian(matrix: np.ndarray) -> np.ndarray:
+    """The matrix itself, once it is checked to be Hermitian."""
     scale = max(np.abs(matrix).max() if matrix.size else 0.0, 1.0)
     if matrix.size and np.abs(matrix - matrix.conj().T).max() > HERMITICITY_RTOL * scale:
         raise ValueError("matrix is not Hermitian within 1e-12 relative tolerance")
-    values, vectors = np.linalg.eigh(matrix)
+    return matrix
+
+
+def eigh(matrix: np.ndarray, source: str = "") -> Spectrum:
+    """Full decomposition of a Hermitian matrix with fixed phases."""
+    values, vectors = np.linalg.eigh(_hermitian(np.asarray(matrix)))
     return Spectrum(values=values, vectors=_fix_phases(vectors), source=source)
+
+
+def _block(n: int, k: int, m: int, coupling: Coupling) -> MomentumBlock:
+    basis, orbits, hops = sector_plan(n, k)
+    return build_momentum_block(basis, orbits, m, coupling, hops=hops)
+
+
+def block_levels(n: int, k: int, m: int, coupling: Coupling) -> np.ndarray:
+    """Ascending eigenvalues of momentum block (k, m), without the field offset."""
+    return np.linalg.eigvalsh(_hermitian(_block(n, k, m, coupling).matrix))
 
 
 @dataclass(frozen=True)
@@ -102,60 +121,45 @@ class GroundManifold:
         return tuple(sorted({s.k for s in self.states}))
 
 
-def _sector_levels(n, k, coupling, field):
-    """Diagonalize every momentum block of one sector.
-
-    Returns (eigenvalues with field offset, candidates), one candidate
-    (energy, m, block, eigenvector column) per level.
-    """
-    basis = enumerate_sector(n, k)
-    orbits = translation_orbits(basis)
-    hops = hop_table(basis, orbits)
-    offset = sector_energy_offset(k, n, field)
-    values = []
-    candidates = []
-    for m in range(n):
-        block = build_momentum_block(basis, orbits, m, coupling, hops=hops)
-        if block.dim == 0:
-            continue
-        spectrum = eigh(block.matrix, source=f"k={k} m={m}")
-        shifted = spectrum.values + offset
-        values.append(shifted)
-        for col, energy in enumerate(shifted):
-            candidates.append((energy, m, block, spectrum.vectors[:, col]))
-    return np.concatenate(values), candidates
-
-
 def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
                     tol: float = DEGENERACY_RTOL, threads: int = 1) -> GroundManifold:
     """Ground energy and every degenerate ground state of the n-site ring.
 
-    Scans all sectors k = 0..n through their momentum blocks and clusters
-    eigenvalues within ``tol`` times the spectral range of the minimum.
-    States are lifted to sector amplitudes and ordered by (k, m).
+    Scans the levels of the symmetry-distinct blocks (sectors k <= n/2 mapped
+    over ``threads`` workers), takes every level within ``tol`` times the
+    spectral range of the minimum, and diagonalizes only the blocks holding
+    one.  States are lifted to sector amplitudes and ordered by (k, m).
     """
-    ks = range(n + 1)
+    def scan(k):
+        return [block_levels(n, k, m, coupling) for m in range(n // 2 + 1)]
+
+    ks = range(n // 2 + 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_sector = list(pool.map(
-                lambda k: _sector_levels(n, k, coupling, field), ks))
+            per_sector = list(pool.map(scan, ks))
     else:
-        per_sector = [_sector_levels(n, k, coupling, field) for k in ks]
+        per_sector = list(map(scan, ks))
 
-    all_values = np.concatenate([values for values, _ in per_sector])
+    levels = {}  # (k, m) -> levels plus the field offset of k, for every block
+    for k, sector in zip(ks, per_sector):
+        for m, values in enumerate(sector):
+            for image in {(k, m), (n - k, m), (k, -m % n), (n - k, -m % n)}:
+                levels[image] = values + sector_energy_offset(image[0], n, field)
+    all_values = np.concatenate(list(levels.values()))
     e0 = float(all_values.min())
     window = tol * max(float(all_values.max()) - e0, np.finfo(float).tiny)
 
-    states = []
-    for k, (_, candidates) in zip(ks, per_sector):
-        for energy, m, block, column in candidates:
-            if energy - e0 <= window:
-                states.append((k, m, block, column))
-    states.sort(key=lambda s: (s[0], s[1]))
-    return GroundManifold(
-        energy=e0,
-        states=tuple(SectorState(basis=block.basis, amplitudes=lift_block_vector(block, col),
-                                 momentum=m)
-                     for _, m, block, col in states),
-        tolerance=tol,
-    )
+    states, energies = [], []
+    for k, m in sorted(levels):
+        count = int(np.count_nonzero(levels[k, m] - e0 <= window))
+        if count == 0:
+            continue
+        block = _block(n, k, m, coupling)
+        spectrum = eigh(block.matrix, source=f"k={k} m={m}")
+        energies.append(spectrum.values[0] + sector_energy_offset(k, n, field))
+        states.extend(SectorState(basis=block.basis, momentum=m,
+                                  amplitudes=lift_block_vector(block, spectrum.vectors[:, col]))
+                      for col in range(count))
+    # the energy of the decompositions the states come from (the scan's
+    # eigenvalue-only minimum can differ from it in the last bits)
+    return GroundManifold(energy=float(min(energies)), states=tuple(states), tolerance=tol)

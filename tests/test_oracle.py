@@ -97,9 +97,12 @@ class TestLevelScan:
 
 class TestPipelineAgreement:
     @pytest.mark.parametrize("n", range(2, 9))
-    @pytest.mark.parametrize("j", [-1.0, 1.0])
-    def test_small_rings(self, n, j):
-        result = compare_with_pipeline(n, Coupling(j))
+    @pytest.mark.parametrize("j, b", [(-1.0, 0.0), (1.0, 0.0), (-1.0, 0.7), (1.0, 0.7)],
+                             ids=["-1.0", "1.0", "-1.0-b0.7", "1.0-b0.7"])
+    def test_small_rings(self, n, j, b):
+        # at b=0.7 the ground level of n=3, 5..8 lies in a sector k > n/2,
+        # whose levels the pipeline's scan takes from the mirror sector n-k
+        result = compare_with_pipeline(n, Coupling(j), FieldSetting(b))
         assert result.ok, result
 
     @pytest.mark.parametrize("n", [9, 10, 11])

@@ -7,7 +7,8 @@ from xxring.basis import enumerate_sector, rotate, translation_orbits
 from xxring.hamiltonian import (Coupling, FieldSetting, apply_hamiltonian,
                                 build_momentum_block, build_sector_hamiltonian,
                                )
-from xxring.spectra import (GroundManifold, eigh, ground_manifold,
+import xxring.spectra
+from xxring.spectra import (GroundManifold, block_levels, eigh, ground_manifold,
                             lift_block_vector)
 
 FERRO = Coupling(-1.0)
@@ -182,3 +183,28 @@ class TestGroundManifold:
         for a, b in zip(serial.states, threaded.states):
             assert (a.k, a.momentum) == (b.k, b.momentum)
             np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+
+    @pytest.mark.parametrize("n, coupling, blocks", [(7, ANTIFERRO, 4), (8, FERRO, 1)])
+    def test_eigenvectors_only_for_ground_blocks(self, monkeypatch, n, coupling, blocks):
+        calls = []
+
+        def counted(matrix, source=""):
+            calls.append(source)
+            return eigh(matrix, source)
+
+        monkeypatch.setattr(xxring.spectra, "eigh", counted)
+        manifold = ground_manifold(n, coupling)
+        assert len(calls) == blocks == manifold.degeneracy
+
+    def test_scan_checks_hermiticity(self, monkeypatch):
+        def skewed(*args, **kwargs):
+            block = build_momentum_block(*args, **kwargs)
+            if block.dim > 1:
+                block.matrix[0, 1] += 1e-6
+            return block
+
+        monkeypatch.setattr(xxring.spectra, "build_momentum_block", skewed)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            block_levels(6, 3, 0, FERRO)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ground_manifold(6, FERRO)
