@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -125,12 +124,6 @@ def _pair_arg(args, n: int) -> tuple[int, int]:
     return 0, args.distance % n
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("XXRING_THREADS", "1")))
-
-
 def _add_common(parser: argparse.ArgumentParser, *, coupling: bool = True) -> None:
     if coupling:
         parser.add_argument("--j", type=float, default=-1.0,
@@ -140,8 +133,6 @@ def _add_common(parser: argparse.ArgumentParser, *, coupling: bool = True) -> No
                         help="degeneracy tolerance relative to the spectral range")
     parser.add_argument("--format", choices=("json", "csv", "table"), default="json")
     parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: XXRING_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,12 +191,14 @@ def _cmd_spectrum(args) -> int:
     ks = range(args.n + 1) if args.k is None else [args.k]
     rows = []
     ms = range(args.n) if args.m is None else [args.m]
+    zero = args.tol * args.n * abs(args.j)  # exact zero levels come out as LAPACK noise
     for k in ks:
         offset = sector_energy_offset(k, args.n, field)
         for m in ms:
             for level, energy in enumerate(block_levels(args.n, k, m, coupling)):
+                energy = float(energy) + offset
                 rows.append({"k": k, "m": m, "level": level,
-                             "energy": float(energy) + offset})
+                             "energy": 0.0 if abs(energy) <= zero else energy})
     config = {"n": args.n, "j": args.j, "b": args.b,
               "k": args.k, "m": args.m, "tol": args.tol}
     _emit("spectrum", config, rows, args, started)
@@ -215,7 +208,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_ground(args) -> int:
     started = time.perf_counter()
     manifold = ground_manifold(args.n, Coupling(j=args.j), FieldSetting(b=args.b),
-                               tol=args.tol, threads=_threads(args))
+                               tol=args.tol)
     rows = [{"energy": manifold.energy, "degeneracy": manifold.degeneracy,
              "k": state.k, "m": state.momentum}
             for state in manifold.states]
@@ -228,7 +221,7 @@ def _cmd_concurrence(args) -> int:
     started = time.perf_counter()
     pair = _pair_arg(args, args.n)
     manifold = ground_manifold(args.n, Coupling(j=args.j), FieldSetting(b=args.b),
-                               tol=args.tol, threads=_threads(args))
+                               tol=args.tol)
     value = concurrence_wootters(manifold_pair_density(manifold, pair)).value
     d = abs(pair[0] - pair[1])
     rows = [{"n": args.n, "p": pair[0] + 1, "q": pair[1] + 1,
@@ -261,7 +254,7 @@ def _cmd_sweep(args) -> int:
     n_min, n_max = _parse_range(args.n)
     rows_out = []
     for row in sweep(n_min, n_max, parity=args.parity, regime=args.regime,
-                     distance=args.distance, tol=args.tol, threads=_threads(args)):
+                     distance=args.distance, tol=args.tol):
         rows_out.append({"n": row.n, "regime": row.regime, "distance": row.distance,
                          "concurrence": row.concurrence, "degeneracy": row.degeneracy,
                          "energy": row.energy, "seconds": row.seconds})
@@ -275,7 +268,7 @@ def _cmd_extrapolate(args) -> int:
     started = time.perf_counter()
     n_min, n_max = _parse_range(args.n)
     rows = sweep(n_min, n_max, parity=args.parity, regime=args.regime,
-                 distance=args.distance, tol=args.tol, threads=_threads(args))
+                 distance=args.distance, tol=args.tol)
     fit = extrapolate(rows)
     rows_out = [{"c_infinity": fit.c_infinity, "a": fit.a, "b": fit.b,
                  "residual": fit.residual,

@@ -159,10 +159,10 @@ def manifold_pair_density(manifold: GroundManifold,
 
 
 def ground_concurrence(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
-                       pair: tuple[int, int] = (0, 1), tol: float = DEGENERACY_RTOL,
-                       threads: int = 1) -> float:
+                       pair: tuple[int, int] = (0, 1),
+                       tol: float = DEGENERACY_RTOL) -> float:
     """Nearest- or distant-pair concurrence of the ground-manifold mixture."""
     if n < 2:
         raise ValueError("pairwise concurrence needs at least two sites")
-    manifold = ground_manifold(n, coupling, field, tol=tol, threads=threads)
+    manifold = ground_manifold(n, coupling, field, tol=tol)
     return concurrence_wootters(manifold_pair_density(manifold, pair)).value

@@ -112,7 +112,6 @@ class FullSpectrumReport:
     ground_degeneracy: int
     ground_sectors: tuple[int, ...]
     ground_concurrence: float
-    max_level_concurrence: float | None  # None beyond the level-scan cap
     config_probabilities: np.ndarray  # ground mixture, indexed by configuration
 
 
@@ -124,17 +123,12 @@ def full_diagonalize(n: int, coupling: Coupling, field: FieldSetting = FieldSett
     ground = vectors[:, start:stop]
     probs = (np.abs(ground) ** 2).sum(axis=1) / (stop - start)
     ground_c = concurrence_wootters(_mixture_pair_density(ground, n, (0, 1))).value
-    max_c = None
-    if n <= SCAN_CAP:
-        max_c = max(row.concurrence for row in
-                    eigenvector_concurrence_scan(n, coupling, field, tol).rows)
     return FullSpectrumReport(
         n=n,
         ground_energy=float(values[start]),
         ground_degeneracy=stop - start,
         ground_sectors=tuple(sorted(set(tags[start:stop].tolist()))),
         ground_concurrence=ground_c,
-        max_level_concurrence=max_c,
         config_probabilities=probs,
     )
 

@@ -16,7 +16,6 @@ the spectral range separates them cleanly from solver noise.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ class Spectrum:
 
     values: np.ndarray
     vectors: np.ndarray
-    source: str = ""
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -56,10 +54,10 @@ def _hermitian(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def eigh(matrix: np.ndarray, source: str = "") -> Spectrum:
+def eigh(matrix: np.ndarray) -> Spectrum:
     """Full decomposition of a Hermitian matrix with fixed phases."""
     values, vectors = np.linalg.eigh(_hermitian(np.asarray(matrix)))
-    return Spectrum(values=values, vectors=_fix_phases(vectors), source=source)
+    return Spectrum(values=values, vectors=_fix_phases(vectors))
 
 
 def _block(n: int, k: int, m: int, coupling: Coupling) -> MomentumBlock:
@@ -122,27 +120,18 @@ class GroundManifold:
 
 
 def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
-                    tol: float = DEGENERACY_RTOL, threads: int = 1) -> GroundManifold:
+                    tol: float = DEGENERACY_RTOL) -> GroundManifold:
     """Ground energy and every degenerate ground state of the n-site ring.
 
-    Scans the levels of the symmetry-distinct blocks (sectors k <= n/2 mapped
-    over ``threads`` workers), takes every level within ``tol`` times the
-    spectral range of the minimum, and diagonalizes only the blocks holding
-    one.  States are lifted to sector amplitudes and ordered by (k, m).
+    Scans the levels of the symmetry-distinct blocks (k <= n/2, m <= n/2),
+    takes every level within ``tol`` times the spectral range of the minimum,
+    and diagonalizes only the blocks holding one.  States are lifted to
+    sector amplitudes and ordered by (k, m).
     """
-    def scan(k):
-        return [block_levels(n, k, m, coupling) for m in range(n // 2 + 1)]
-
-    ks = range(n // 2 + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_sector = list(pool.map(scan, ks))
-    else:
-        per_sector = list(map(scan, ks))
-
     levels = {}  # (k, m) -> levels plus the field offset of k, for every block
-    for k, sector in zip(ks, per_sector):
-        for m, values in enumerate(sector):
+    for k in range(n // 2 + 1):
+        for m in range(n // 2 + 1):
+            values = block_levels(n, k, m, coupling)
             for image in {(k, m), (n - k, m), (k, -m % n), (n - k, -m % n)}:
                 levels[image] = values + sector_energy_offset(image[0], n, field)
     all_values = np.concatenate(list(levels.values()))
@@ -155,7 +144,7 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
         if count == 0:
             continue
         block = _block(n, k, m, coupling)
-        spectrum = eigh(block.matrix, source=f"k={k} m={m}")
+        spectrum = eigh(block.matrix)
         energies.append(spectrum.values[0] + sector_energy_offset(k, n, field))
         states.extend(SectorState(basis=block.basis, momentum=m,
                                   amplitudes=lift_block_vector(block, spectrum.vectors[:, col]))

@@ -10,7 +10,6 @@ of 15 sites allows, higher orders would only fit noise.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +48,8 @@ def _one_row(n: int, regime: str, distance: int, strength: float,
 
 def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
           distance: int = 1, strength: float = 1.0,
-          field: FieldSetting = FieldSetting(), tol: float = DEGENERACY_RTOL,
-          threads: int = 1) -> list[SweepRow]:
+          field: FieldSetting = FieldSetting(),
+          tol: float = DEGENERACY_RTOL) -> list[SweepRow]:
     """One concurrence row per ring size in [n_min, n_max]."""
     if regime not in REGIME_COUPLING:
         raise ValueError(f"regime must be one of {sorted(REGIME_COUPLING)}")
@@ -63,10 +62,6 @@ def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
     sizes = [n for n in range(n_min, n_max + 1)
              if parity == "all" or n % 2 == (0 if parity == "even" else 1)]
     sizes = [n for n in sizes if distance < n]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda n: _one_row(n, regime, distance, strength, field, tol), sizes))
     return [_one_row(n, regime, distance, strength, field, tol) for n in sizes]
 
 

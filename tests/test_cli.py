@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -50,6 +51,21 @@ class TestPayloads:
         energies = sorted(r["energy"] for r in doc["rows"])
         reference = np.linalg.eigvalsh(full_hamiltonian(4, Coupling(1.0)))
         np.testing.assert_allclose(energies, reference, atol=1e-10)
+
+    def test_spectrum_prints_zero_levels_exactly(self, capsys):
+        n = 6
+        code, doc = run_json(capsys, ["spectrum", "--n", str(n), "--j", "-1"])
+        assert code == 0
+        near_zero = [r["energy"] for r in doc["rows"] if abs(r["energy"]) < 1e-6]
+        assert all(e == 0.0 for e in near_zero)
+        # Jordan-Wigner: a k-up level is a sum of k distinct -2 cos q, with
+        # q = 2*pi*l/n for odd k and q = 2*pi*(l + 1/2)/n for even k
+        zeros = 0
+        for k in range(n + 1):
+            q = 2 * np.pi * (np.arange(n) + (k + 1) % 2 / 2) / n
+            zeros += sum(abs(np.cos(q[list(occupied)]).sum()) < 1e-9
+                         for occupied in combinations(range(n), k))
+        assert len(near_zero) == zeros
 
     def test_lp_csv(self, capsys):
         code = cli.run(["lp", "--n", "6", "--j", "-1", "--format", "csv"])
@@ -149,13 +165,3 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "compare_with_pipeline", broken)
         assert cli.run(["verify", "--n", "2..3"]) == 1
 
-
-class TestThreads:
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("XXRING_THREADS", "3")
-        code, doc = run_json(capsys, ["ground", "--n", "6", "--j", "-1"])
-        assert code == 0
-        monkeypatch.delenv("XXRING_THREADS")
-        code2, doc2 = run_json(capsys, ["ground", "--n", "6", "--j", "-1"])
-        assert code2 == 0
-        assert doc["rows"] == doc2["rows"]

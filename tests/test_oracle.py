@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import xxring.oracle
 from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.oracle import (_full_spectrum, compare_with_pipeline,
                            eigenvector_concurrence_scan, full_diagonalize,
@@ -62,6 +63,13 @@ class TestFullDiagonalize:
     def test_cap(self):
         with pytest.raises(ValueError):
             full_diagonalize(15, FERRO)
+
+    def test_no_level_scan(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(xxring.oracle, "eigenvector_concurrence_scan",
+                            lambda *args, **kwargs: calls.append(args))
+        full_diagonalize(8, FERRO)
+        assert calls == []
 
 
 class TestLevelScan:

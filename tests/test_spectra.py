@@ -175,22 +175,13 @@ class TestGroundManifold:
         assert manifold.states[0].k == 2
         np.testing.assert_allclose(manifold.energy, -2.05, atol=1e-12)
 
-    def test_threaded_scan_is_identical(self):
-        serial = ground_manifold(7, ANTIFERRO)
-        threaded = ground_manifold(7, ANTIFERRO, threads=4)
-        assert serial.energy == threaded.energy
-        assert serial.degeneracy == threaded.degeneracy
-        for a, b in zip(serial.states, threaded.states):
-            assert (a.k, a.momentum) == (b.k, b.momentum)
-            np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-
     @pytest.mark.parametrize("n, coupling, blocks", [(7, ANTIFERRO, 4), (8, FERRO, 1)])
     def test_eigenvectors_only_for_ground_blocks(self, monkeypatch, n, coupling, blocks):
         calls = []
 
-        def counted(matrix, source=""):
-            calls.append(source)
-            return eigh(matrix, source)
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
 
         monkeypatch.setattr(xxring.spectra, "eigh", counted)
         manifold = ground_manifold(n, coupling)
