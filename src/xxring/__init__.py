@@ -9,40 +9,22 @@ probability reports, a full 2^n brute-force cross-check, and size sweeps
 with a 1/n extrapolation of the nearest-pair concurrence.
 """
 
-from .basis import (DihedralClass, SectorBasis, TranslationOrbit, config_label,
-                    dihedral_classes, enumerate_sector, popcount, reflect, rotate,
-                    translation_orbits, up_sites)
-from .concurrence import (ConcurrenceResult, PairDensity, concurrence_wootters,
-                          concurrence_xstate, ground_concurrence,
-                          manifold_pair_density, pair_density, state_concurrence)
-from .hamiltonian import (Coupling, FieldSetting, MomentumBlock, apply_hamiltonian,
-                          build_momentum_block, build_sector_hamiltonian, hop_table,
-                          ring_bonds, sector_energy_offset)
-from .oracle import (FullSpectrumReport, LevelScan, PipelineAgreement,
-                     compare_with_pipeline, eigenvector_concurrence_scan,
-                     full_diagonalize, full_hamiltonian)
-from .polarization import OrbitReport, OrbitRow, clustering_score, lp_table, orbit_probabilities
-from .spectra import (GroundManifold, SectorState, Spectrum, eigh,
-                      ground_manifold, lift_block_vector)
-from .sweeps import LimitFit, SweepRow, extrapolate, sweep
+from .basis import enumerate_sector, translation_orbits
+from .concurrence import (concurrence_wootters, ground_concurrence, manifold_pair_density,
+                          state_concurrence)
+from .hamiltonian import Coupling, FieldSetting, build_momentum_block, hop_table
+from .polarization import lp_table
+from .spectra import SectorState, eigh, ground_manifold
+from .sweeps import extrapolate, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coupling", "FieldSetting", "MomentumBlock", "SectorBasis", "TranslationOrbit",
-    "DihedralClass", "Spectrum", "SectorState", "GroundManifold", "PairDensity",
-    "ConcurrenceResult", "OrbitReport", "OrbitRow", "FullSpectrumReport", "LevelScan",
-    "PipelineAgreement", "SweepRow", "LimitFit",
-    "enumerate_sector", "translation_orbits", "dihedral_classes", "rotate", "reflect",
-    "popcount", "up_sites", "config_label",
-    "build_sector_hamiltonian", "apply_hamiltonian", "build_momentum_block",
-    "hop_table", "ring_bonds", "sector_energy_offset",
-    "eigh", "ground_manifold", "lift_block_vector",
-    "pair_density", "concurrence_wootters", "concurrence_xstate",
-    "state_concurrence", "ground_concurrence", "manifold_pair_density",
-    "clustering_score", "orbit_probabilities", "lp_table",
-    "full_hamiltonian", "full_diagonalize", "eigenvector_concurrence_scan",
-    "compare_with_pipeline",
+    "Coupling", "FieldSetting", "SectorState",
+    "enumerate_sector", "translation_orbits", "build_momentum_block", "hop_table",
+    "eigh", "ground_manifold",
+    "concurrence_wootters", "state_concurrence", "ground_concurrence",
+    "manifold_pair_density", "lp_table",
     "sweep", "extrapolate",
     "__version__",
 ]

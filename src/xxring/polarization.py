@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .basis import SectorBasis, config_label, dihedral_classes, up_sites
 from .hamiltonian import Coupling, FieldSetting, sector_plan
@@ -25,9 +24,21 @@ from .spectra import DEGENERACY_RTOL, GroundManifold, ground_manifold
 EQUAL_PROBABILITY_ATOL = 1e-9
 
 
-def _quantize(values) -> np.ndarray:
-    """Snap to the equal-probability grid so exact symmetry ties rank as ties."""
-    return np.round(np.asarray(values) / EQUAL_PROBABILITY_ATOL) * EQUAL_PROBABILITY_ATOL
+def _rank_correlation(x, y) -> float | None:
+    """Spearman's coefficient of two columns, None where it is undefined.
+
+    Values are snapped to the equal-probability grid so exact symmetry ties
+    rank as ties, and tied values share the mean of their 1-based positions.
+    A constant column, a single row included, leaves the coefficient undefined.
+    """
+    ranks = []
+    for values in (x, y):
+        grid = np.round(np.asarray(values) / EQUAL_PROBABILITY_ATOL)
+        _, inverse, counts = np.unique(grid, return_inverse=True, return_counts=True)
+        if len(counts) == 1:
+            return None
+        ranks.append((np.cumsum(counts) - (counts - 1) / 2)[inverse])
+    return float(np.corrcoef(*ranks)[1, 0])
 
 
 def clustering_score(bits: int, n: int) -> float:
@@ -107,14 +118,9 @@ def orbit_probabilities(manifold: GroundManifold, sector: SectorBasis) -> OrbitR
         ))
     rows.sort(key=lambda r: (r.member_probability, r.representative))
 
-    if len(rows) > 1:
-        corr = spearmanr(_quantize([r.clustering for r in rows]),
-                         _quantize([r.member_probability for r in rows])).statistic
-        rank_correlation = None if np.isnan(corr) else float(corr)
-    else:
-        rank_correlation = None
-    return OrbitReport(n=sector.n, k=sector.k, sector_weight=weight,
-                       rows=tuple(rows), rank_correlation=rank_correlation)
+    return OrbitReport(n=sector.n, k=sector.k, sector_weight=weight, rows=tuple(rows),
+                       rank_correlation=_rank_correlation([r.clustering for r in rows],
+                                                          [r.member_probability for r in rows]))
 
 
 def lp_table(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),

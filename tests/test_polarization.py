@@ -1,5 +1,7 @@
 """Clustering scores and orbit-probability reports of the ground mixture."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,21 @@ FERRO = Coupling(-1.0)
 
 def bits_of(sites):
     return sum(1 << s for s in sites)
+
+
+def grid(values):
+    return [round(v / 1e-9) for v in values]
+
+
+def spearman_by_hand(xs, ys):
+    """Pearson's r of the ranks on the 1e-9 grid; ties share their mean 1-based position."""
+    def ranks(values):
+        order = sorted(grid(values))
+        return [order.index(g) + (order.count(g) + 1) / 2 for g in grid(values)]
+    rx, ry = ranks(xs), ranks(ys)
+    mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
+    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    return cov / math.sqrt(sum((a - mx) ** 2 for a in rx) * sum((b - my) ** 2 for b in ry))
 
 
 class TestClusteringScore:
@@ -117,11 +134,20 @@ class TestOrbitReports:
         assert lp_table(6, FERRO).rank_correlation == pytest.approx(-1.0)
         assert lp_table(8, FERRO).rank_correlation < -0.8  # not strictly monotone
 
+    @pytest.mark.parametrize("n, coupling", [(8, FERRO), (11, Coupling(1.0))])
+    def test_rank_correlation_is_spearmans(self, n, coupling):
+        report = lp_table(n, coupling)
+        probs = [r.member_probability for r in report.rows]
+        assert len(set(grid(probs))) < len(probs)  # reflection partners tie
+        expected = spearman_by_hand([r.clustering for r in report.rows], probs)
+        assert report.rank_correlation == pytest.approx(expected, abs=1e-12)
+
     def test_odd_ring_reports_conditional_distribution(self):
         report = lp_table(3, FERRO)
         assert report.k == 1
         np.testing.assert_allclose(report.sector_weight, 0.5, atol=1e-12)
         np.testing.assert_allclose(report.member_probabilities(), [1 / 3], atol=1e-12)
+        assert report.rank_correlation is None  # undefined on a single row
 
     def test_missing_sector_rejected(self):
         manifold = ground_manifold(4, FERRO)
