@@ -282,6 +282,8 @@ def _cmd_extrapolate(args) -> int:
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     n_min, n_max = _parse_range(args.n)
+    if n_min > n_max:
+        raise ValueError(f"verify range {n_min}..{n_max} is empty")
     rows = []
     all_ok = True
     for n in range(n_min, n_max + 1):

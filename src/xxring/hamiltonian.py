@@ -93,15 +93,14 @@ class MomentumBlock:
     """Hamiltonian restricted to one momentum sector of one k sector.
 
     ``reps`` lists the admissible orbit representatives (those with
-    m * period = 0 mod n), ``norms`` the squared normalization n^2/period of
-    each momentum basis state, and ``matrix`` the complex Hermitian block.
+    m * period = 0 mod n), ``periods`` their orbit periods, and ``matrix``
+    the complex Hermitian block.
     """
 
     basis: SectorBasis
     m: int
     reps: tuple[int, ...]
     periods: tuple[int, ...]
-    norms: tuple[float, ...]
     matrix: np.ndarray
 
     @property
@@ -159,6 +158,4 @@ def build_momentum_block(basis: SectorBasis, orbits: list[TranslationOrbit], m: 
               coupling.j * phase[shift[keep]] * hops[keep, 3])
     reps = tuple(orbits[i].representative for i in admissible)
     periods = tuple(orbits[i].period for i in admissible)
-    norms = tuple(n * n / p for p in periods)
-    return MomentumBlock(basis=basis, m=m, reps=reps, periods=periods,
-                         norms=norms, matrix=matrix)
+    return MomentumBlock(basis=basis, m=m, reps=reps, periods=periods, matrix=matrix)

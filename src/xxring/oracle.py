@@ -1,12 +1,11 @@
 """Brute-force reference path over the full 2^n-dimensional space.
 
-This module deliberately avoids the translation-symmetry machinery: states
-are plain amplitude vectors over all 2^n configurations, diagonalization
-happens per up-spin count (which only needs popcount, not orbits), and the
-pair reduction is an independent reimplementation on full-space vectors.
-It exists to cross-check the momentum-block pipeline: ground energy,
-degeneracy, per-configuration probabilities and mixture concurrence must
-all agree to 1e-10.
+It deliberately avoids the translation-symmetry machinery: popcount blocks
+are built from ``np.arange(2**n)`` with numpy bit operations, eigenvectors
+stay in their blocks, and only the columns of the level group a caller reads
+are scattered into full-space vectors for an independent pair reduction.  It
+cross-checks the momentum-block pipeline: ground energy, degeneracy,
+per-configuration probabilities and mixture concurrence agree to 1e-10.
 """
 
 from __future__ import annotations
@@ -37,8 +36,20 @@ def full_hamiltonian(n: int, coupling: Coupling) -> np.ndarray:
     return h
 
 
+def _popcount_block(n: int, k: int, coupling: Coupling) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending k-up configurations and their Hamiltonian block, one step per bond."""
+    full = np.arange(1 << n)
+    configs = full[((full[:, None] >> np.arange(n)) & 1).sum(axis=1) == k]
+    block = np.zeros((len(configs), len(configs)))
+    for i, j in ring_bonds(n):
+        hop = np.flatnonzero(((configs >> i) ^ (configs >> j)) & 1)
+        rows = np.searchsorted(configs, configs[hop] ^ ((1 << i) | (1 << j)))
+        block[rows, hop] += coupling.j  # one entry per hop; n = 2 lists its bond twice
+    return configs, block
+
+
 def _full_spectrum(n, coupling, field):
-    """All 2^n levels, eigenvectors as full-space columns, sector tags.
+    """All 2^n levels, a (configs, eigenvector) source per level, sector tags.
 
     Magnetization is conserved, so the full matrix is block diagonal by
     popcount; diagonalizing block-wise keeps every eigenvector exactly
@@ -46,29 +57,24 @@ def _full_spectrum(n, coupling, field):
     """
     if n > FULL_DIAGONALIZE_CAP:
         raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
-    dim = 1 << n
-    values = np.empty(dim)
-    vectors = np.zeros((dim, dim))
-    tags = np.empty(dim, dtype=int)
-    bonds = ring_bonds(n)
-    pos = 0
+    values, sources, tags = [], [], []
     for k in range(n + 1):
-        configs = [c for c in range(dim) if c.bit_count() == k]
-        index = {c: i for i, c in enumerate(configs)}
-        block = np.zeros((len(configs), len(configs)))
-        for a, c in enumerate(configs):
-            for i, j in bonds:
-                if ((c >> i) & 1) != ((c >> j) & 1):
-                    block[index[c ^ ((1 << i) | (1 << j))], a] += coupling.j
+        configs, block = _popcount_block(n, k, coupling)
         w, v = np.linalg.eigh(block)
-        w = w + sector_energy_offset(k, n, field)
-        stop = pos + len(configs)
-        values[pos:stop] = w
-        vectors[configs, pos:stop] = v
-        tags[pos:stop] = k
-        pos = stop
+        values.append(w + sector_energy_offset(k, n, field))
+        sources.extend((configs, v[:, col]) for col in range(len(configs)))
+        tags.append(np.full(len(configs), k))
+    values = np.concatenate(values)
     order = np.argsort(values, kind="stable")
-    return values[order], vectors[:, order], tags[order]
+    return values[order], [sources[i] for i in order], np.concatenate(tags)[order]
+
+
+def _columns(sources, n: int) -> np.ndarray:
+    """The given levels' eigenvectors as columns over all 2^n configurations."""
+    out = np.zeros((1 << n, len(sources)))
+    for col, (configs, vector) in enumerate(sources):
+        out[configs, col] = vector
+    return out
 
 
 def _degenerate_groups(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -83,26 +89,20 @@ def _degenerate_groups(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return groups
 
 
-def _mixture_pair_density(vectors: np.ndarray, n: int,
-                          pair: tuple[int, int]) -> PairDensity:
-    """Equal-weight pair reduction of full-space columns (independent path)."""
+def _mixture_pair_density(vectors: np.ndarray, n: int, pair: tuple[int, int]) -> PairDensity:
+    """Equal-weight pair reduction of full-space columns (independent path).
+
+    Each column becomes an n-index tensor whose first axis is bit n-1; the
+    axes of sites p and q move to the front, reversed so that up (bit 1)
+    comes first, which gives the (uu, ud, du, dd) order.
+    """
+    if n < 2:
+        raise ValueError("pairwise concurrence needs at least two sites")
     p, q = pair
-    pair_mask = (1 << p) | (1 << q)
     d = vectors.shape[1]
-    rho = np.zeros((4, 4), dtype=complex)
-    for col in range(d):
-        psi = vectors[:, col]
-        groups: dict[int, np.ndarray] = {}
-        for c in np.nonzero(psi)[0]:
-            i4 = (1 - ((int(c) >> p) & 1)) * 2 + (1 - ((int(c) >> q) & 1))
-            rest = int(c) & ~pair_mask
-            vec = groups.get(rest)
-            if vec is None:
-                vec = groups[rest] = np.zeros(4, dtype=complex)
-            vec[i4] += psi[c]
-        for vec in groups.values():
-            rho += np.outer(vec, vec.conj()) / d
-    return PairDensity(matrix=rho, pair=pair)
+    amps = np.moveaxis(vectors.T.reshape((d,) + (2,) * n), (n - p, n - q), (0, 1))
+    amps = amps[::-1, ::-1].reshape(4, -1)
+    return PairDensity(matrix=amps @ amps.conj().T / d, pair=pair)
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,9 @@ class FullSpectrumReport:
 def full_diagonalize(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
                      tol: float = DEGENERACY_RTOL) -> FullSpectrumReport:
     """Ground-level structure from the popcount-blocked full spectrum."""
-    values, vectors, tags = _full_spectrum(n, coupling, field)
+    values, sources, tags = _full_spectrum(n, coupling, field)
     start, stop = _degenerate_groups(values, tol)[0]
-    ground = vectors[:, start:stop]
+    ground = _columns(sources[start:stop], n)
     probs = (np.abs(ground) ** 2).sum(axis=1) / (stop - start)
     ground_c = concurrence_wootters(_mixture_pair_density(ground, n, (0, 1))).value
     return FullSpectrumReport(
@@ -159,10 +159,10 @@ def eigenvector_concurrence_scan(n: int, coupling: Coupling,
     """
     if n > SCAN_CAP:
         raise ValueError(f"level scan is capped at n={SCAN_CAP}")
-    values, vectors, _ = _full_spectrum(n, coupling, field)
+    values, sources, _ = _full_spectrum(n, coupling, field)
     rows = []
     for start, stop in _degenerate_groups(values, tol):
-        rho = _mixture_pair_density(vectors[:, start:stop], n, (0, 1))
+        rho = _mixture_pair_density(_columns(sources[start:stop], n), n, (0, 1))
         rows.append(LevelRow(energy=float(values[start]), degeneracy=stop - start,
                              concurrence=concurrence_wootters(rho).value))
     top = max(row.concurrence for row in rows)
@@ -198,10 +198,10 @@ def compare_with_pipeline(n: int, coupling: Coupling,
     manifold = ground_manifold(n, coupling, field, tol=tol)
     mixture_c = concurrence_wootters(manifold_pair_density(manifold, (0, 1))).value
 
+    d = manifold.degeneracy
     pipeline_probs = np.zeros(1 << n)
     for state in manifold.states:
-        for c, amp in zip(state.basis.configs, state.amplitudes):
-            pipeline_probs[c] += abs(amp) ** 2 / manifold.degeneracy
+        pipeline_probs[list(state.basis.configs)] += np.abs(state.amplitudes) ** 2 / d
 
     return PipelineAgreement(
         n=n,

@@ -154,6 +154,14 @@ class TestExitCodes:
         assert cli.run(["--help"]) == 0
         assert "1-based" in capsys.readouterr().out
 
+    def test_verify_refuses_empty_range(self, capsys):
+        assert cli.run(["verify", "--n", "5..3"]) == 2
+        assert "empty" in capsys.readouterr().err
+
+    def test_verify_refuses_single_site(self, capsys):
+        assert cli.run(["verify", "--n", "1..3"]) == 2
+        assert "at least two sites" in capsys.readouterr().err
+
     def test_verify_mismatch_exits_one(self, capsys, monkeypatch):
         from xxring.oracle import PipelineAgreement
 

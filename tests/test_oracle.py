@@ -1,13 +1,18 @@
 """Full-space brute-force path and its agreement with the block pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import xxring.oracle
+from xxring.basis import enumerate_sector
+from xxring.concurrence import pair_density
 from xxring.hamiltonian import Coupling, FieldSetting
-from xxring.oracle import (_full_spectrum, compare_with_pipeline,
-                           eigenvector_concurrence_scan, full_diagonalize,
-                           full_hamiltonian)
+from xxring.oracle import (_full_spectrum, _mixture_pair_density, _popcount_block,
+                           compare_with_pipeline, eigenvector_concurrence_scan,
+                           full_diagonalize, full_hamiltonian)
+from xxring.spectra import SectorState
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -32,6 +37,16 @@ class TestFullHamiltonian:
                 literal = np.linalg.eigvalsh(full_hamiltonian(n, coupling))
                 blocked, _, _ = _full_spectrum(n, coupling, FieldSetting())
                 np.testing.assert_allclose(np.sort(blocked), literal, atol=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["-1.0", "1.0"])
+    def test_popcount_block_is_the_literal_block(self, n, coupling):
+        # n = 1 has no bond; n = 2 has its single bond twice
+        literal = full_hamiltonian(n, coupling)
+        for k in range(n + 1):
+            configs, block = _popcount_block(n, k, coupling)
+            assert configs.tolist() == [c for c in range(1 << n) if c.bit_count() == k]
+            np.testing.assert_array_equal(block, literal[np.ix_(configs, configs)])
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -64,12 +79,40 @@ class TestFullDiagonalize:
         with pytest.raises(ValueError):
             full_diagonalize(15, FERRO)
 
+    def test_no_full_space_matrix(self):
+        # a 2^12 x 2^12 float array alone would take 128 MiB
+        tracemalloc.start()
+        try:
+            full_diagonalize(12, ANTIFERRO)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
     def test_no_level_scan(self, monkeypatch):
         calls = []
         monkeypatch.setattr(xxring.oracle, "eigenvector_concurrence_scan",
                             lambda *args, **kwargs: calls.append(args))
         full_diagonalize(8, FERRO)
         assert calls == []
+
+
+class TestPairReduction:
+    def test_every_pair_matches_the_sector_reduction(self):
+        n = 6
+        basis = enumerate_sector(n, 3)
+        rng = np.random.default_rng(20061)
+        amplitudes = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        amplitudes /= np.linalg.norm(amplitudes)
+        column = np.zeros((1 << n, 1), dtype=complex)
+        column[list(basis.configs), 0] = amplitudes
+        state = SectorState(basis=basis, amplitudes=amplitudes)
+        for p in range(n):
+            for q in range(p + 1, n):
+                np.testing.assert_allclose(
+                    _mixture_pair_density(column, n, (p, q)).matrix,
+                    pair_density([(1.0, state)], (p, q)).matrix, rtol=0, atol=1e-12,
+                    err_msg=f"pair {(p, q)}")
 
 
 class TestLevelScan:
