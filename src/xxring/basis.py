@@ -94,10 +94,15 @@ class SectorBasis:
         return bits in self._index
 
 
-def enumerate_sector(n: int, k: int) -> SectorBasis:
-    """Ordered basis of the k-up-spin sector with an inverse lookup."""
+def check_ring_size(n: int) -> None:
+    """Refuse ring sizes outside 1..RING_CAP."""
     if not 1 <= n <= RING_CAP:
         raise ValueError(f"ring size must be in 1..{RING_CAP}, got {n}")
+
+
+def enumerate_sector(n: int, k: int) -> SectorBasis:
+    """Ordered basis of the k-up-spin sector with an inverse lookup."""
+    check_ring_size(n)
     if not 0 <= k <= n:
         raise ValueError(f"up-spin count must be in 0..{n}, got {k}")
     configs = sorted(sum(1 << i for i in sites) for sites in combinations(range(n), k))

@@ -2,8 +2,11 @@
 
 Sites are 1-based on this surface (internally 0-based).  Floats are printed
 with 12 significant digits and a fixed field order, so identical invocations
-produce identical payloads (the runtime entry in ``meta`` is the one field
-that varies).  Exit status: 0 on success, 1 when ``verify`` finds a mismatch,
+produce identical payloads apart from two timing fields: ``runtime_ms`` in
+``meta`` and the ``seconds`` of each sweep row.  Ground solves are reused
+within a process, so a sweep row whose solve was already done reads near
+zero seconds.  ``run`` builds its argument parser on the first call and
+reuses it.  Exit status: 0 on success, 1 when ``verify`` finds a mismatch,
 2 on usage errors.
 """
 
@@ -15,8 +18,10 @@ import io
 import json
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
+from .basis import check_ring_size
 from .concurrence import concurrence_wootters, manifold_pair_density
 from .hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from .oracle import compare_with_pipeline
@@ -116,12 +121,17 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _pair_arg(args, n: int) -> tuple[int, int]:
     """Resolve --pair (1-based sites) or --distance to internal 0-based."""
+    check_ring_size(n)
+    if n < 2:
+        raise ValueError("pairwise concurrence needs at least two sites")
     if args.pair is not None:
         p, q = sorted(args.pair)
         if not (1 <= p < q <= n):
             raise ValueError(f"pair sites must be distinct and within 1..{n}")
         return p - 1, q - 1
-    return 0, args.distance % n
+    if not 1 <= args.distance <= n - 1:
+        raise ValueError(f"--distance must be in 1..{n - 1}, got {args.distance}")
+    return 0, args.distance
 
 
 def _add_common(parser: argparse.ArgumentParser, *, coupling: bool = True) -> None:
@@ -186,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_spectrum(args) -> int:
     started = time.perf_counter()
+    check_ring_size(args.n)
     field = FieldSetting(b=args.b)
     coupling = Coupling(j=args.j)
     ks = range(args.n + 1) if args.k is None else [args.k]
@@ -312,10 +323,14 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

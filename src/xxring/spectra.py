@@ -12,11 +12,20 @@ energy and tolerance window come from that full multiset; then only blocks
 reaching the window are fully solved and lifted.  Exact ground-level
 degeneracies are symmetry-protected, so the default tolerance of 1e-9 times
 the spectral range separates them cleanly from solver noise.
+
+Ground solves are reused within a process: ``ground_manifold`` keeps the
+results of its last ``GROUND_CACHE_SIZE`` distinct inputs and returns the
+same object when an input repeats.  Its amplitude arrays are read-only, so
+one caller cannot change what the next one reads.  Code that monkeypatches
+the solver internals (``eigh``, ``build_momentum_block``, ...) must call
+``_ground_manifold.cache_clear()`` first, or it may be handed a result
+solved before the patch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +35,7 @@ from .hamiltonian import (Coupling, FieldSetting, MomentumBlock, build_momentum_
 
 HERMITICITY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-9
+GROUND_CACHE_SIZE = 32  # distinct ground-solve inputs kept per process
 
 
 @dataclass(frozen=True)
@@ -126,8 +136,15 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
     Scans the levels of the symmetry-distinct blocks (k <= n/2, m <= n/2),
     takes every level within ``tol`` times the spectral range of the minimum,
     and diagonalizes only the blocks holding one.  States are lifted to
-    sector amplitudes and ordered by (k, m).
+    read-only sector amplitudes and ordered by (k, m).  A repeated input
+    returns the cached result of the first call.
     """
+    return _ground_manifold(n, coupling, field, tol)
+
+
+@lru_cache(maxsize=GROUND_CACHE_SIZE)
+def _ground_manifold(n: int, coupling: Coupling, field: FieldSetting,
+                     tol: float) -> GroundManifold:
     levels = {}  # (k, m) -> levels plus the field offset of k, for every block
     for k in range(n // 2 + 1):
         for m in range(n // 2 + 1):
@@ -146,9 +163,10 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
         block = _block(n, k, m, coupling)
         spectrum = eigh(block.matrix)
         energies.append(spectrum.values[0] + sector_energy_offset(k, n, field))
-        states.extend(SectorState(basis=block.basis, momentum=m,
-                                  amplitudes=lift_block_vector(block, spectrum.vectors[:, col]))
-                      for col in range(count))
+        for col in range(count):
+            amplitudes = lift_block_vector(block, spectrum.vectors[:, col])
+            amplitudes.flags.writeable = False
+            states.append(SectorState(basis=block.basis, amplitudes=amplitudes, momentum=m))
     # the energy of the decompositions the states come from (the scan's
     # eigenvalue-only minimum can differ from it in the last bits)
     return GroundManifold(energy=float(min(energies)), states=tuple(states), tolerance=tol)

@@ -154,6 +154,19 @@ class TestExitCodes:
         assert cli.run(["--help"]) == 0
         assert "1-based" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--n", "0"], "ring size must be in 1..20"),
+        (["spectrum", "--n", "-3"], "ring size must be in 1..20"),
+        (["concurrence", "--n", "0"], "ring size must be in 1..20"),
+        (["concurrence", "--n", "1"], "at least two sites"),
+        (["concurrence", "--n", "4", "--distance", "0"], "--distance"),
+        (["concurrence", "--n", "4", "--distance", "4"], "--distance"),
+        (["concurrence", "--n", "4", "--distance", "-1"], "--distance"),
+    ])
+    def test_refuses_out_of_range_size_or_distance(self, capsys, argv, message):
+        assert cli.run(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_verify_refuses_empty_range(self, capsys):
         assert cli.run(["verify", "--n", "5..3"]) == 2
         assert "empty" in capsys.readouterr().err
@@ -173,3 +186,19 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "compare_with_pipeline", broken)
         assert cli.run(["verify", "--n", "2..3"]) == 1
 
+
+class TestParserReuse:
+    def test_parser_built_once_without_leaking_arguments(self, capsys, monkeypatch):
+        built, original = [], cli.build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        code, doc = run_json(capsys, ["concurrence", "--n", "4", "--pair", "1", "3"])
+        assert code == 0 and (doc["rows"][0]["p"], doc["rows"][0]["q"]) == (1, 3)
+        code, doc = run_json(capsys, ["concurrence", "--n", "4"])
+        assert code == 0 and (doc["rows"][0]["p"], doc["rows"][0]["q"]) == (1, 2)
+        assert len(built) == 1

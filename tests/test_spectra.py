@@ -8,8 +8,8 @@ from xxring.hamiltonian import (Coupling, FieldSetting, apply_hamiltonian,
                                 build_momentum_block, build_sector_hamiltonian,
                                )
 import xxring.spectra
-from xxring.spectra import (GroundManifold, block_levels, eigh, ground_manifold,
-                            lift_block_vector)
+from xxring.spectra import (DEGENERACY_RTOL, GroundManifold, block_levels, eigh,
+                            ground_manifold, lift_block_vector)
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -184,6 +184,7 @@ class TestGroundManifold:
             return eigh(matrix)
 
         monkeypatch.setattr(xxring.spectra, "eigh", counted)
+        xxring.spectra._ground_manifold.cache_clear()  # solve under the patch
         manifold = ground_manifold(n, coupling)
         assert len(calls) == blocks == manifold.degeneracy
 
@@ -197,5 +198,67 @@ class TestGroundManifold:
         monkeypatch.setattr(xxring.spectra, "build_momentum_block", skewed)
         with pytest.raises(ValueError, match="not Hermitian"):
             block_levels(6, 3, 0, FERRO)
+        xxring.spectra._ground_manifold.cache_clear()  # solve under the patch
         with pytest.raises(ValueError, match="not Hermitian"):
             ground_manifold(6, FERRO)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Names of the numpy eigensolvers called while the test runs."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestGroundCache:
+    def test_repeat_returns_same_object_without_solving(self, solver_calls):
+        first = ground_manifold(7, ANTIFERRO)
+        solver_calls.clear()
+        assert ground_manifold(7, ANTIFERRO) is first
+        assert solver_calls == []
+
+    def test_call_forms_share_one_entry(self, solver_calls):
+        xxring.spectra._ground_manifold.cache_clear()
+        first = ground_manifold(5, FERRO)
+        solver_calls.clear()
+        assert ground_manifold(5, FERRO, FieldSetting()) is first
+        assert ground_manifold(5, Coupling(-1.0), field=FieldSetting(b=0.0),
+                               tol=DEGENERACY_RTOL) is first
+        assert ground_manifold(n=5, coupling=FERRO, tol=DEGENERACY_RTOL) is first
+        assert solver_calls == []
+        info = xxring.spectra._ground_manifold.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+
+    @pytest.mark.parametrize("options", [{"field": FieldSetting(b=0.1)}, {"tol": 1e-6}])
+    def test_other_field_or_tol_is_a_fresh_solve(self, solver_calls, options):
+        xxring.spectra._ground_manifold.cache_clear()
+        base = ground_manifold(5, FERRO)
+        solver_calls.clear()
+        warm = ground_manifold(5, FERRO, **options)
+        assert warm is not base and "eigh" in solver_calls
+        xxring.spectra._ground_manifold.cache_clear()
+        cold = ground_manifold(5, FERRO, **options)
+        assert cold is not warm
+        assert (warm.energy, warm.tolerance) == (cold.energy, cold.tolerance)
+        assert ([(s.k, s.momentum) for s in warm.states]
+                == [(s.k, s.momentum) for s in cold.states])
+        for a, b in zip(warm.states, cold.states):
+            np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+
+    def test_amplitudes_are_read_only(self):
+        for state in ground_manifold(5, ANTIFERRO).states:
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0.0
+
+    def test_cache_is_bounded(self):
+        for i in range(40):
+            ground_manifold(3, FERRO, FieldSetting(b=0.01 * i))
+        assert xxring.spectra._ground_manifold.cache_info().currsize <= 32
