@@ -64,23 +64,17 @@ class PairDensity:
 def _reduce_pure(state: SectorState, p: int, q: int) -> np.ndarray:
     """Partial trace of |state><state| onto sites (p, q).
 
-    Groups configurations by their pattern away from (p, q); each group
-    contributes an outer product of its 4-vector of amplitudes.
+    Row g of the (groups, 4) matrix A holds the amplitudes of the
+    configurations whose pattern away from (p, q) is the g-th one, in the
+    column of their pair bits (uu, ud, du, dd); then rho = A^T A*.  Each
+    configuration fills its own cell, so one plain assignment builds A.
     """
-    pair_mask = (1 << p) | (1 << q)
-    groups: dict[int, np.ndarray] = {}
-    for c, amp in zip(state.basis.configs, state.amplitudes):
-        if amp == 0:
-            continue
-        i4 = (1 - ((c >> p) & 1)) * 2 + (1 - ((c >> q) & 1))
-        vec = groups.get(c & ~pair_mask)
-        if vec is None:
-            vec = groups[c & ~pair_mask] = np.zeros(4, dtype=complex)
-        vec[i4] += amp
-    rho = np.zeros((4, 4), dtype=complex)
-    for vec in groups.values():
-        rho += np.outer(vec, vec.conj())
-    return rho
+    configs = np.array(state.basis.configs, dtype=np.int64)
+    pair_index = (1 - ((configs >> p) & 1)) * 2 + (1 - ((configs >> q) & 1))
+    rests, group = np.unique(configs & ~((1 << p) | (1 << q)), return_inverse=True)
+    a = np.zeros((len(rests), 4), dtype=complex)
+    a[group, pair_index] = state.amplitudes
+    return a.T @ a.conj()
 
 
 def pair_density(states: Sequence[tuple[float, SectorState]],

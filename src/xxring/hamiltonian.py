@@ -26,8 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import (SectorBasis, TranslationOrbit, enumerate_sector, orbit_representative,
-                    translation_orbits)
+from .basis import SectorBasis, TranslationOrbit, enumerate_sector, translation_orbits
 
 
 @dataclass(frozen=True)
@@ -113,20 +112,22 @@ def hop_table(basis: SectorBasis, orbits: list[TranslationOrbit]) -> np.ndarray:
 
     One row (a, b, shift, weight) per hop, indices as exact floats: the swap
     takes representative ``a`` (by orbit index) to ``rotate(reps[b], shift)``
-    and carries the amplitude ratio sqrt(period_a / period_b).
+    and carries the amplitude ratio sqrt(period_a / period_b).  Rows run
+    a-major and bond-minor.  The swapped configuration's representative is
+    its first minimal rotation, as in ``orbit_representative``.
     """
     n = basis.n
-    rep_index = {orb.representative: i for i, orb in enumerate(orbits)}
-    hops = []
-    for a, orb in enumerate(orbits):
-        c = orb.representative
-        for i, j in ring_bonds(n):
-            if ((c >> i) & 1) == ((c >> j) & 1):
-                continue
-            rep, shift = orbit_representative(c ^ ((1 << i) | (1 << j)), n)
-            b = rep_index[rep]
-            hops.append((a, b, shift, np.sqrt(orb.period / orbits[b].period)))
-    return np.array(hops, dtype=float).reshape(-1, 4)
+    reps = np.array([orb.representative for orb in orbits], dtype=np.int64)
+    periods = np.array([orb.period for orb in orbits], dtype=float)
+    i, j = np.array(ring_bonds(n), dtype=np.int64).reshape(-1, 2).T
+    a, bond = np.nonzero(((reps[:, None] >> i) & 1) != ((reps[:, None] >> j) & 1))
+    swapped = reps[a] ^ ((1 << i[bond]) | (1 << j[bond]))
+    t = np.arange(n)
+    rotations = ((swapped[:, None] << t) | (swapped[:, None] >> (n - t))) & ((1 << n) - 1)
+    first_min = rotations.argmin(axis=1)
+    b = np.searchsorted(reps, rotations[np.arange(len(swapped)), first_min])
+    shift = (n - first_min) % n
+    return np.column_stack([a, b, shift, np.sqrt(periods[a] / periods[b])])
 
 
 @lru_cache(maxsize=None)

@@ -50,7 +50,11 @@ def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
           distance: int = 1, strength: float = 1.0,
           field: FieldSetting = FieldSetting(),
           tol: float = DEGENERACY_RTOL) -> list[SweepRow]:
-    """One concurrence row per ring size in [n_min, n_max]."""
+    """One concurrence row per ring size in [n_min, n_max].
+
+    Sizes of the other parity and sizes not above ``distance`` are skipped;
+    a range that keeps no size is refused.
+    """
     if regime not in REGIME_COUPLING:
         raise ValueError(f"regime must be one of {sorted(REGIME_COUPLING)}")
     if parity not in ("all", "even", "odd"):
@@ -61,7 +65,11 @@ def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
         raise ValueError("pair distance must be at least 1")
     sizes = [n for n in range(n_min, n_max + 1)
              if parity == "all" or n % 2 == (0 if parity == "even" else 1)]
+    if not sizes:
+        raise ValueError(f"no {parity} ring size in {n_min}..{n_max} (--parity {parity})")
     sizes = [n for n in sizes if distance < n]
+    if not sizes:
+        raise ValueError(f"no ring size in {n_min}..{n_max} exceeds --distance {distance}")
     return [_one_row(n, regime, distance, strength, field, tol) for n in sizes]
 
 

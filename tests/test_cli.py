@@ -167,6 +167,17 @@ class TestExitCodes:
         assert cli.run(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--n", "4..6", "--distance", "9"], "--distance 9"),
+        (["sweep", "--n", "4..4", "--parity", "odd"], "--parity odd"),
+        (["extrapolate", "--n", "4..6", "--distance", "9"], "--distance 9"),
+    ])
+    def test_refuses_sweep_that_keeps_no_size(self, capsys, argv, message):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "4.." in captured.err
+
     def test_verify_refuses_empty_range(self, capsys):
         assert cli.run(["verify", "--n", "5..3"]) == 2
         assert "empty" in capsys.readouterr().err

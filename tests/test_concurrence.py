@@ -91,6 +91,58 @@ class TestPairDensity:
             PairDensity(matrix=hermitian_not_psd, pair=(0, 1))
 
 
+def reference_reduction(state, p, q):
+    """Partial trace onto (p, q) as a per-group sum of outer products."""
+    groups = {}
+    for c, amp in zip(state.basis.configs, state.amplitudes):
+        rest = c & ~((1 << p) | (1 << q))
+        vec = groups.setdefault(rest, np.zeros(4, dtype=complex))
+        vec[(1 - ((c >> p) & 1)) * 2 + (1 - ((c >> q) & 1))] += amp
+    rho = np.zeros((4, 4), dtype=complex)
+    for vec in groups.values():
+        rho += np.outer(vec, vec.conj())
+    return rho
+
+
+def random_state(rng, n, k):
+    basis = enumerate_sector(n, k)
+    amp = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    return SectorState(basis=basis, amplitudes=amp / np.linalg.norm(amp))
+
+
+class TestPairReductionReference:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_pair_of_every_sector(self, n):
+        rng = np.random.default_rng(100 + n)
+        for k in range(n + 1):  # k = 0 and k = n have dimension 1
+            state = random_state(rng, n, k)
+            for p in range(n):
+                for q in range(p + 1, n):
+                    np.testing.assert_allclose(pair_density([(1.0, state)], (p, q)).matrix,
+                                               reference_reduction(state, p, q),
+                                               rtol=0, atol=1e-14)
+
+    def test_mixture_across_two_sectors(self):
+        rng = np.random.default_rng(7)
+        first, second = random_state(rng, 7, 3), random_state(rng, 7, 5)
+        for p, q in [(0, 1), (0, 3), (2, 6), (5, 6)]:
+            expected = (0.3 * reference_reduction(first, p, q)
+                        + 0.7 * reference_reduction(second, p, q))
+            np.testing.assert_allclose(
+                pair_density([(0.3, first), (0.7, second)], (p, q)).matrix,
+                expected, rtol=0, atol=1e-14)
+
+    # X states on the border |z| = sqrt(u+ u-), so C = 0 exactly
+    @pytest.mark.parametrize("n, distance, coherence", [(4, 2, 1 / 4), (6, 3, 2 / 9)])
+    @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["ferro", "antiferro"])
+    def test_border_x_states_have_zero_concurrence(self, n, distance, coherence, coupling):
+        rho = manifold_pair_density(ground_manifold(n, coupling), (0, distance))
+        u_plus, u_minus = rho.diagonal()[[0, 3]]
+        np.testing.assert_allclose([abs(rho.coherence()), np.sqrt(u_plus * u_minus)],
+                                   [coherence, coherence], rtol=0, atol=1e-14)
+        assert concurrence_wootters(rho).value < 1e-15
+
+
 class TestWoottersConcurrence:
     def test_bell_state(self):
         m = np.zeros((4, 4), dtype=complex)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xxring.basis import enumerate_sector, translation_orbits
+from xxring.basis import enumerate_sector, orbit_representative, translation_orbits
 from xxring.hamiltonian import (Coupling, FieldSetting, apply_hamiltonian,
                                 build_momentum_block, build_sector_hamiltonian,
                                 hop_table, ring_bonds, sector_energy_offset)
@@ -113,6 +113,47 @@ class TestApplyHamiltonian:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_hamiltonian(enumerate_sector(4, 2), FERRO, np.ones(5))
+
+
+def reference_hop_table(basis, orbits):
+    """The hop table as a loop over representatives and bonds."""
+    n = basis.n
+    rep_index = {orb.representative: i for i, orb in enumerate(orbits)}
+    hops = []
+    for a, orb in enumerate(orbits):
+        c = orb.representative
+        for i, j in ring_bonds(n):
+            if ((c >> i) & 1) == ((c >> j) & 1):
+                continue
+            rep, shift = orbit_representative(c ^ ((1 << i) | (1 << j)), n)
+            b = rep_index[rep]
+            hops.append((a, b, shift, np.sqrt(orb.period / orbits[b].period)))
+    return np.array(hops, dtype=float).reshape(-1, 4)
+
+
+class TestHopTable:
+    # n = 1 has no bond (shape (0, 4)); n = 2 lists its one bond twice
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_equals_the_loop(self, n):
+        for k in range(n + 1):
+            basis = enumerate_sector(n, k)
+            orbits = translation_orbits(basis)
+            hops = hop_table(basis, orbits)
+            assert hops.dtype == float
+            assert np.array_equal(hops, reference_hop_table(basis, orbits))
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_blocks_are_bit_identical(self, n):
+        for k in range(n + 1):
+            basis = enumerate_sector(n, k)
+            orbits = translation_orbits(basis)
+            reference = reference_hop_table(basis, orbits)
+            for m in range(n):
+                for coupling in (FERRO, ANTIFERRO):
+                    block = build_momentum_block(basis, orbits, m, coupling)
+                    expected = build_momentum_block(basis, orbits, m, coupling, hops=reference)
+                    assert block.reps == expected.reps
+                    assert np.array_equal(block.matrix, expected.matrix)
 
 
 class TestMomentumBlocks:

@@ -61,6 +61,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(4, 8, distance=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_min": 4, "n_max": 6, "distance": 9}, "--distance 9"),
+        ({"n_min": 4, "n_max": 4, "parity": "odd"}, "--parity odd"),
+        ({"n_min": 5, "n_max": 5, "parity": "even"}, "--parity even"),
+        ({"n_min": 3, "n_max": 5, "parity": "odd", "distance": 5}, "--distance 5"),
+    ])
+    def test_refuses_filters_that_leave_no_size(self, kwargs, message):
+        with pytest.raises(ValueError, match=message) as info:
+            sweep(**kwargs)
+        assert f"{kwargs['n_min']}..{kwargs['n_max']}" in str(info.value)
+
 
 class TestExtrapolate:
     def test_exact_three_point_fit(self):
