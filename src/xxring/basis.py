@@ -4,18 +4,31 @@ A configuration of n spin-1/2 sites is stored as an integer bitmask: bit i
 set means the spin at site i points up (sites 0..n-1, bits above n-1 must be
 zero).  The Hamiltonian conserves the number of up spins, so almost all work
 happens inside a fixed-magnetization sector: the list of all C(n, k) masks
-with popcount k, ordered by integer value.  Ring translations partition a
-sector into orbits, and ring reflections pair those orbits into dihedral
-classes; both groupings are what make the momentum-block diagonalization and
-the orbit-probability reports tick.
+with popcount k, ordered by integer value.
+
+Ring translations partition a sector into orbits.  ``enumerate_sector``
+resolves every configuration's orbit once, in one array pass, and the sector
+carries the result as its orbit map: per configuration, the index of its
+orbit (orbits numbered by ascending representative, the minimal member) and
+the shift t with ``rotate(representative, t) == config``, the same pair that
+``orbit_representative`` computes for a single configuration.  Orbits,
+momentum-block hops, lifted amplitudes and orbit-probability tables all read
+that map instead of rotating configurations again.  Ring reflections pair
+orbits into dihedral classes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 
-RING_CAP = 20  # 2^n brute-force checks stay feasible well below this
+import numpy as np
+
+# largest ring accepted.  Sectors enumerate in well under a second up to here,
+# but dense ground solves above n = 16 take minutes to hours, and the 2^n
+# oracle stops at n = 14.
+RING_CAP = 20
 
 
 def popcount(bits: int) -> int:
@@ -76,22 +89,33 @@ def dihedral_representative(bits: int, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
-    """All configurations with ``k`` up spins on ``n`` sites, ascending."""
+    """All configurations with ``k`` up spins on ``n`` sites, ascending, and their orbit map.
+
+    ``configs`` holds the configurations as Python ints and ``bits`` the same
+    values as an int64 array.  ``orbit[i]`` is the translation orbit of
+    ``configs[i]``, orbits numbered by ascending representative, and
+    ``shift[i]`` the shift t with ``rotate(representative, t) == configs[i]``,
+    taken from the representative's first minimal rotation exactly as
+    ``orbit_representative`` does.  The three arrays are read-only.
+    """
 
     n: int
     k: int
     configs: tuple[int, ...]
-    _index: dict[int, int] = field(repr=False)
+    bits: np.ndarray = field(repr=False)
+    orbit: np.ndarray = field(repr=False)
+    shift: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.configs)
 
     def index_of(self, bits: int) -> int:
-        return self._index[bits]
-
-    def __contains__(self, bits: int) -> bool:
-        return bits in self._index
+        """Position of ``bits`` in ``configs``; KeyError if it is not in the sector."""
+        i = bisect_left(self.configs, bits)
+        if i == len(self.configs) or self.configs[i] != bits:
+            raise KeyError(bits)
+        return i
 
 
 def check_ring_size(n: int) -> None:
@@ -101,13 +125,24 @@ def check_ring_size(n: int) -> None:
 
 
 def enumerate_sector(n: int, k: int) -> SectorBasis:
-    """Ordered basis of the k-up-spin sector with an inverse lookup."""
+    """Ordered basis of the k-up-spin sector with its orbit map.
+
+    All n rotations of every configuration form one (dim, n) array; the first
+    ``argmin`` of each row is the first minimal rotation, which gives the
+    representative (hence the orbit index) and the shift back to it.
+    """
     check_ring_size(n)
     if not 0 <= k <= n:
         raise ValueError(f"up-spin count must be in 0..{n}, got {k}")
     configs = sorted(sum(1 << i for i in sites) for sites in combinations(range(n), k))
-    index = {c: i for i, c in enumerate(configs)}
-    return SectorBasis(n=n, k=k, configs=tuple(configs), _index=index)
+    bits = np.array(configs, dtype=np.int64)
+    t = np.arange(n)
+    rotations = ((bits[:, None] << t) | (bits[:, None] >> (n - t))) & ((1 << n) - 1)
+    _, orbit = np.unique(rotations.min(axis=1), return_inverse=True)
+    shift = (n - rotations.argmin(axis=1)) % n
+    for array in (bits, orbit, shift):
+        array.flags.writeable = False
+    return SectorBasis(n=n, k=k, configs=tuple(configs), bits=bits, orbit=orbit, shift=shift)
 
 
 @dataclass(frozen=True)
@@ -120,23 +155,17 @@ class TranslationOrbit:
 
 
 def translation_orbits(basis: SectorBasis) -> list[TranslationOrbit]:
-    """Partition a sector into translation orbits, representatives ascending."""
-    n = basis.n
-    seen: set[int] = set()
-    orbits: list[TranslationOrbit] = []
-    for c in basis.configs:  # ascending, so the first unseen member is minimal
-        if c in seen:
-            continue
-        members: list[int] = []
-        for t in range(n):
-            x = rotate(c, t, n)
-            if x in seen:
-                break
-            seen.add(x)
-            members.append(x)
-        orbits.append(TranslationOrbit(representative=c, period=len(members),
-                                       members=tuple(members)))
-    return orbits
+    """Partition a sector into translation orbits, representatives ascending.
+
+    Packs the sector's orbit map: members sorted by orbit, then by shift
+    modulo the period, which is rotation order from the representative.
+    """
+    period = np.bincount(basis.orbit)
+    ordered = basis.bits[np.lexsort((basis.shift % period[basis.orbit], basis.orbit))].tolist()
+    starts = np.concatenate(([0], np.cumsum(period))).tolist()
+    return [TranslationOrbit(representative=ordered[a], period=b - a,
+                             members=tuple(ordered[a:b]))
+            for a, b in zip(starts, starts[1:])]
 
 
 @dataclass(frozen=True)

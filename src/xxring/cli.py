@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from functools import lru_cache
@@ -24,7 +25,7 @@ from . import __version__
 from .basis import check_ring_size
 from .concurrence import concurrence_wootters, manifold_pair_density
 from .hamiltonian import Coupling, FieldSetting, sector_energy_offset
-from .oracle import compare_with_pipeline
+from .oracle import FULL_DIAGONALIZE_CAP, compare_with_pipeline
 from .polarization import lp_table
 from .spectra import DEGENERACY_RTOL, block_levels, ground_manifold
 from .sweeps import extrapolate, sweep
@@ -134,6 +135,12 @@ def _pair_arg(args, n: int) -> tuple[int, int]:
     return 0, args.distance
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a --tol that is negative or not finite."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"--tol must be finite and nonnegative, got {tol}")
+
+
 def _add_common(parser: argparse.ArgumentParser, *, coupling: bool = True) -> None:
     if coupling:
         parser.add_argument("--j", type=float, default=-1.0,
@@ -197,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_spectrum(args) -> int:
     started = time.perf_counter()
     check_ring_size(args.n)
+    _check_tol(args.tol)
     field = FieldSetting(b=args.b)
     coupling = Coupling(j=args.j)
     ks = range(args.n + 1) if args.k is None else [args.k]
@@ -295,6 +303,9 @@ def _cmd_verify(args) -> int:
     n_min, n_max = _parse_range(args.n)
     if n_min > n_max:
         raise ValueError(f"verify range {n_min}..{n_max} is empty")
+    if n_max > FULL_DIAGONALIZE_CAP:  # refuse before any row is solved
+        raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
+    _check_tol(args.tol)  # the oracle runs before the pipeline would refuse it
     rows = []
     all_ok = True
     for n in range(n_min, n_max + 1):

@@ -69,7 +69,7 @@ def _reduce_pure(state: SectorState, p: int, q: int) -> np.ndarray:
     column of their pair bits (uu, ud, du, dd); then rho = A^T A*.  Each
     configuration fills its own cell, so one plain assignment builds A.
     """
-    configs = np.array(state.basis.configs, dtype=np.int64)
+    configs = state.basis.bits
     pair_index = (1 - ((configs >> p) & 1)) * 2 + (1 - ((configs >> q) & 1))
     rests, group = np.unique(configs & ~((1 << p) | (1 << q)), return_inverse=True)
     a = np.zeros((len(rests), 4), dtype=complex)

@@ -36,6 +36,8 @@ class Coupling:
     j: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.j):
+            raise ValueError(f"exchange constant j must be finite, got {self.j}")
         if self.j == 0:
             raise ValueError("exchange constant must be nonzero")
 
@@ -49,6 +51,10 @@ class FieldSetting:
     """Uniform field b adding the Zeeman term -b * sum_i Sz_i."""
 
     b: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.b):
+            raise ValueError(f"field b must be finite, got {self.b}")
 
 
 def sector_energy_offset(k: int, n: int, field: FieldSetting) -> float:
@@ -113,21 +119,17 @@ def hop_table(basis: SectorBasis, orbits: list[TranslationOrbit]) -> np.ndarray:
     One row (a, b, shift, weight) per hop, indices as exact floats: the swap
     takes representative ``a`` (by orbit index) to ``rotate(reps[b], shift)``
     and carries the amplitude ratio sqrt(period_a / period_b).  Rows run
-    a-major and bond-minor.  The swapped configuration's representative is
-    its first minimal rotation, as in ``orbit_representative``.
+    a-major and bond-minor.  Each swapped configuration is found in the
+    sector with one ``searchsorted``; its orbit ``b`` and ``shift`` are read
+    from the sector's orbit map.
     """
-    n = basis.n
     reps = np.array([orb.representative for orb in orbits], dtype=np.int64)
     periods = np.array([orb.period for orb in orbits], dtype=float)
-    i, j = np.array(ring_bonds(n), dtype=np.int64).reshape(-1, 2).T
+    i, j = np.array(ring_bonds(basis.n), dtype=np.int64).reshape(-1, 2).T
     a, bond = np.nonzero(((reps[:, None] >> i) & 1) != ((reps[:, None] >> j) & 1))
-    swapped = reps[a] ^ ((1 << i[bond]) | (1 << j[bond]))
-    t = np.arange(n)
-    rotations = ((swapped[:, None] << t) | (swapped[:, None] >> (n - t))) & ((1 << n) - 1)
-    first_min = rotations.argmin(axis=1)
-    b = np.searchsorted(reps, rotations[np.arange(len(swapped)), first_min])
-    shift = (n - first_min) % n
-    return np.column_stack([a, b, shift, np.sqrt(periods[a] / periods[b])])
+    swapped = np.searchsorted(basis.bits, reps[a] ^ ((1 << i[bond]) | (1 << j[bond])))
+    b = basis.orbit[swapped]
+    return np.column_stack([a, b, basis.shift[swapped], np.sqrt(periods[a] / periods[b])])
 
 
 @lru_cache(maxsize=None)

@@ -106,7 +106,7 @@ def orbit_probabilities(manifold: GroundManifold, sector: SectorBasis) -> OrbitR
 
     rows = []
     for orb in orbits:
-        member = np.array([raw[sector.index_of(c)] for c in orb.members]) / weight
+        member = raw[np.searchsorted(sector.bits, orb.members)] / weight
         rows.append(OrbitRow(
             representative=orb.representative,
             pattern=config_label(orb.representative, sector.n),

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import SectorBasis, rotate
+from .basis import SectorBasis
 from .hamiltonian import (Coupling, FieldSetting, MomentumBlock, build_momentum_block,
                           sector_energy_offset, sector_plan)
 
@@ -97,19 +97,29 @@ def lift_block_vector(block: MomentumBlock, v: np.ndarray) -> np.ndarray:
     """Expand a momentum-block vector into sector amplitudes.
 
     The orbit representative ``a`` with period p contributes amplitude
-    v_a * exp(-2*pi*i*m*t/n) / sqrt(p) on each member rotate(a, t).
+    v_a * exp(-2*pi*i*m*t/n) / sqrt(p) on each member rotate(a, t).  The
+    sector's orbit map gives every configuration's orbit, hence its block
+    column, and its shift t, so the lift is array indexing.
     """
     v = np.asarray(v)
     if v.shape != (block.dim,):
         raise ValueError(f"vector has shape {v.shape}, block dimension is {block.dim}")
     basis = block.basis
-    n = basis.n
-    phase = np.exp(-2j * np.pi * block.m * np.arange(n) / n)
+    phase = np.exp(-2j * np.pi * block.m * np.arange(basis.n) / basis.n)
+    periods = np.array(block.periods, dtype=int)
+    block_orbits = basis.orbit[np.searchsorted(basis.bits, block.reps)]  # ascending
+    members = np.isin(basis.orbit, block_orbits)
+    column = np.searchsorted(block_orbits, basis.orbit[members])
+    w = (v / np.sqrt(periods))[column]
+    # index by the shift modulo the period: phase[t] and phase[t + p] are the
+    # same number mathematically but not always in the last bit
+    p = phase[basis.shift[members] % periods[column]]
+    # w * p is written out: numpy's array complex multiply may use fused
+    # multiply-adds (it does on AVX-512) and then differs in the last bit
+    # from the scalar product w_a * phase[t]
     out = np.zeros(basis.dim, dtype=complex)
-    for rep, period, amp in zip(block.reps, block.periods, v):
-        w = amp / np.sqrt(period)
-        for t in range(period):
-            out[basis.index_of(rotate(rep, t, n))] = w * phase[t]
+    out.real[members] = w.real * p.real - w.imag * p.imag
+    out.imag[members] = w.real * p.imag + w.imag * p.real
     return out
 
 
@@ -137,8 +147,11 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
     takes every level within ``tol`` times the spectral range of the minimum,
     and diagonalizes only the blocks holding one.  States are lifted to
     read-only sector amplitudes and ordered by (k, m).  A repeated input
-    returns the cached result of the first call.
+    returns the cached result of the first call.  ``tol`` must be finite and
+    nonnegative; 0 keeps only levels equal to the minimum.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     return _ground_manifold(n, coupling, field, tol)
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from xxring.basis import (RING_CAP, config_label, dihedral_classes,
@@ -39,8 +40,66 @@ class TestSectorEnumeration:
 
     def test_membership(self):
         basis = enumerate_sector(5, 2)
-        assert 0b00011 in basis
-        assert 0b00111 not in basis
+        assert basis.index_of(0b00011) == 0
+        for outside in (0b00111, 0, basis.configs[-1] + 1):
+            with pytest.raises(KeyError):
+                basis.index_of(outside)
+
+
+def first_minimal_rotation(c, n):
+    """Smallest rotation of c, and the shift t with rotation-by-t(it) == c."""
+    mask = (1 << n) - 1
+    rotations = [((c << t) | (c >> (n - t))) & mask for t in range(n)]
+    first = rotations.index(min(rotations))
+    return rotations[first], (n - first) % n
+
+
+def set_walk_orbits(n, k):
+    """Translation orbits of the k-up sector by walking unseen rotations."""
+    mask = (1 << n) - 1
+    seen, orbits = set(), []
+    for c in sorted(c for c in range(1 << n) if bin(c).count("1") == k):
+        if c in seen:
+            continue
+        members = []
+        for t in range(n):
+            x = ((c << t) | (c >> (n - t))) & mask
+            if x in seen:
+                break
+            seen.add(x)
+            members.append(x)
+        orbits.append((c, len(members), tuple(members)))
+    return orbits
+
+
+class TestOrbitMap:
+    def test_arrays_mirror_configs_and_are_read_only(self):
+        basis = enumerate_sector(6, 3)
+        assert basis.bits.tolist() == list(basis.configs)
+        for array in (basis.bits, basis.orbit, basis.shift):
+            assert array.dtype == np.int64 and array.shape == (basis.dim,)
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_orbit_and_shift_follow_the_first_minimal_rotation(self):
+        for n in range(1, 13):
+            for k in range(n + 1):
+                basis = enumerate_sector(n, k)
+                firsts = [first_minimal_rotation(c, n) for c in basis.configs]
+                reps = sorted({rep for rep, _ in firsts})
+                assert basis.orbit.tolist() == [reps.index(rep) for rep, _ in firsts]
+                assert basis.shift.tolist() == [shift for _, shift in firsts]
+                for c, expected in zip(basis.configs, firsts):
+                    assert orbit_representative(c, n) == expected
+
+    def test_translation_orbits_equal_the_set_walk(self):
+        for n in range(1, 15):
+            for k in range(n + 1):
+                orbits = translation_orbits(enumerate_sector(n, k))
+                assert [(o.representative, o.period, o.members)
+                        for o in orbits] == set_walk_orbits(n, k)
+                assert all(type(c) is int for o in orbits for c in o.members)
+                assert all(type(o.representative) is int for o in orbits)
 
 
 class TestRotate:

@@ -186,6 +186,40 @@ class TestExitCodes:
         assert cli.run(["verify", "--n", "1..3"]) == 2
         assert "at least two sites" in capsys.readouterr().err
 
+    def test_verify_refuses_range_beyond_oracle_cap_before_solving(self, capsys,
+                                                                    monkeypatch):
+        from xxring.oracle import PipelineAgreement
+        calls = []
+
+        def counting(n, coupling, field=None, tol=None, **_):
+            calls.append(n)
+            return PipelineAgreement(n=n, j=coupling.j, energy_delta=0.0,
+                                     oracle_degeneracy=1, pipeline_degeneracy=1,
+                                     concurrence_delta=0.0, probability_delta=0.0)
+
+        monkeypatch.setattr(cli, "compare_with_pipeline", counting)
+        assert cli.run(["verify", "--n", "12..15"]) == 2
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == ""
+        assert "full diagonalization is capped at n=14" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ground", "--n", "6", "--tol", "-1"], "tol must be finite and nonnegative"),
+        (["ground", "--n", "6", "--tol", "nan"], "tol must be finite and nonnegative"),
+        (["ground", "--n", "6", "--b", "nan"], "b must be finite"),
+        (["ground", "--n", "6", "--j", "nan"], "j must be finite"),
+        (["ground", "--n", "6", "--j", "inf"], "j must be finite"),
+        (["spectrum", "--n", "4", "--tol", "-1"], "--tol must be finite and nonnegative"),
+        (["spectrum", "--n", "4", "--tol", "nan"], "--tol must be finite and nonnegative"),
+        (["spectrum", "--n", "4", "--tol", "inf"], "--tol must be finite and nonnegative"),
+        (["verify", "--n", "2..3", "--tol", "nan"], "--tol must be finite and nonnegative"),
+    ])
+    def test_refuses_negative_or_non_finite_input(self, capsys, argv, message):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_verify_mismatch_exits_one(self, capsys, monkeypatch):
         from xxring.oracle import PipelineAgreement
 

@@ -33,6 +33,11 @@ class TestCoupling:
         with pytest.raises(ValueError):
             Coupling(0.0)
 
+    @pytest.mark.parametrize("j", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, j):
+        with pytest.raises(ValueError, match="j must be finite"):
+            Coupling(j)
+
     def test_regimes(self):
         assert FERRO.regime == "ferromagnetic"
         assert ANTIFERRO.regime == "antiferromagnetic"
@@ -232,6 +237,11 @@ class TestSpectrumSymmetries:
 class TestFieldOffset:
     def test_zero_field(self):
         assert sector_energy_offset(2, 5, FieldSetting()) == 0.0
+
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, b):
+        with pytest.raises(ValueError, match="b must be finite"):
+            FieldSetting(b=b)
 
     def test_signed_shift(self):
         assert sector_energy_offset(2, 3, FieldSetting(b=0.1)) == pytest.approx(-0.05)

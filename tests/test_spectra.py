@@ -62,7 +62,35 @@ class TestEigh:
                                    -2 * (1 + 2 * np.cos(2 * np.pi / 7)), atol=1e-10)
 
 
+def loop_lift(block, v):
+    """The lift as a literal loop over orbit members, one scalar product each."""
+    basis, n = block.basis, block.basis.n
+    position = {c: i for i, c in enumerate(basis.configs)}
+    phase = np.exp(-2j * np.pi * block.m * np.arange(n) / n)
+    out = np.zeros(basis.dim, dtype=complex)
+    for rep, period, amp in zip(block.reps, block.periods, v):
+        w = amp / np.sqrt(period)
+        for t in range(period):
+            member = ((rep << t) | (rep >> (n - t))) & ((1 << n) - 1)
+            out[position[member]] = w * phase[t]
+    return out
+
+
 class TestLiftBlockVector:
+    def test_bit_identical_to_the_member_loop(self):
+        for n in range(1, 13):
+            for k in range(n + 1):
+                basis = enumerate_sector(n, k)
+                orbits = translation_orbits(basis)
+                for m in range(n):
+                    for coupling in (FERRO, ANTIFERRO):
+                        block = build_momentum_block(basis, orbits, m, coupling)
+                        for v in eigh(block.matrix).vectors[:, :6].T:
+                            lifted = lift_block_vector(block, v)
+                            expected = loop_lift(block, v)
+                            assert np.array_equal(lifted.view(np.int64),
+                                                  expected.view(np.int64)), (n, k, m)
+
     def test_four_site_ground_amplitudes(self):
         basis = enumerate_sector(4, 2)
         orbits = translation_orbits(basis)
@@ -216,6 +244,18 @@ def solver_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan, np.inf])
+    def test_refuses_negative_or_non_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            ground_manifold(6, FERRO, tol=tol)
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    def test_zero_keeps_the_odd_ring_degeneracies(self, n):
+        assert ground_manifold(n, FERRO, tol=0.0).degeneracy == 2
+        assert ground_manifold(n, ANTIFERRO, tol=0.0).degeneracy == 4
 
 
 class TestGroundCache:
