@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from xxring import (Coupling, build_momentum_block, enumerate_sector, eigh,
-                    ground_manifold, hop_table, translation_orbits)
+                    ground_manifold, translation_orbits)
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -20,11 +20,7 @@ print("=== counting: sector and block sizes ===")
 for n in (8, 12, 15):
     k = n // 2
     basis = enumerate_sector(n, k)
-    orbits = translation_orbits(basis)
-    hops = hop_table(basis, orbits)
-    largest = max(
-        build_momentum_block(basis, orbits, m, Coupling(-1.0), hops=hops).dim
-        for m in range(n))
+    largest = max(build_momentum_block(basis, m, Coupling(-1.0)).dim for m in range(n))
     print(f"n={n:2d}: full space 2^n = {1 << n:6d}, half-filling sector "
           f"C({n},{k}) = {basis.dim:5d}, largest momentum block = {largest}")
 
@@ -36,7 +32,7 @@ for orbit in orbits:
     members = ", ".join(f"{c:04b}" for c in orbit.members)
     print(f"orbit of {orbit.representative:04b}: period {orbit.period} ({members})")
 for m in range(4):
-    block = build_momentum_block(basis, orbits, m, Coupling(-1.0))
+    block = build_momentum_block(basis, m, Coupling(-1.0))
     print(f"momentum m={m}: dimension {block.dim}, "
           f"eigenvalues {np.linalg.eigvalsh(block.matrix)}")
 
@@ -62,11 +58,11 @@ for (n, j), (formula, value) in closed_forms.items():
 print()
 print("=== a momentum block is genuinely Hermitian and small ===")
 basis = enumerate_sector(7, 3)
-orbits = translation_orbits(basis)
-block = build_momentum_block(basis, orbits, 0, Coupling(-1.0))
+block = build_momentum_block(basis, 0, Coupling(-1.0))
 spectrum = eigh(block.matrix)
 print(f"n=7, k=3, m=0: {block.dim}x{block.dim} block, eigenvalues {spectrum.values}")
 print("ground amplitudes per orbit pattern:")
-for rep, period, amp in zip(block.reps, block.periods, spectrum.vectors[:, 0]):
+reps, periods = basis.reps[block.orbits].tolist(), basis.period[block.orbits].tolist()
+for rep, period, amp in zip(reps, periods, spectrum.vectors[:, 0]):
     print(f"  representative {rep:07b} (period {period}): "
           f"per-member amplitude {abs(amp) / math.sqrt(period):.4f}")

@@ -7,21 +7,23 @@ happens inside a fixed-magnetization sector: the list of all C(n, k) masks
 with popcount k, ordered by integer value.
 
 Ring translations partition a sector into orbits.  ``enumerate_sector``
-resolves every configuration's orbit once, in one array pass, and the sector
-carries the result as its orbit map: per configuration, the index of its
+builds each sector once per process and hands out the same read-only
+``SectorBasis`` on every later call.  It carries everything about the sector
+that does not depend on the coupling: per configuration, the index of its
 orbit (orbits numbered by ascending representative, the minimal member) and
 the shift t with ``rotate(representative, t) == config``, the same pair that
-``orbit_representative`` computes for a single configuration.  Orbits,
-momentum-block hops, lifted amplitudes and orbit-probability tables all read
-that map instead of rotating configurations again.  Ring reflections pair
-orbits into dihedral classes.
+``orbit_representative`` computes for a single configuration; per orbit, the
+representative and the period; and the table of bond swaps between
+representatives (``hop_table``).  Momentum blocks, lifted amplitudes and
+orbit-probability tables all read these arrays instead of rotating
+configurations again.  Ring reflections pair orbits into dihedral classes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,14 +91,16 @@ def dihedral_representative(bits: int, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
-    """All configurations with ``k`` up spins on ``n`` sites, ascending, and their orbit map.
+    """All configurations with ``k`` up spins on ``n`` sites, ascending, and their orbits.
 
     ``configs`` holds the configurations as Python ints and ``bits`` the same
     values as an int64 array.  ``orbit[i]`` is the translation orbit of
     ``configs[i]``, orbits numbered by ascending representative, and
-    ``shift[i]`` the shift t with ``rotate(representative, t) == configs[i]``,
+    ``shift[i]`` the shift t with ``rotate(reps[orbit[i]], t) == configs[i]``,
     taken from the representative's first minimal rotation exactly as
-    ``orbit_representative`` does.  The three arrays are read-only.
+    ``orbit_representative`` does.  ``reps`` and ``period`` give each orbit's
+    representative and period, and ``hops`` is the sector's ``hop_table``.
+    Every array is read-only.
     """
 
     n: int
@@ -105,6 +109,9 @@ class SectorBasis:
     bits: np.ndarray = field(repr=False)
     orbit: np.ndarray = field(repr=False)
     shift: np.ndarray = field(repr=False)
+    reps: np.ndarray = field(repr=False)
+    period: np.ndarray = field(repr=False)
+    hops: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -124,25 +131,58 @@ def check_ring_size(n: int) -> None:
         raise ValueError(f"ring size must be in 1..{RING_CAP}, got {n}")
 
 
+@lru_cache(maxsize=None)
 def enumerate_sector(n: int, k: int) -> SectorBasis:
-    """Ordered basis of the k-up-spin sector with its orbit map.
+    """The k-up-spin sector of the n-site ring, built once per process.
 
-    All n rotations of every configuration form one (dim, n) array; the first
+    Configurations are the popcount-k entries of ``arange(2**n)``.  All n
+    rotations of every configuration form one (dim, n) array; the first
     ``argmin`` of each row is the first minimal rotation, which gives the
     representative (hence the orbit index) and the shift back to it.
     """
     check_ring_size(n)
     if not 0 <= k <= n:
         raise ValueError(f"up-spin count must be in 0..{n}, got {k}")
-    configs = sorted(sum(1 << i for i in sites) for sites in combinations(range(n), k))
-    bits = np.array(configs, dtype=np.int64)
+    codes = np.arange(1 << n, dtype=np.int64)
+    ones = np.zeros_like(codes)
+    for i in range(n):
+        ones += (codes >> i) & 1
+    bits = codes[ones == k]
     t = np.arange(n)
     rotations = ((bits[:, None] << t) | (bits[:, None] >> (n - t))) & ((1 << n) - 1)
-    _, orbit = np.unique(rotations.min(axis=1), return_inverse=True)
+    reps, orbit, period = np.unique(rotations.min(axis=1), return_inverse=True,
+                                    return_counts=True)
     shift = (n - rotations.argmin(axis=1)) % n
-    for array in (bits, orbit, shift):
+    basis = SectorBasis(n=n, k=k, configs=tuple(bits.tolist()), bits=bits, orbit=orbit,
+                        shift=shift, reps=reps, period=period, hops=None)
+    basis = replace(basis, hops=hop_table(basis))
+    for array in (bits, orbit, shift, reps, period, basis.hops):
         array.flags.writeable = False
-    return SectorBasis(n=n, k=k, configs=tuple(configs), bits=bits, orbit=orbit, shift=shift)
+    return basis
+
+
+def ring_bonds(n: int) -> list[tuple[int, int]]:
+    """Bond list (i, i+1 mod n); a one-site ring has no bond to swap."""
+    return [(i, (i + 1) % n) for i in range(n) if i != (i + 1) % n]
+
+
+def hop_table(basis: SectorBasis) -> np.ndarray:
+    """All bond swaps between orbit representatives of a sector.
+
+    One row (a, b, shift, weight) per hop, indices as exact floats: the swap
+    takes representative ``a`` (by orbit index) to
+    ``rotate(basis.reps[b], shift)`` and carries the amplitude ratio
+    sqrt(period_a / period_b).  Rows run a-major and bond-minor.  Each
+    swapped configuration is found in the sector with one ``searchsorted``;
+    its orbit ``b`` and ``shift`` are read from the sector's orbit map.
+    ``enumerate_sector`` keeps the result as ``basis.hops``.
+    """
+    reps, period = basis.reps, basis.period
+    i, j = np.array(ring_bonds(basis.n), dtype=np.int64).reshape(-1, 2).T
+    a, bond = np.nonzero(((reps[:, None] >> i) & 1) != ((reps[:, None] >> j) & 1))
+    swapped = np.searchsorted(basis.bits, reps[a] ^ ((1 << i[bond]) | (1 << j[bond])))
+    b = basis.orbit[swapped]
+    return np.column_stack([a, b, basis.shift[swapped], np.sqrt(period[a] / period[b])])
 
 
 @dataclass(frozen=True)
@@ -160,9 +200,9 @@ def translation_orbits(basis: SectorBasis) -> list[TranslationOrbit]:
     Packs the sector's orbit map: members sorted by orbit, then by shift
     modulo the period, which is rotation order from the representative.
     """
-    period = np.bincount(basis.orbit)
-    ordered = basis.bits[np.lexsort((basis.shift % period[basis.orbit], basis.orbit))].tolist()
-    starts = np.concatenate(([0], np.cumsum(period))).tolist()
+    ordered = basis.bits[np.lexsort((basis.shift % basis.period[basis.orbit],
+                                     basis.orbit))].tolist()
+    starts = np.concatenate(([0], np.cumsum(basis.period))).tolist()
     return [TranslationOrbit(representative=ordered[a], period=b - a,
                              members=tuple(ordered[a:b]))
             for a, b in zip(starts, starts[1:])]

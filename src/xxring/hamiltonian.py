@@ -15,18 +15,21 @@ period p is
 
 which is nonzero iff m*p = 0 (mod n).  A uniform field b couples only to
 the conserved total magnetization, so it enters as the per-sector scalar
-offset -b*(k - n/2) and never as a matrix term.  ``sector_plan`` builds a
-sector's basis, orbits and hop table once per process for all its blocks.
+offset -b*(k - n/2) and never as a matrix term.  A block reads its orbits
+and hops from the sector's ``SectorBasis``, which ``enumerate_sector`` builds
+once per process and shares read-only, so every block of a sector, at every
+J, uses the same orbit arrays and hop table.  ``ring_bonds`` and
+``hop_table`` live in ``basis`` (neither depends on J) and are re-exported
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .basis import SectorBasis, TranslationOrbit, enumerate_sector, translation_orbits
+from .basis import SectorBasis, hop_table, ring_bonds  # noqa: F401 (hop_table re-exported)
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,6 @@ def sector_energy_offset(k: int, n: int, field: FieldSetting) -> float:
     return -field.b * (k - n / 2)
 
 
-def ring_bonds(n: int) -> list[tuple[int, int]]:
-    """Bond list (i, i+1 mod n); a one-site ring has no bond to swap."""
-    return [(i, (i + 1) % n) for i in range(n) if i != (i + 1) % n]
-
-
 def build_sector_hamiltonian(basis: SectorBasis, coupling: Coupling) -> np.ndarray:
     """Dense real-symmetric Hamiltonian of one magnetization sector."""
     n = basis.n
@@ -97,68 +95,34 @@ def apply_hamiltonian(basis: SectorBasis, coupling: Coupling, v: np.ndarray) -> 
 class MomentumBlock:
     """Hamiltonian restricted to one momentum sector of one k sector.
 
-    ``reps`` lists the admissible orbit representatives (those with
-    m * period = 0 mod n), ``periods`` their orbit periods, and ``matrix``
-    the complex Hermitian block.
+    ``orbits`` holds the ascending, read-only indices of the sector's
+    admissible orbits (those with m * period = 0 mod n), one per block
+    column, and ``matrix`` the complex Hermitian block.
     """
 
     basis: SectorBasis
     m: int
-    reps: tuple[int, ...]
-    periods: tuple[int, ...]
+    orbits: np.ndarray
     matrix: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return len(self.orbits)
 
 
-def hop_table(basis: SectorBasis, orbits: list[TranslationOrbit]) -> np.ndarray:
-    """All bond swaps between orbit representatives, resolved once per sector.
-
-    One row (a, b, shift, weight) per hop, indices as exact floats: the swap
-    takes representative ``a`` (by orbit index) to ``rotate(reps[b], shift)``
-    and carries the amplitude ratio sqrt(period_a / period_b).  Rows run
-    a-major and bond-minor.  Each swapped configuration is found in the
-    sector with one ``searchsorted``; its orbit ``b`` and ``shift`` are read
-    from the sector's orbit map.
-    """
-    reps = np.array([orb.representative for orb in orbits], dtype=np.int64)
-    periods = np.array([orb.period for orb in orbits], dtype=float)
-    i, j = np.array(ring_bonds(basis.n), dtype=np.int64).reshape(-1, 2).T
-    a, bond = np.nonzero(((reps[:, None] >> i) & 1) != ((reps[:, None] >> j) & 1))
-    swapped = np.searchsorted(basis.bits, reps[a] ^ ((1 << i[bond]) | (1 << j[bond])))
-    b = basis.orbit[swapped]
-    return np.column_stack([a, b, basis.shift[swapped], np.sqrt(periods[a] / periods[b])])
-
-
-@lru_cache(maxsize=None)
-def sector_plan(n: int, k: int) -> tuple[SectorBasis, tuple[TranslationOrbit, ...], np.ndarray]:
-    """Basis, translation orbits and read-only hop table of sector (n, k), built once."""
-    basis = enumerate_sector(n, k)
-    orbits = translation_orbits(basis)
-    hops = hop_table(basis, orbits)
-    hops.flags.writeable = False
-    return basis, tuple(orbits), hops
-
-
-def build_momentum_block(basis: SectorBasis, orbits: list[TranslationOrbit], m: int,
-                         coupling: Coupling, hops: np.ndarray | None = None) -> MomentumBlock:
+def build_momentum_block(basis: SectorBasis, m: int, coupling: Coupling) -> MomentumBlock:
     """Complex Hermitian block of the sector Hamiltonian at momentum m."""
     n = basis.n
     if not 0 <= m < n:
         raise ValueError(f"momentum index must be in 0..{n - 1}, got {m}")
-    if hops is None:
-        hops = hop_table(basis, orbits)
-    admissible = [i for i, orb in enumerate(orbits) if (m * orb.period) % n == 0]
-    col = np.full(len(orbits), -1)
-    col[admissible] = np.arange(len(admissible))
-    a, b, shift = hops[:, :3].astype(int).T
+    orbits = np.flatnonzero(m * basis.period % n == 0)
+    orbits.flags.writeable = False
+    col = np.full(len(basis.reps), -1)
+    col[orbits] = np.arange(len(orbits))
+    a, b, shift = basis.hops[:, :3].astype(int).T
     keep = (col[a] >= 0) & (col[b] >= 0)
-    matrix = np.zeros((len(admissible),) * 2, dtype=complex)
+    matrix = np.zeros((len(orbits),) * 2, dtype=complex)
     phase = np.exp(2j * np.pi * m * np.arange(n) / n)
     np.add.at(matrix, (col[b[keep]], col[a[keep]]),
-              coupling.j * phase[shift[keep]] * hops[keep, 3])
-    reps = tuple(orbits[i].representative for i in admissible)
-    periods = tuple(orbits[i].period for i in admissible)
-    return MomentumBlock(basis=basis, m=m, reps=reps, periods=periods, matrix=matrix)
+              coupling.j * phase[shift[keep]] * basis.hops[keep, 3])
+    return MomentumBlock(basis=basis, m=m, orbits=orbits, matrix=matrix)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, config_label, dihedral_classes, up_sites
-from .hamiltonian import Coupling, FieldSetting, sector_plan
+from .basis import SectorBasis, config_label, dihedral_classes, translation_orbits, up_sites
+from .hamiltonian import Coupling, FieldSetting
 from .spectra import DEGENERACY_RTOL, GroundManifold, ground_manifold
 
 EQUAL_PROBABILITY_ATOL = 1e-9
@@ -98,7 +98,7 @@ def orbit_probabilities(manifold: GroundManifold, sector: SectorBasis) -> OrbitR
         raw += np.abs(state.amplitudes) ** 2 / d
     weight = float(raw.sum())
 
-    _, orbits, _ = sector_plan(sector.n, sector.k)
+    orbits = translation_orbits(sector)
     class_of = {}
     for cid, cls in enumerate(dihedral_classes(orbits, sector.n)):
         for orb in cls.orbits:

@@ -11,7 +11,10 @@ up to three others, each with its own field offset -b*(k - n/2).  The ground
 energy and tolerance window come from that full multiset; then only blocks
 reaching the window are fully solved and lifted.  Exact ground-level
 degeneracies are symmetry-protected, so the default tolerance of 1e-9 times
-the spectral range separates them cleanly from solver noise.
+the spectral range separates them cleanly from solver noise.  Blocks are
+built on ``enumerate_sector``'s sectors, which each process builds once and
+shares read-only, so the scan and the ground solve read the same orbit
+arrays and hop table.
 
 Ground solves are reused within a process: ``ground_manifold`` keeps the
 results of its last ``GROUND_CACHE_SIZE`` distinct inputs and returns the
@@ -19,7 +22,8 @@ same object when an input repeats.  Its amplitude arrays are read-only, so
 one caller cannot change what the next one reads.  Code that monkeypatches
 the solver internals (``eigh``, ``build_momentum_block``, ...) must call
 ``_ground_manifold.cache_clear()`` first, or it may be handed a result
-solved before the patch.
+solved before the patch; code that patches how sectors are built
+(``hop_table``, ...) must call ``enumerate_sector.cache_clear()`` as well.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import SectorBasis
+from .basis import SectorBasis, enumerate_sector
 from .hamiltonian import (Coupling, FieldSetting, MomentumBlock, build_momentum_block,
-                          sector_energy_offset, sector_plan)
+                          sector_energy_offset)
 
 HERMITICITY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-9
@@ -71,8 +75,7 @@ def eigh(matrix: np.ndarray) -> Spectrum:
 
 
 def _block(n: int, k: int, m: int, coupling: Coupling) -> MomentumBlock:
-    basis, orbits, hops = sector_plan(n, k)
-    return build_momentum_block(basis, orbits, m, coupling, hops=hops)
+    return build_momentum_block(enumerate_sector(n, k), m, coupling)
 
 
 def block_levels(n: int, k: int, m: int, coupling: Coupling) -> np.ndarray:
@@ -99,17 +102,17 @@ def lift_block_vector(block: MomentumBlock, v: np.ndarray) -> np.ndarray:
     The orbit representative ``a`` with period p contributes amplitude
     v_a * exp(-2*pi*i*m*t/n) / sqrt(p) on each member rotate(a, t).  The
     sector's orbit map gives every configuration's orbit, hence its block
-    column, and its shift t, so the lift is array indexing.
+    column (``block.orbits`` is ascending), and its shift t, so the lift is
+    array indexing.
     """
     v = np.asarray(v)
     if v.shape != (block.dim,):
         raise ValueError(f"vector has shape {v.shape}, block dimension is {block.dim}")
     basis = block.basis
     phase = np.exp(-2j * np.pi * block.m * np.arange(basis.n) / basis.n)
-    periods = np.array(block.periods, dtype=int)
-    block_orbits = basis.orbit[np.searchsorted(basis.bits, block.reps)]  # ascending
-    members = np.isin(basis.orbit, block_orbits)
-    column = np.searchsorted(block_orbits, basis.orbit[members])
+    periods = basis.period[block.orbits]
+    members = np.isin(basis.orbit, block.orbits)
+    column = np.searchsorted(block.orbits, basis.orbit[members])
     w = (v / np.sqrt(periods))[column]
     # index by the shift modulo the period: phase[t] and phase[t + p] are the
     # same number mathematically but not always in the last bit

@@ -53,7 +53,8 @@ def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
     """One concurrence row per ring size in [n_min, n_max].
 
     Sizes of the other parity and sizes not above ``distance`` are skipped;
-    a range that keeps no size is refused.
+    a range that keeps no size is refused.  ``strength`` scales |J| and must
+    be positive and finite: the regime alone sets the sign of J.
     """
     if regime not in REGIME_COUPLING:
         raise ValueError(f"regime must be one of {sorted(REGIME_COUPLING)}")
@@ -63,6 +64,8 @@ def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
         raise ValueError(f"sweep range must satisfy 2 <= n_min <= n_max <= {SWEEP_CAP}")
     if distance < 1:
         raise ValueError("pair distance must be at least 1")
+    if not (np.isfinite(strength) and strength > 0):  # its sign would flip the regime
+        raise ValueError(f"strength must be positive and finite, got {strength}")
     sizes = [n for n in range(n_min, n_max + 1)
              if parity == "all" or n % 2 == (0 if parity == "even" else 1)]
     if not sizes:

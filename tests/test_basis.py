@@ -1,5 +1,6 @@
 """Configuration, sector, orbit and dihedral-class bookkeeping."""
 
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,19 @@ class TestSectorEnumeration:
             enumerate_sector(RING_CAP + 1, 1)
         with pytest.raises(ValueError):
             enumerate_sector(0, 0)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_configs_equal_the_combinations_listing(self, n):
+        for k in range(n + 1):
+            expected = sorted(sum(1 << i for i in sites)
+                              for sites in itertools.combinations(range(n), k))
+            basis = enumerate_sector(n, k)
+            assert basis.configs == tuple(expected)
+            assert all(type(c) is int for c in basis.configs)
+
+    def test_one_sector_object_per_process(self):
+        assert enumerate_sector(7, 3) is enumerate_sector(7, 3)
+        assert enumerate_sector(7, 3) is not enumerate_sector(7, 4)
 
     def test_membership(self):
         basis = enumerate_sector(5, 2)
@@ -80,6 +94,20 @@ class TestOrbitMap:
             assert array.dtype == np.int64 and array.shape == (basis.dim,)
             with pytest.raises(ValueError):
                 array[0] = 1
+
+    def test_every_sector_array_is_read_only(self):
+        basis = enumerate_sector(6, 3)
+        for name in ("bits", "orbit", "shift", "reps", "period", "hops"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(basis, name)[0] = 1
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_reps_and_period_equal_translation_orbits(self, n):
+        for k in range(n + 1):
+            basis = enumerate_sector(n, k)
+            orbits = translation_orbits(basis)
+            assert basis.reps.tolist() == [o.representative for o in orbits]
+            assert basis.period.tolist() == [o.period for o in orbits]
 
     def test_orbit_and_shift_follow_the_first_minimal_rotation(self):
         for n in range(1, 13):

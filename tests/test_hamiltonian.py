@@ -1,5 +1,7 @@
 """Sector Hamiltonians, momentum blocks, and their symmetries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,9 @@ def sector_spectrum(n, k, coupling):
 
 def block_spectra(n, k, coupling):
     basis = enumerate_sector(n, k)
-    orbits = translation_orbits(basis)
-    hops = hop_table(basis, orbits)
     values = []
     for m in range(n):
-        block = build_momentum_block(basis, orbits, m, coupling, hops=hops)
+        block = build_momentum_block(basis, m, coupling)
         if block.dim:
             values.append(np.linalg.eigvalsh(block.matrix))
     return np.sort(np.concatenate(values))
@@ -143,9 +143,15 @@ class TestHopTable:
         for k in range(n + 1):
             basis = enumerate_sector(n, k)
             orbits = translation_orbits(basis)
-            hops = hop_table(basis, orbits)
+            hops = hop_table(basis)
             assert hops.dtype == float
             assert np.array_equal(hops, reference_hop_table(basis, orbits))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_sector_carries_the_loop_table(self, n):
+        for k in range(n + 1):
+            basis = enumerate_sector(n, k)
+            assert np.array_equal(basis.hops, reference_hop_table(basis, translation_orbits(basis)))
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_blocks_are_bit_identical(self, n):
@@ -155,40 +161,58 @@ class TestHopTable:
             reference = reference_hop_table(basis, orbits)
             for m in range(n):
                 for coupling in (FERRO, ANTIFERRO):
-                    block = build_momentum_block(basis, orbits, m, coupling)
-                    expected = build_momentum_block(basis, orbits, m, coupling, hops=reference)
-                    assert block.reps == expected.reps
+                    block = build_momentum_block(basis, m, coupling)
+                    expected = build_momentum_block(replace(basis, hops=reference), m, coupling)
+                    assert np.array_equal(block.orbits, expected.orbits)
                     assert np.array_equal(block.matrix, expected.matrix)
 
 
 class TestMomentumBlocks:
     def test_admissibility_four_sites(self):
         basis = enumerate_sector(4, 2)
-        orbits = translation_orbits(basis)
-        dims = [build_momentum_block(basis, orbits, m, FERRO).dim for m in range(4)]
+        dims = [build_momentum_block(basis, m, FERRO).dim for m in range(4)]
         assert dims == [2, 1, 2, 1]  # the period-2 orbit only enters even m
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_block_orbits_are_the_admissible_orbits(self, n):
+        for k in range(n + 1):
+            basis = enumerate_sector(n, k)
+            orbits = translation_orbits(basis)
+            for m in range(n):
+                block = build_momentum_block(basis, m, FERRO)
+                expected = [i for i, o in enumerate(orbits) if m * o.period % n == 0]
+                assert block.orbits.tolist() == expected
+                assert block.dim == len(expected)
+
+    def test_block_orbits_are_read_only(self):
+        block = build_momentum_block(enumerate_sector(6, 3), 0, FERRO)
+        with pytest.raises(ValueError, match="read-only"):
+            block.orbits[0] = 1
+
+    def test_orbits_come_only_from_the_sector(self):
+        # the orbits of (6, 2) once gave the (6, 3) block eigenvalues [-2, -2, -2]
+        basis = enumerate_sector(6, 3)
+        with pytest.raises(TypeError):
+            build_momentum_block(basis, translation_orbits(enumerate_sector(6, 2)), 0, FERRO)
+        values = np.linalg.eigvalsh(build_momentum_block(basis, 0, FERRO).matrix)
+        np.testing.assert_allclose(values, [-4, 0, 2, 2], atol=1e-12)
 
     def test_fifteen_site_block_dimension(self):
         basis = enumerate_sector(15, 7)
-        orbits = translation_orbits(basis)
-        hops = hop_table(basis, orbits)
         for m in (0, 1, 7):
-            block = build_momentum_block(basis, orbits, m, FERRO, hops=hops)
+            block = build_momentum_block(basis, m, FERRO)
             assert block.dim == 429
 
     def test_momentum_range_validated(self):
         basis = enumerate_sector(4, 2)
-        orbits = translation_orbits(basis)
         with pytest.raises(ValueError):
-            build_momentum_block(basis, orbits, 4, FERRO)
+            build_momentum_block(basis, 4, FERRO)
 
     def test_blocks_are_hermitian(self):
         for n in range(2, 11):
             basis = enumerate_sector(n, n // 2)
-            orbits = translation_orbits(basis)
-            hops = hop_table(basis, orbits)
             for m in range(n):
-                h = build_momentum_block(basis, orbits, m, ANTIFERRO, hops=hops).matrix
+                h = build_momentum_block(basis, m, ANTIFERRO).matrix
                 scale = max(np.abs(h).max(), 1.0)
                 assert np.abs(h - h.conj().T).max() <= 1e-12 * scale
 
@@ -201,8 +225,7 @@ class TestMomentumBlocks:
 
     def test_four_site_zero_momentum_block(self):
         basis = enumerate_sector(4, 2)
-        orbits = translation_orbits(basis)
-        block = build_momentum_block(basis, orbits, 0, FERRO)
+        block = build_momentum_block(basis, 0, FERRO)
         np.testing.assert_allclose(block.matrix,
                                    [[0, -2 * np.sqrt(2)], [-2 * np.sqrt(2), 0]],
                                    atol=1e-12)
@@ -224,13 +247,12 @@ class TestSpectrumSymmetries:
 
     def test_matrices_scale_linearly_in_j(self):
         basis = enumerate_sector(5, 2)
-        orbits = translation_orbits(basis)
         dense1 = build_sector_hamiltonian(basis, Coupling(-1.0))
         dense3 = build_sector_hamiltonian(basis, Coupling(-3.0))
         np.testing.assert_allclose(dense3, 3 * dense1, atol=0)
         for m in range(5):
-            b1 = build_momentum_block(basis, orbits, m, Coupling(-1.0)).matrix
-            b3 = build_momentum_block(basis, orbits, m, Coupling(-3.0)).matrix
+            b1 = build_momentum_block(basis, m, Coupling(-1.0)).matrix
+            b3 = build_momentum_block(basis, m, Coupling(-3.0)).matrix
             np.testing.assert_allclose(b3, 3 * b1, atol=1e-15)
 
 

@@ -68,7 +68,7 @@ def loop_lift(block, v):
     position = {c: i for i, c in enumerate(basis.configs)}
     phase = np.exp(-2j * np.pi * block.m * np.arange(n) / n)
     out = np.zeros(basis.dim, dtype=complex)
-    for rep, period, amp in zip(block.reps, block.periods, v):
+    for rep, period, amp in zip(basis.reps[block.orbits], basis.period[block.orbits], v):
         w = amp / np.sqrt(period)
         for t in range(period):
             member = ((rep << t) | (rep >> (n - t))) & ((1 << n) - 1)
@@ -81,10 +81,9 @@ class TestLiftBlockVector:
         for n in range(1, 13):
             for k in range(n + 1):
                 basis = enumerate_sector(n, k)
-                orbits = translation_orbits(basis)
                 for m in range(n):
                     for coupling in (FERRO, ANTIFERRO):
-                        block = build_momentum_block(basis, orbits, m, coupling)
+                        block = build_momentum_block(basis, m, coupling)
                         for v in eigh(block.matrix).vectors[:, :6].T:
                             lifted = lift_block_vector(block, v)
                             expected = loop_lift(block, v)
@@ -93,8 +92,7 @@ class TestLiftBlockVector:
 
     def test_four_site_ground_amplitudes(self):
         basis = enumerate_sector(4, 2)
-        orbits = translation_orbits(basis)
-        block = build_momentum_block(basis, orbits, 0, FERRO)
+        block = build_momentum_block(basis, 0, FERRO)
         spectrum = eigh(block.matrix)
         lifted = lift_block_vector(block, spectrum.vectors[:, 0])
         np.testing.assert_allclose(np.linalg.norm(lifted), 1.0, atol=1e-12)
@@ -106,8 +104,7 @@ class TestLiftBlockVector:
 
     def test_single_representative_block_is_momentum_state(self):
         basis = enumerate_sector(3, 1)
-        orbits = translation_orbits(basis)
-        block = build_momentum_block(basis, orbits, 1, FERRO)
+        block = build_momentum_block(basis, 1, FERRO)
         assert block.dim == 1
         lifted = lift_block_vector(block, np.array([1.0]))
         expected = np.exp(-2j * np.pi * np.arange(3) / 3) / np.sqrt(3)
@@ -117,7 +114,7 @@ class TestLiftBlockVector:
         for n, k, m in [(6, 3, 0), (6, 3, 3), (8, 4, 2), (7, 3, 5)]:
             basis = enumerate_sector(n, k)
             orbits = translation_orbits(basis)
-            block = build_momentum_block(basis, orbits, m, FERRO)
+            block = build_momentum_block(basis, m, FERRO)
             spectrum = eigh(block.matrix)
             for col in range(block.dim):
                 lifted = lift_block_vector(block, spectrum.vectors[:, col])
@@ -130,7 +127,7 @@ class TestLiftBlockVector:
     def test_six_site_orbit_weights(self):
         basis = enumerate_sector(6, 3)
         orbits = translation_orbits(basis)
-        block = build_momentum_block(basis, orbits, 0, FERRO)
+        block = build_momentum_block(basis, 0, FERRO)
         spectrum = eigh(block.matrix)
         lifted = lift_block_vector(block, spectrum.vectors[:, 0])
         probs = sorted(abs(lifted[basis.index_of(o.members[0])]) ** 2 for o in orbits)
@@ -138,7 +135,7 @@ class TestLiftBlockVector:
 
     def test_dimension_mismatch(self):
         basis = enumerate_sector(4, 2)
-        block = build_momentum_block(basis, translation_orbits(basis), 0, FERRO)
+        block = build_momentum_block(basis, 0, FERRO)
         with pytest.raises(ValueError):
             lift_block_vector(block, np.ones(3))
 
