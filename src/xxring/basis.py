@@ -131,18 +131,26 @@ def check_ring_size(n: int) -> None:
         raise ValueError(f"ring size must be in 1..{RING_CAP}, got {n}")
 
 
+def check_sector(n: int, k: int) -> None:
+    """Refuse a ring size outside 1..RING_CAP or an up-spin count outside 0..n."""
+    check_ring_size(n)
+    if not 0 <= k <= n:
+        raise ValueError(f"up-spin count must be in 0..{n}, got {k}")
+
+
 @lru_cache(maxsize=None)
-def enumerate_sector(n: int, k: int) -> SectorBasis:
+def enumerate_sector(n: int, k: int, /) -> SectorBasis:
     """The k-up-spin sector of the n-site ring, built once per process.
+
+    The arguments are positional-only, so every call for a sector shares one
+    cache entry and one ``SectorBasis``.
 
     Configurations are the popcount-k entries of ``arange(2**n)``.  All n
     rotations of every configuration form one (dim, n) array; the first
     ``argmin`` of each row is the first minimal rotation, which gives the
     representative (hence the orbit index) and the shift back to it.
     """
-    check_ring_size(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"up-spin count must be in 0..{n}, got {k}")
+    check_sector(n, k)
     codes = np.arange(1 << n, dtype=np.int64)
     ones = np.zeros_like(codes)
     for i in range(n):

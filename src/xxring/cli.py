@@ -58,9 +58,43 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{inner}{_to_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        items = _flat_rows(obj, indent + 1)
+        if items is None:
+            items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return _json_scalar(obj)
+
+
+def _flat_rows(rows, indent: int) -> list[str] | None:
+    """Each row of a list of non-empty flat dicts as ``_to_json`` writes it, else None.
+
+    Rows with the same keys share one ``str.format`` template, so a table of
+    thousands of rows costs one format call per row instead of one
+    ``_to_json`` call per value.
+    """
+    templates, out = {}, []
+    for row in rows:
+        if not (isinstance(row, dict) and row):
+            return None
+        values = []
+        for value in row.values():
+            if type(value) is float:
+                values.append(_format_float(value))
+            elif type(value) is int:
+                values.append(str(value))
+            elif isinstance(value, (dict, list, tuple)):
+                return None
+            else:
+                values.append(_json_scalar(value))
+        keys = tuple(row)
+        template = templates.get(keys)
+        if template is None:
+            pad, inner = "  " * indent, "  " * (indent + 1)
+            fields = ",\n".join(inner + json.dumps(k).replace("{", "{{").replace("}", "}}")
+                                 + ": {}" for k in keys)
+            template = templates[keys] = pad + "{{\n" + fields + "\n" + pad + "}}"
+        out.append(template.format(*values))
+    return out
 
 
 def _csv_cell(value) -> str:

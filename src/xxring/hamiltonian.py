@@ -110,11 +110,16 @@ class MomentumBlock:
         return len(self.orbits)
 
 
+def check_momentum(m: int, n: int) -> None:
+    """Refuse a momentum index outside 0..n-1."""
+    if not 0 <= m < n:
+        raise ValueError(f"momentum index must be in 0..{n - 1}, got {m}")
+
+
 def build_momentum_block(basis: SectorBasis, m: int, coupling: Coupling) -> MomentumBlock:
     """Complex Hermitian block of the sector Hamiltonian at momentum m."""
     n = basis.n
-    if not 0 <= m < n:
-        raise ValueError(f"momentum index must be in 0..{n - 1}, got {m}")
+    check_momentum(m, n)
     orbits = np.flatnonzero(m * basis.period % n == 0)
     orbits.flags.writeable = False
     col = np.full(len(basis.reps), -1)

@@ -2,28 +2,33 @@
 
 ``eigh`` wraps the LAPACK Hermitian solver with a symmetry check and a
 deterministic phase convention (largest component of each eigenvector made
-real positive); ``block_levels`` gives one momentum block's eigenvalues after
-the same check.  ``ground_manifold`` solves in two phases.  It scans the
-eigenvalues of the blocks k <= n/2, m <= n/2 only: the spin flip maps sector
-k onto sector n-k at equal momentum (particle-hole symmetry), and block n-m
-is the complex conjugate of block m, so each scanned block also stands for
-up to three others, each with its own field offset -b*(k - n/2).  The ground
-energy and tolerance window come from that full multiset; then only blocks
-reaching the window are fully solved and lifted.  Exact ground-level
-degeneracies are symmetry-protected, so the default tolerance of 1e-9 times
-the spectral range separates them cleanly from solver noise.  Blocks are
-built on ``enumerate_sector``'s sectors, which each process builds once and
-shares read-only, so the scan and the ground solve read the same orbit
-arrays and hop table.
+real positive).  ``block_levels`` gives one momentum block's eigenvalues from
+a per-process table of levels: H(J) = J * H(1), the spin flip maps sector k
+onto sector n-k at equal momentum (particle-hole symmetry), and block n-m is
+the complex conjugate of block m, so blocks (k, m), (n-k, m), (k, n-m) and
+(n-k, n-m) share the levels of one canonical block (k <= n/2, m <= n/2).
+Each canonical block is solved once per process at J = 1, after the
+Hermiticity check, and every other request scales those levels by J.
+
+``ground_manifold`` solves in two phases.  It scans the levels of the
+canonical blocks, each standing for up to four blocks with their own field
+offsets -b*(k - n/2).  The ground energy and tolerance window come from that
+full multiset; then only blocks reaching the window are fully solved at the
+given J and lifted.  Exact ground-level degeneracies are symmetry-protected,
+so the default tolerance of 1e-9 times the spectral range separates them
+cleanly from solver noise.  Blocks are built on ``enumerate_sector``'s
+sectors, which each process builds once and shares read-only, so the scan
+and the ground solve read the same orbit arrays and hop table.
 
 Ground solves are reused within a process: ``ground_manifold`` keeps the
 results of its last ``GROUND_CACHE_SIZE`` distinct inputs and returns the
 same object when an input repeats.  Its amplitude arrays are read-only, so
 one caller cannot change what the next one reads.  Code that monkeypatches
 the solver internals (``eigh``, ``build_momentum_block``, ...) must call
-``_ground_manifold.cache_clear()`` first, or it may be handed a result
-solved before the patch; code that patches how sectors are built
-(``hop_table``, ...) must call ``enumerate_sector.cache_clear()`` as well.
+``_ground_manifold.cache_clear()`` and ``_unit_levels.cache_clear()`` first,
+or it may be handed results solved before the patch; code that patches how
+sectors are built (``hop_table``, ...) must call
+``enumerate_sector.cache_clear()`` as well.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import SectorBasis, enumerate_sector
+from .basis import SectorBasis, check_sector, enumerate_sector
 from .hamiltonian import (Coupling, FieldSetting, MomentumBlock, build_momentum_block,
-                          sector_energy_offset)
+                          check_momentum, sector_energy_offset)
 
 HERMITICITY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-9
@@ -78,9 +83,24 @@ def _block(n: int, k: int, m: int, coupling: Coupling) -> MomentumBlock:
     return build_momentum_block(enumerate_sector(n, k), m, coupling)
 
 
+@lru_cache(maxsize=None)
+def _unit_levels(n: int, k: int, m: int, /) -> np.ndarray:
+    """Read-only ascending eigenvalues of block (k, m) at J = 1, solved once per process."""
+    levels = np.linalg.eigvalsh(_hermitian(_block(n, k, m, Coupling(1.0)).matrix))
+    levels.flags.writeable = False
+    return levels
+
+
 def block_levels(n: int, k: int, m: int, coupling: Coupling) -> np.ndarray:
-    """Ascending eigenvalues of momentum block (k, m), without the field offset."""
-    return np.linalg.eigvalsh(_hermitian(_block(n, k, m, coupling).matrix))
+    """Ascending eigenvalues of momentum block (k, m), without the field offset.
+
+    Read from the J = 1 levels of the canonical block (min(k, n-k),
+    min(m, n-m)) and scaled by J, as a new array.
+    """
+    check_sector(n, k)
+    check_momentum(m, n)
+    levels = coupling.j * _unit_levels(n, min(k, n - k), min(m, -m % n))
+    return levels[::-1] if coupling.j < 0 else levels
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,12 @@ class TestSectorEnumeration:
     def test_one_sector_object_per_process(self):
         assert enumerate_sector(7, 3) is enumerate_sector(7, 3)
         assert enumerate_sector(7, 3) is not enumerate_sector(7, 4)
+        assert enumerate_sector(6, 3) is enumerate_sector(6, 3)
+        # a keyword call would key a second cache entry and build a second object
+        with pytest.raises(TypeError):
+            enumerate_sector(6, k=3)
+        with pytest.raises(TypeError):
+            enumerate_sector(n=6, k=3)
 
     def test_membership(self):
         basis = enumerate_sector(5, 2)

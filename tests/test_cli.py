@@ -23,6 +23,23 @@ def strip_runtime(text):
     return "\n".join(line for line in text.splitlines() if "runtime_ms" not in line)
 
 
+def reference_to_json(obj, indent=0):
+    """The recursive JSON writer, one call per value: the reference for ``cli._to_json``."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(f"{inner}{json.dumps(k)}: {reference_to_json(v, indent + 1)}"
+                           for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(f"{inner}{reference_to_json(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    return cli._json_scalar(obj)
+
+
 class TestPayloads:
     def test_concurrence_command(self, capsys):
         code, doc = run_json(capsys, ["concurrence", "--n", "4", "--j", "-1",
@@ -66,6 +83,20 @@ class TestPayloads:
             zeros += sum(abs(np.cos(q[list(occupied)]).sum()) < 1e-9
                          for occupied in combinations(range(n), k))
         assert len(near_zero) == zeros
+
+    @pytest.mark.parametrize("n", [13, 15])
+    @pytest.mark.parametrize("j", ["-1", "1"])
+    def test_spectrum_prints_one_set_of_levels_per_symmetry_class(self, capsys, n, j):
+        code, doc = run_json(capsys, ["spectrum", "--n", str(n), "--j", j])
+        assert code == 0
+        levels = {}
+        for row in doc["rows"]:
+            levels.setdefault((row["k"], row["m"]), []).append(row["energy"])
+        for k in range(n + 1):
+            for m in range(n):
+                # spin flip k -> n-k and momentum reversal m -> n-m
+                for image in ((n - k, m), (k, -m % n), (n - k, -m % n)):
+                    assert levels.get(image) == levels.get((k, m))
 
     def test_lp_csv(self, capsys):
         code = cli.run(["lp", "--n", "6", "--j", "-1", "--format", "csv"])
@@ -135,6 +166,68 @@ class TestFormats:
         assert doc["rows"][0]["energy"] == pytest.approx(-2 * np.sqrt(2), abs=1e-10)
 
 
+COMMAND_SHAPES = [
+    ["spectrum", "--n", "5", "--j", "0.5", "--b", "0.2"],
+    ["spectrum", "--n", "4", "--k", "0", "--m", "1"],  # an empty block: no rows
+    ["ground", "--n", "5", "--j", "1"],
+    ["concurrence", "--n", "6", "--distance", "2"],
+    ["lp", "--n", "6"],
+    ["sweep", "--n", "4..6"],
+    ["extrapolate", "--n", "4..8"],
+    ["verify", "--n", "2..4"],
+]
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("argv", COMMAND_SHAPES, ids=lambda argv: "-".join(argv[:3]))
+    def test_every_command_shape_matches_the_reference(self, capsys, monkeypatch,
+                                                       argv, fmt):
+        documents, render = [], cli._render
+
+        def capture(document, fmt):
+            documents.append(document)
+            return render(document, fmt)
+
+        def refuse(obj, indent=0):
+            raise AssertionError("csv and table output must not go through the JSON writer")
+
+        monkeypatch.setattr(cli, "_render", capture)
+        if fmt != "json":
+            monkeypatch.setattr(cli, "_to_json", refuse)
+        assert cli.run(argv + ["--format", fmt]) == 0
+        out = capsys.readouterr().out
+        monkeypatch.undo()
+        [document] = documents
+        assert cli._to_json(document) == reference_to_json(document)
+        if fmt == "json":
+            assert out == reference_to_json(document) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        [],
+        [{}],
+        [{"a": 1}, {}],
+        [{"a": 1}, 2],
+        [{"a": [1, 2.5]}],
+        [{"a": {"b": None}}],
+        [{"a": ()}],
+        ({"x": 1.0}, {"x": -0.0}),
+        [{"{k}": 1, "}{": True, "a\"b": "{0}"}, {"{k}": None, "}{": False, "a\"b": "é"}],
+        [{"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}, {"a": 1}],
+        [{"f": np.float64(0.1) * 3, "i": 7, "g": 1e-300, "h": float("nan"), "big": 2 ** 70}],
+        {"rows": [{"n": 4, "e": -2.82842712475}], "meta": {"v": "0"}, "empty": []},
+    ])
+    def test_documents_match_the_reference(self, obj):
+        assert cli._to_json(obj) == reference_to_json(obj)
+
+    def test_unprintable_values_still_raise(self):
+        for obj in ([{"a": np.int64(3)}], [{"a": object()}]):
+            with pytest.raises(TypeError):
+                reference_to_json(obj)
+            with pytest.raises(TypeError):
+                cli._to_json(obj)
+
+
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
         assert cli.run(["concurrence", "--n", "4", "--frobnicate"]) == 2
@@ -162,6 +255,8 @@ class TestExitCodes:
         (["concurrence", "--n", "4", "--distance", "0"], "--distance"),
         (["concurrence", "--n", "4", "--distance", "4"], "--distance"),
         (["concurrence", "--n", "4", "--distance", "-1"], "--distance"),
+        (["spectrum", "--n", "6", "--k", "7"], "up-spin count must be in 0..6, got 7"),
+        (["spectrum", "--n", "6", "--m", "6"], "momentum index must be in 0..5, got 6"),
     ])
     def test_refuses_out_of_range_size_or_distance(self, capsys, argv, message):
         assert cli.run(argv) == 2

@@ -7,6 +7,7 @@ from xxring.basis import enumerate_sector, rotate, translation_orbits
 from xxring.hamiltonian import (Coupling, FieldSetting, apply_hamiltonian,
                                 build_momentum_block, build_sector_hamiltonian,
                                )
+import xxring.cli
 import xxring.spectra
 from xxring.spectra import (DEGENERACY_RTOL, GroundManifold, block_levels, eigh,
                             ground_manifold, lift_block_vector)
@@ -221,6 +222,7 @@ class TestGroundManifold:
             return block
 
         monkeypatch.setattr(xxring.spectra, "build_momentum_block", skewed)
+        xxring.spectra._unit_levels.cache_clear()  # solve under the patch
         with pytest.raises(ValueError, match="not Hermitian"):
             block_levels(6, 3, 0, FERRO)
         xxring.spectra._ground_manifold.cache_clear()  # solve under the patch
@@ -299,3 +301,46 @@ class TestGroundCache:
         for i in range(40):
             ground_manifold(3, FERRO, FieldSetting(b=0.01 * i))
         assert xxring.spectra._ground_manifold.cache_info().currsize <= 32
+
+
+class TestLevelTable:
+    @pytest.mark.parametrize("j", [-1.0, 1.0, 0.5, -2.5])
+    def test_levels_match_a_solve_at_the_coupling(self, j):
+        coupling = Coupling(j)
+        for n in range(1, 13):
+            for k in range(n + 1):
+                basis = enumerate_sector(n, k)
+                for m in range(n):
+                    direct = np.linalg.eigvalsh(build_momentum_block(basis, m, coupling).matrix)
+                    np.testing.assert_allclose(block_levels(n, k, m, coupling), direct,
+                                               rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_each_block_solved_once_for_both_signs_and_spectrum(self, solver_calls,
+                                                                capsys, n):
+        xxring.spectra._ground_manifold.cache_clear()
+        xxring.spectra._unit_levels.cache_clear()
+        ground_manifold(n, FERRO)
+        solver_calls.clear()
+        ground_manifold(n, ANTIFERRO)
+        assert "eigvalsh" not in solver_calls
+        solver_calls.clear()
+        assert xxring.cli.run(["spectrum", "--n", str(n)]) == 0
+        capsys.readouterr()
+        assert solver_calls == []
+
+    def test_returns_a_new_array(self):
+        first = block_levels(7, 3, 1, ANTIFERRO)
+        expected = first.copy()
+        first[:] = 0.0
+        np.testing.assert_array_equal(block_levels(7, 3, 1, ANTIFERRO), expected)
+
+    @pytest.mark.parametrize("k, m, message", [
+        (7, 0, "up-spin count must be in 0..6, got 7"),
+        (-1, 0, "up-spin count must be in 0..6, got -1"),
+        (3, 6, "momentum index must be in 0..5, got 6"),
+        (3, -1, "momentum index must be in 0..5, got -1"),
+    ])
+    def test_refuses_sector_or_momentum_out_of_range(self, k, m, message):
+        with pytest.raises(ValueError, match=message):
+            block_levels(6, k, m, FERRO)
