@@ -6,17 +6,19 @@ zero).  The Hamiltonian conserves the number of up spins, so almost all work
 happens inside a fixed-magnetization sector: the list of all C(n, k) masks
 with popcount k, ordered by integer value.
 
-Ring translations partition a sector into orbits.  ``enumerate_sector``
-builds each sector once per process and hands out the same read-only
-``SectorBasis`` on every later call.  It carries everything about the sector
-that does not depend on the coupling: per configuration, the index of its
-orbit (orbits numbered by ascending representative, the minimal member) and
-the shift t with ``rotate(representative, t) == config``, the same pair that
-``orbit_representative`` computes for a single configuration; per orbit, the
-representative and the period; and the table of bond swaps between
+Ring translations partition a sector into orbits.  T^t is the rotation
+that moves the spin at site i to site (i + t) mod n, and R the reflection
+that maps site i to site (n - i) mod n.  ``enumerate_sector`` builds each
+sector once per process and hands out the same read-only ``SectorBasis`` on
+every later call.  It carries everything about the sector that does not
+depend on the coupling: per configuration, the index of its orbit (orbits
+numbered by ascending representative, the minimal member) and the shift t
+with T^t(representative) == config, taken from the configuration's first
+minimal rotation; per orbit, the representative, the period and the orbit
+that R maps it onto (``mirror``); and the table of bond swaps between
 representatives (``hop_table``).  Momentum blocks, lifted amplitudes and
 orbit-probability tables all read these arrays instead of rotating
-configurations again.  Ring reflections pair orbits into dihedral classes.
+configurations again.  An orbit and its mirror form one dihedral class.
 """
 
 from __future__ import annotations
@@ -33,28 +35,6 @@ import numpy as np
 RING_CAP = 20
 
 
-def popcount(bits: int) -> int:
-    return bits.bit_count()
-
-
-def rotate(bits: int, t: int, n: int) -> int:
-    """Cyclic rotation moving the spin at site i to site (i + t) mod n."""
-    t %= n
-    if t == 0:
-        return bits
-    mask = (1 << n) - 1
-    return ((bits << t) | (bits >> (n - t))) & mask
-
-
-def reflect(bits: int, n: int) -> int:
-    """Ring reflection mapping site i to site (n - i) mod n."""
-    out = bits & 1  # site 0 is the mirror axis
-    for i in range(1, n):
-        if (bits >> i) & 1:
-            out |= 1 << (n - i)
-    return out
-
-
 def up_sites(bits: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if (bits >> i) & 1)
 
@@ -68,27 +48,6 @@ def config_label(bits: int, n: int) -> str:
     return "|" + ",".join(parts) + ">"
 
 
-def orbit_representative(bits: int, n: int) -> tuple[int, int]:
-    """Minimal rotation of ``bits`` and the shift back to it.
-
-    Returns ``(rep, t)`` with ``rep = min over rotations`` and
-    ``rotate(rep, t) == bits``.
-    """
-    rep, shift = bits, 0
-    for t in range(1, n):
-        x = rotate(bits, t, n)
-        if x < rep:
-            rep, shift = x, t
-    return rep, (n - shift) % n
-
-
-def dihedral_representative(bits: int, n: int) -> int:
-    """Minimal configuration over all rotations and reflections."""
-    rep, _ = orbit_representative(bits, n)
-    rep_r, _ = orbit_representative(reflect(bits, n), n)
-    return min(rep, rep_r)
-
-
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
     """All configurations with ``k`` up spins on ``n`` sites, ascending, and their orbits.
@@ -96,11 +55,12 @@ class SectorBasis:
     ``configs`` holds the configurations as Python ints and ``bits`` the same
     values as an int64 array.  ``orbit[i]`` is the translation orbit of
     ``configs[i]``, orbits numbered by ascending representative, and
-    ``shift[i]`` the shift t with ``rotate(reps[orbit[i]], t) == configs[i]``,
-    taken from the representative's first minimal rotation exactly as
-    ``orbit_representative`` does.  ``reps`` and ``period`` give each orbit's
-    representative and period, and ``hops`` is the sector's ``hop_table``.
-    Every array is read-only.
+    ``shift[i]`` the shift t with T^t(reps[orbit[i]]) == configs[i], where
+    t = n - u (mod n) for the first u at which T^u(configs[i]) is minimal.
+    ``reps`` and ``period`` give each orbit's representative and period,
+    ``mirror[a]`` the orbit that contains the reflection R(reps[a]) (equal
+    to ``a`` for an orbit that R maps onto itself), and ``hops`` is the
+    sector's ``hop_table``.  Every array is read-only.
     """
 
     n: int
@@ -111,6 +71,7 @@ class SectorBasis:
     shift: np.ndarray = field(repr=False)
     reps: np.ndarray = field(repr=False)
     period: np.ndarray = field(repr=False)
+    mirror: np.ndarray = field(repr=False)
     hops: np.ndarray = field(repr=False)
 
     @property
@@ -148,7 +109,9 @@ def enumerate_sector(n: int, k: int, /) -> SectorBasis:
     Configurations are the popcount-k entries of ``arange(2**n)``.  All n
     rotations of every configuration form one (dim, n) array; the first
     ``argmin`` of each row is the first minimal rotation, which gives the
-    representative (hence the orbit index) and the shift back to it.
+    representative (hence the orbit index) and the shift back to it.  The
+    reflected representatives come from one more bit pass over ``reps``,
+    and their orbits from the orbit map.
     """
     check_sector(n, k)
     codes = np.arange(1 << n, dtype=np.int64)
@@ -161,10 +124,12 @@ def enumerate_sector(n: int, k: int, /) -> SectorBasis:
     reps, orbit, period = np.unique(rotations.min(axis=1), return_inverse=True,
                                     return_counts=True)
     shift = (n - rotations.argmin(axis=1)) % n
+    mirrored = sum(((reps >> i) & 1) << (-i % n) for i in range(n))
+    mirror = orbit[np.searchsorted(bits, mirrored)]
     basis = SectorBasis(n=n, k=k, configs=tuple(bits.tolist()), bits=bits, orbit=orbit,
-                        shift=shift, reps=reps, period=period, hops=None)
+                        shift=shift, reps=reps, period=period, mirror=mirror, hops=None)
     basis = replace(basis, hops=hop_table(basis))
-    for array in (bits, orbit, shift, reps, period, basis.hops):
+    for array in (bits, orbit, shift, reps, period, mirror, basis.hops):
         array.flags.writeable = False
     return basis
 
@@ -179,7 +144,7 @@ def hop_table(basis: SectorBasis) -> np.ndarray:
 
     One row (a, b, shift, weight) per hop, indices as exact floats: the swap
     takes representative ``a`` (by orbit index) to
-    ``rotate(basis.reps[b], shift)`` and carries the amplitude ratio
+    T^shift(basis.reps[b]) and carries the amplitude ratio
     sqrt(period_a / period_b).  Rows run a-major and bond-minor.  Each
     swapped configuration is found in the sector with one ``searchsorted``;
     its orbit ``b`` and ``shift`` are read from the sector's orbit map.
@@ -195,43 +160,25 @@ def hop_table(basis: SectorBasis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TranslationOrbit:
-    """One translation orbit: ``members[t] = rotate(representative, t)``."""
+    """One translation orbit: ``members[t]`` is T^t(representative)."""
 
     representative: int
     period: int
     members: tuple[int, ...]
 
 
-def translation_orbits(basis: SectorBasis) -> list[TranslationOrbit]:
-    """Partition a sector into translation orbits, representatives ascending.
+def rotation_order(basis: SectorBasis) -> np.ndarray:
+    """Configuration indices sorted by orbit, then by shift modulo the period.
 
-    Packs the sector's orbit map: members sorted by orbit, then by shift
-    modulo the period, which is rotation order from the representative.
+    Orbit a fills the a-th run of ``period[a]`` entries, in rotation order.
     """
-    ordered = basis.bits[np.lexsort((basis.shift % basis.period[basis.orbit],
-                                     basis.orbit))].tolist()
+    return np.lexsort((basis.shift % basis.period[basis.orbit], basis.orbit))
+
+
+def translation_orbits(basis: SectorBasis) -> list[TranslationOrbit]:
+    """The sector's orbits, representatives ascending, members in ``rotation_order``."""
+    ordered = basis.bits[rotation_order(basis)].tolist()
     starts = np.concatenate(([0], np.cumsum(basis.period))).tolist()
     return [TranslationOrbit(representative=ordered[a], period=b - a,
                              members=tuple(ordered[a:b]))
             for a, b in zip(starts, starts[1:])]
-
-
-@dataclass(frozen=True)
-class DihedralClass:
-    """Translation orbits joined by ring reflection (one or two of them)."""
-
-    canonical: int
-    orbits: tuple[TranslationOrbit, ...]
-
-
-def dihedral_classes(orbits: list[TranslationOrbit], n: int) -> list[DihedralClass]:
-    """Group orbits whose members map onto each other under reflection."""
-    groups: dict[int, list[TranslationOrbit]] = {}
-    for orb in orbits:
-        key = dihedral_representative(orb.representative, n)
-        groups.setdefault(key, []).append(orb)
-    return [
-        DihedralClass(canonical=key,
-                      orbits=tuple(sorted(groups[key], key=lambda o: o.representative)))
-        for key in sorted(groups)
-    ]

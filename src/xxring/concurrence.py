@@ -5,8 +5,9 @@ of sites, in the basis (up-up, up-down, down-up, down-down).  States from a
 fixed-magnetization sector reduce to an X-form matrix: a diagonal
 (u+, w1, w2, u-) plus a single coherence z between up-down and down-up, for
 which the concurrence has the closed form 2*max(0, |z| - sqrt(u+ * u-)).
-The general Wootters route (square roots of the eigenvalues of rho*rho~,
-spin-flipped rho~) is kept alongside and the two must agree on X inputs.
+Every value comes from the general Wootters route (square roots of the
+eigenvalues of rho*rho~, spin-flipped rho~); the X-form closed form is a
+test reference (``tests/reference.py``) that must agree with it.
 
 Degenerate ground manifolds are mixed with equal weights: that is the unique
 translation- and flip-symmetric choice, and the mixing is what depresses the
@@ -24,7 +25,8 @@ from .hamiltonian import Coupling, FieldSetting
 from .spectra import DEGENERACY_RTOL, GroundManifold, SectorState, ground_manifold
 
 PSD_FLOOR = -1e-10
-X_OFFDIAG_TOL = 1e-10
+# trace and Hermiticity tolerance of a pair density
+DENSITY_TOL = 1e-12
 
 # antidiagonal of sigma_y (x) sigma_y in the (uu, ud, du, dd) basis
 _SPIN_FLIP = np.array([
@@ -46,10 +48,10 @@ class PairDensity:
         m = self.matrix
         if m.shape != (4, 4):
             raise ValueError("pair density must be 4x4")
-        if abs(np.trace(m) - 1.0) > 1e-12:
-            raise ValueError(f"trace {np.trace(m)} is not 1 within 1e-12")
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise ValueError("pair density is not Hermitian within 1e-12")
+        if abs(np.trace(m) - 1.0) > DENSITY_TOL:
+            raise ValueError(f"trace {np.trace(m)} is not 1 within {DENSITY_TOL}")
+        if np.abs(m - m.conj().T).max() > DENSITY_TOL:
+            raise ValueError(f"pair density is not Hermitian within {DENSITY_TOL}")
         if np.linalg.eigvalsh(m).min() < PSD_FLOOR:
             raise ValueError("pair density has an eigenvalue below -1e-10")
 
@@ -117,6 +119,8 @@ def concurrence_wootters(rho: PairDensity) -> ConcurrenceResult:
     rho~ = (sy x sy) rho* (sy x sy).  They are evaluated as the singular
     values of sqrt(rho) (sy x sy) sqrt(rho)*, an identical quantity that
     sidesteps the square-root amplification of eigenvalue noise near zero.
+    A value at or below ``DENSITY_TOL``, the pair density's own tolerance,
+    cannot be resolved (|z| = sqrt(u+ u-) exactly gives ~1e-16) and reads 0.
     """
     m = rho.matrix
     values, vectors = np.linalg.eigh(m)
@@ -124,20 +128,8 @@ def concurrence_wootters(rho: PairDensity) -> ConcurrenceResult:
         raise ValueError("pair density has an eigenvalue below -1e-10")
     root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
     lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
-    return ConcurrenceResult(value=max(0.0, lam[0] - lam[1] - lam[2] - lam[3]),
-                             lambdas=tuple(lam))
-
-
-def concurrence_xstate(rho: PairDensity) -> float:
-    """Closed form 2*max(0, |z| - sqrt(u+ u-)) for X-form pair densities."""
-    off = rho.matrix.copy()
-    np.fill_diagonal(off, 0.0)
-    off[1, 2] = off[2, 1] = 0.0
-    if np.abs(off).max() > X_OFFDIAG_TOL:
-        raise ValueError("pair density is not in X form (stray off-diagonals)")
-    d = rho.diagonal()
-    u_plus, u_minus = max(d[0], 0.0), max(d[3], 0.0)
-    return 2.0 * max(0.0, abs(rho.coherence()) - np.sqrt(u_plus * u_minus))
+    value = lam[0] - lam[1] - lam[2] - lam[3]
+    return ConcurrenceResult(value=value if value > DENSITY_TOL else 0.0, lambdas=tuple(lam))
 
 
 def state_concurrence(state: SectorState, pair: tuple[int, int] = (0, 1)) -> float:

@@ -20,7 +20,9 @@ and hops from the sector's ``SectorBasis``, which ``enumerate_sector`` builds
 once per process and shares read-only, so every block of a sector, at every
 J, uses the same orbit arrays and hop table.  ``ring_bonds`` and
 ``hop_table`` live in ``basis`` (neither depends on J) and are re-exported
-here.
+here.  Only momentum blocks are built; the dense sector matrix and the
+matrix-free product that cross-check them are test references
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, hop_table, ring_bonds  # noqa: F401 (hop_table re-exported)
+from .basis import SectorBasis, hop_table, ring_bonds  # noqa: F401 (both re-exported)
 
 
 @dataclass(frozen=True)
@@ -63,32 +65,6 @@ class FieldSetting:
 def sector_energy_offset(k: int, n: int, field: FieldSetting) -> float:
     """Zeeman shift of every level in the k-up sector: -b*(k - n/2)."""
     return -field.b * (k - n / 2)
-
-
-def build_sector_hamiltonian(basis: SectorBasis, coupling: Coupling) -> np.ndarray:
-    """Dense real-symmetric Hamiltonian of one magnetization sector."""
-    n = basis.n
-    h = np.zeros((basis.dim, basis.dim))
-    for a, c in enumerate(basis.configs):
-        for i, j in ring_bonds(n):
-            if ((c >> i) & 1) != ((c >> j) & 1):
-                h[basis.index_of(c ^ ((1 << i) | (1 << j))), a] += coupling.j
-    return h
-
-
-def apply_hamiltonian(basis: SectorBasis, coupling: Coupling, v: np.ndarray) -> np.ndarray:
-    """Matrix-free H @ v, for cross-checking the dense build."""
-    v = np.asarray(v)
-    if v.shape != (basis.dim,):
-        raise ValueError(f"state has length {v.shape}, sector dimension is {basis.dim}")
-    out = np.zeros(basis.dim, dtype=np.result_type(v, float))
-    for a, c in enumerate(basis.configs):
-        if v[a] == 0:
-            continue
-        for i, j in ring_bonds(basis.n):
-            if ((c >> i) & 1) != ((c >> j) & 1):
-                out[basis.index_of(c ^ ((1 << i) | (1 << j)))] += coupling.j * v[a]
-    return out
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, config_label, dihedral_classes, translation_orbits, up_sites
+from .basis import SectorBasis, config_label, rotation_order, up_sites
 from .hamiltonian import Coupling, FieldSetting
 from .spectra import DEGENERACY_RTOL, GroundManifold, ground_manifold
 
@@ -87,6 +87,8 @@ def orbit_probabilities(manifold: GroundManifold, sector: SectorBasis) -> OrbitR
 
     Rows are sorted by ascending per-member probability, mirroring the
     strongest-clustering-first narrative of the ground-state structure.
+    An orbit and its reflection (``sector.mirror``) share a ``dihedral_class``,
+    numbered by ascending smaller representative.
     """
     in_sector = [s for s in manifold.states if s.basis.k == sector.k
                  and s.basis.n == sector.n]
@@ -98,24 +100,15 @@ def orbit_probabilities(manifold: GroundManifold, sector: SectorBasis) -> OrbitR
         raw += np.abs(state.amplitudes) ** 2 / d
     weight = float(raw.sum())
 
-    orbits = translation_orbits(sector)
-    class_of = {}
-    for cid, cls in enumerate(dihedral_classes(orbits, sector.n)):
-        for orb in cls.orbits:
-            class_of[orb.representative] = cid
-
-    rows = []
-    for orb in orbits:
-        member = raw[np.searchsorted(sector.bits, orb.members)] / weight
-        rows.append(OrbitRow(
-            representative=orb.representative,
-            pattern=config_label(orb.representative, sector.n),
-            period=orb.period,
-            member_probability=float(member.mean()),
-            orbit_probability=float(member.sum()),
-            clustering=clustering_score(orb.representative, sector.n),
-            dihedral_class=class_of[orb.representative],
-        ))
+    n, reps, period = sector.n, sector.reps, sector.period
+    members = np.split(raw[rotation_order(sector)] / weight, np.cumsum(period)[:-1])
+    _, dihedral = np.unique(np.minimum(reps, reps[sector.mirror]), return_inverse=True)
+    rows = [OrbitRow(representative=rep, pattern=config_label(rep, n), period=p,
+                     member_probability=float(member.mean()),
+                     orbit_probability=float(member.sum()),
+                     clustering=clustering_score(rep, n), dihedral_class=cid)
+            for rep, p, member, cid in zip(reps.tolist(), period.tolist(), members,
+                                           dihedral.tolist())]
     rows.sort(key=lambda r: (r.member_probability, r.representative))
 
     return OrbitReport(n=sector.n, k=sector.k, sector_weight=weight, rows=tuple(rows),

@@ -120,7 +120,7 @@ def lift_block_vector(block: MomentumBlock, v: np.ndarray) -> np.ndarray:
     """Expand a momentum-block vector into sector amplitudes.
 
     The orbit representative ``a`` with period p contributes amplitude
-    v_a * exp(-2*pi*i*m*t/n) / sqrt(p) on each member rotate(a, t).  The
+    v_a * exp(-2*pi*i*m*t/n) / sqrt(p) on each member T^t(a).  The
     sector's orbit map gives every configuration's orbit, hence its block
     column (``block.orbits`` is ascending), and its shift t, so the lift is
     array indexing.

@@ -22,15 +22,15 @@ import numpy as np
 import pytest
 
 from xxring.basis import enumerate_sector, translation_orbits
-from xxring.concurrence import (concurrence_wootters, concurrence_xstate,
-                                ground_concurrence, manifold_pair_density,
-                                pair_density, state_concurrence)
-from xxring.hamiltonian import (Coupling, FieldSetting, build_momentum_block,
-                                build_sector_hamiltonian, hop_table)
+from xxring.concurrence import (concurrence_wootters, ground_concurrence,
+                                manifold_pair_density, pair_density, state_concurrence)
+from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block, hop_table
 from xxring.oracle import compare_with_pipeline, eigenvector_concurrence_scan
 from xxring.polarization import lp_table
 from xxring.spectra import SectorState, ground_manifold
 from xxring.sweeps import extrapolate, sweep
+
+from reference import build_sector_hamiltonian, concurrence_xstate
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)

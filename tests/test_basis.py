@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from xxring.basis import (RING_CAP, config_label, dihedral_classes,
-                          dihedral_representative, enumerate_sector,
-                          orbit_representative, popcount, reflect, rotate,
-                          translation_orbits, up_sites)
+from xxring.basis import (RING_CAP, config_label, enumerate_sector, translation_orbits,
+                          up_sites)
+
+from reference import dihedral_representative, orbit_representative, reflect, rotate
 
 
 def bits_of(sites):
@@ -103,7 +103,7 @@ class TestOrbitMap:
 
     def test_every_sector_array_is_read_only(self):
         basis = enumerate_sector(6, 3)
-        for name in ("bits", "orbit", "shift", "reps", "period", "hops"):
+        for name in ("bits", "orbit", "shift", "reps", "period", "mirror", "hops"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(basis, name)[0] = 1
 
@@ -154,7 +154,7 @@ class TestRotate:
                 for t in range(n):
                     image = {rotate(c, t, n) for c in basis.configs}
                     assert image == set(basis.configs)
-        assert all(popcount(rotate(c, 3, 8)) == popcount(c) for c in range(256))
+        assert all(rotate(c, 3, 8).bit_count() == c.bit_count() for c in range(256))
 
 
 class TestReflect:
@@ -222,55 +222,64 @@ class TestTranslationOrbits:
                 assert rep == min(rotate(c, t, n) for t in range(n))
 
 
+def orbit_of(basis, sites):
+    return basis.orbit[basis.index_of(bits_of(sites))]
+
+
 class TestDihedralClasses:
     def test_eight_site_reflection_pair(self):
         basis = enumerate_sector(8, 4)
-        classes = dihedral_classes(translation_orbits(basis), 8)
-        by_rep = {}
-        for cid, cls in enumerate(classes):
-            for orb in cls.orbits:
-                by_rep[orb.representative] = cid
-        rep_124, _ = orbit_representative(bits_of({0, 1, 2, 4}), 8)
-        rep_126, _ = orbit_representative(bits_of({0, 1, 2, 6}), 8)
-        assert by_rep[rep_124] == by_rep[rep_126]
+        a, b = orbit_of(basis, {0, 1, 2, 4}), orbit_of(basis, {0, 1, 2, 6})
+        assert a != b
+        assert basis.mirror[a] == b and basis.mirror[b] == a
 
     def test_self_reflective_orbits_stay_alone(self):
         basis = enumerate_sector(8, 4)
-        classes = dihedral_classes(translation_orbits(basis), 8)
-        rep_125, _ = orbit_representative(bits_of({0, 1, 2, 5}), 8)
-        (lone,) = [cls for cls in classes
-                   if any(o.representative == rep_125 for o in cls.orbits)]
-        assert len(lone.orbits) == 1
+        lone = orbit_of(basis, {0, 1, 2, 5})
+        assert basis.mirror[lone] == lone
 
-        classes6 = dihedral_classes(translation_orbits(enumerate_sector(6, 3)), 6)
-        (alternating,) = [cls for cls in classes6
-                          if any(o.representative == bits_of({0, 2, 4})
-                                 for o in cls.orbits)]
-        assert len(alternating.orbits) == 1
+        basis6 = enumerate_sector(6, 3)
+        alternating = orbit_of(basis6, {0, 2, 4})
+        assert basis6.mirror[alternating] == alternating
 
     def test_classes_partition_orbits(self):
-        for n in range(2, 11):
-            k = n // 2
-            orbits = translation_orbits(enumerate_sector(n, k))
-            classes = dihedral_classes(orbits, n)
-            listed = [o.representative for cls in classes for o in cls.orbits]
-            assert sorted(listed) == sorted(o.representative for o in orbits)
-            assert all(1 <= len(cls.orbits) <= 2 for cls in classes)
+        # an involution pairs each orbit with its mirror or leaves it alone
+        for n in range(1, 15):
+            for k in range(n + 1):
+                basis = enumerate_sector(n, k)
+                mirror = basis.mirror
+                assert mirror.dtype == np.int64 and mirror.shape == basis.reps.shape
+                np.testing.assert_array_equal(mirror[mirror], np.arange(len(mirror)))
 
     def test_reflection_closure_within_class(self):
         n = 8
-        orbits = translation_orbits(enumerate_sector(n, 4))
-        for cls in dihedral_classes(orbits, n):
-            members = {c for o in cls.orbits for c in o.members}
+        basis = enumerate_sector(n, 4)
+        for a in range(len(basis.reps)):
+            members = {c for c, o in zip(basis.configs, basis.orbit)
+                       if o in (a, basis.mirror[a])}
             assert {reflect(c, n) for c in members} == members
 
     def test_canonical_is_symmetry_invariant(self):
         n = 7
-        for c in enumerate_sector(n, 3).configs:
-            canon = dihedral_representative(c, n)
+        basis = enumerate_sector(n, 3)
+        key = np.minimum(basis.reps, basis.reps[basis.mirror])
+
+        def key_of(c):
+            return key[basis.orbit[basis.index_of(c)]]
+
+        for c in basis.configs:
             for t in range(n):
-                assert dihedral_representative(rotate(c, t, n), n) == canon
-                assert dihedral_representative(rotate(reflect(c, n), t, n), n) == canon
+                assert key_of(rotate(c, t, n)) == key_of(c)
+                assert key_of(rotate(reflect(c, n), t, n)) == key_of(c)
+            assert key_of(c) == dihedral_representative(c, n)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_mirror_holds_the_reflected_representative(self, n):
+        for k in range(n + 1):
+            basis = enumerate_sector(n, k)
+            for rep, mirror in zip(basis.reps.tolist(), basis.mirror.tolist()):
+                image, _ = orbit_representative(reflect(rep, n), n)
+                assert image == basis.reps[mirror]
 
 
 class TestLabels:

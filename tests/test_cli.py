@@ -55,6 +55,16 @@ class TestPayloads:
         out = capsys.readouterr().out
         assert '"concurrence": 0.457106781187' in out
 
+    # X states with |z| = sqrt(u+ u-) exactly, where rounding used to print 1e-17..1e-16
+    @pytest.mark.parametrize("argv", [["--n", "4", "--j", "-1", "--distance", "2"],
+                                      ["--n", "4", "--j", "1", "--distance", "2"],
+                                      ["--n", "6", "--j", "-1", "--distance", "3"],
+                                      ["--n", "6", "--j", "1", "--distance", "3"],
+                                      ["--n", "3", "--j", "1"]])
+    def test_concurrence_prints_exact_zero(self, capsys, argv):
+        assert cli.run(["concurrence", *argv]) == 0
+        assert '"concurrence": 0,' in capsys.readouterr().out
+
     def test_ground_command(self, capsys):
         code, doc = run_json(capsys, ["ground", "--n", "3", "--j", "1"])
         assert code == 0

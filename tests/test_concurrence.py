@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from xxring.basis import enumerate_sector
-from xxring.concurrence import (PairDensity, concurrence_wootters, concurrence_xstate,
-                                ground_concurrence, manifold_pair_density,
-                                pair_density, state_concurrence)
+from xxring.concurrence import (PairDensity, concurrence_wootters, ground_concurrence,
+                                manifold_pair_density, pair_density, state_concurrence)
 from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.spectra import SectorState, ground_manifold
+
+from reference import concurrence_xstate
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -158,6 +159,13 @@ class TestWoottersConcurrence:
     def test_w3_pair(self):
         np.testing.assert_allclose(state_concurrence(w_state(3), (0, 1)), 2 / 3,
                                    atol=1e-12)
+
+    def test_only_values_within_the_density_tolerance_read_zero(self):
+        # C = 2 * (|z| - sqrt(u+ u-)): 2e-9 is resolved, 5e-13 is below DENSITY_TOL
+        resolved = concurrence_wootters(x_density(0.1, 0.4, 0.4, 0.1, 0.1 + 1e-9)).value
+        assert resolved == pytest.approx(2e-9, rel=1e-5)
+        below = x_density(0.1, 0.4, 0.4, 0.1, 0.1 + 2.5e-13)
+        assert concurrence_wootters(below).value == 0.0
 
 
 class TestXStateFastPath:

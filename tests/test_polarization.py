@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from xxring.basis import enumerate_sector, reflect, rotate
+from xxring.basis import enumerate_sector, translation_orbits
 from xxring.hamiltonian import Coupling
 from xxring.polarization import clustering_score, lp_table, orbit_probabilities
 from xxring.spectra import ground_manifold
+
+from reference import dihedral_classes, reflect, rotate
 
 FERRO = Coupling(-1.0)
 
@@ -108,6 +110,17 @@ class TestOrbitReports:
             scores = [r.clustering for r in rows]
             assert max(probs) - min(probs) <= 1e-9
             assert max(scores) - min(scores) <= 1e-9
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    @pytest.mark.parametrize("coupling", [FERRO, Coupling(1.0)], ids=["ferro", "antiferro"])
+    def test_dihedral_class_ids_equal_the_scalar_classes(self, n, coupling):
+        report = lp_table(n, coupling)
+        sector = enumerate_sector(n, report.k)
+        expected = {orb.representative: cid
+                    for cid, cls in enumerate(dihedral_classes(translation_orbits(sector), n))
+                    for orb in cls.orbits}
+        assert {row.representative: row.dihedral_class for row in report.rows} == expected
+        assert all(type(row.dihedral_class) is int for row in report.rows)
 
     def test_eight_site_equal_pair_that_is_not_dihedral(self):
         # the two self-reflective orbits with clustering 41/12 tie in

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from xxring.basis import enumerate_sector, rotate, translation_orbits
-from xxring.hamiltonian import (Coupling, FieldSetting, apply_hamiltonian,
-                                build_momentum_block, build_sector_hamiltonian,
-                               )
+from xxring.basis import enumerate_sector, translation_orbits
+from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block
 import xxring.cli
 import xxring.spectra
 from xxring.spectra import (DEGENERACY_RTOL, GroundManifold, block_levels, eigh,
                             ground_manifold, lift_block_vector)
+
+from reference import apply_hamiltonian, build_sector_hamiltonian, rotate
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
