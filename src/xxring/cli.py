@@ -1,13 +1,16 @@
 """Command-line front end: batch computations serialized as JSON, CSV or text.
 
-Sites are 1-based on this surface (internally 0-based).  Floats are printed
-with 12 significant digits and a fixed field order, so identical invocations
-produce identical payloads apart from two timing fields: ``runtime_ms`` in
-``meta`` and the ``seconds`` of each sweep row.  Ground solves are reused
-within a process, so a sweep row whose solve was already done reads near
-zero seconds.  ``run`` builds its argument parser on the first call and
-reuses it.  Exit status: 0 on success, 1 when ``verify`` finds a mismatch,
-2 on usage errors.
+Sites are 1-based on this surface (internally 0-based).  Every command
+returns its ``config`` and ``rows``, and ``run`` writes one payload: the
+``command`` name, a flat ``config`` dict, ``rows`` as a list of flat dicts and
+a flat ``meta`` dict.  Floats are printed with 12 significant digits and a
+fixed field order, so identical invocations produce identical payloads apart
+from two timing fields: ``runtime_ms`` in ``meta`` and the ``seconds`` of
+each sweep row.  Ground solves are reused within a process, so a sweep row
+whose solve was already done reads near zero seconds.  ``run`` builds its
+argument parser on the first call and reuses it.  Exit status: 0 on success,
+1 when a row reports ``ok`` false (a ``verify`` mismatch), 2 for a usage
+error, a refused input or an ``--out`` that cannot be written.
 """
 
 from __future__ import annotations
@@ -31,78 +34,56 @@ from .spectra import DEGENERACY_RTOL, block_levels, ground_manifold
 from .sweeps import extrapolate, sweep
 
 
-def _format_float(x: float) -> str:
-    return f"{x + 0.0:.12g}"  # +0.0 normalizes negative zero
-
-
 def _json_scalar(value) -> str:
+    """A bool, float, int, None or str as JSON; anything else raises TypeError."""
+    if type(value) is float:  # exact types first: nearly every value is one of these
+        return f"{value + 0.0:.12g}"  # +0.0 normalizes negative zero
+    if type(value) is int:
+        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, float):  # np.float64
+        return _json_scalar(float(value))
     if value is None:
         return "null"
-    return json.dumps(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"a payload value must be a scalar, not {type(value).__name__}")
 
 
-def _to_json(obj, indent: int = 0) -> str:
-    pad, inner = "  " * indent, "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(f"{inner}{json.dumps(k)}: {_to_json(v, indent + 1)}"
-                           for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = _flat_rows(obj, indent + 1)
-        if items is None:
-            items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _json_scalar(obj)
+@lru_cache(maxsize=64)
+def _template(keys: tuple, indent: int) -> str:
+    """The ``str.format`` template of a flat dict with these keys at this indent."""
+    if not keys:
+        return "{{}}"
+    inner = "  " * (indent + 1)
+    fields = ",\n".join(inner + json.dumps(k).replace("{", "{{").replace("}", "}}") + ": {}"
+                        for k in keys)
+    return "{{\n" + fields + "\n" + "  " * indent + "}}"
 
 
-def _flat_rows(rows, indent: int) -> list[str] | None:
-    """Each row of a list of non-empty flat dicts as ``_to_json`` writes it, else None.
+def _flat_json(obj: dict, indent: int) -> str:
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a flat dict, not {type(obj).__name__}")
+    return _template(tuple(obj), indent).format(*map(_json_scalar, obj.values()))
 
-    Rows with the same keys share one ``str.format`` template, so a table of
-    thousands of rows costs one format call per row instead of one
-    ``_to_json`` call per value.
-    """
-    templates, out = {}, []
-    for row in rows:
-        if not (isinstance(row, dict) and row):
-            return None
-        values = []
-        for value in row.values():
-            if type(value) is float:
-                values.append(_format_float(value))
-            elif type(value) is int:
-                values.append(str(value))
-            elif isinstance(value, (dict, list, tuple)):
-                return None
-            else:
-                values.append(_json_scalar(value))
-        keys = tuple(row)
-        template = templates.get(keys)
-        if template is None:
-            pad, inner = "  " * indent, "  " * (indent + 1)
-            fields = ",\n".join(inner + json.dumps(k).replace("{", "{{").replace("}", "}}")
-                                 + ": {}" for k in keys)
-            template = templates[keys] = pad + "{{\n" + fields + "\n" + pad + "}}"
-        out.append(template.format(*values))
-    return out
+
+def _to_json(document: dict) -> str:
+    """The payload as JSON: scalars, flat dicts and lists of flat dicts under one dict."""
+    values = []
+    for value in document.values():
+        if isinstance(value, dict):
+            values.append(_flat_json(value, 1))
+        elif isinstance(value, list):
+            rows = ",\n    ".join(_flat_json(row, 2) for row in value)
+            values.append(f"[\n    {rows}\n  ]" if value else "[]")
+        else:
+            values.append(_json_scalar(value))
+    return _template(tuple(document), 0).format(*values)
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_float(value)
-    return "" if value is None else str(value)
+    return "" if value is None else value if isinstance(value, str) else _json_scalar(value)
 
 
 def _render(document: dict, fmt: str) -> str:
@@ -127,22 +108,6 @@ def _render(document: dict, fmt: str) -> str:
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def _emit(command: str, config: dict, rows: list[dict], args, started: float) -> None:
-    document = {
-        "command": command,
-        "config": config,
-        "rows": rows,
-        "meta": {"version": __version__,
-                 "runtime_ms": round((time.perf_counter() - started) * 1000.0, 3)},
-    }
-    text = _render(document, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -235,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_spectrum(args) -> int:
-    started = time.perf_counter()
+def _cmd_spectrum(args) -> tuple[dict, list[dict]]:
     check_ring_size(args.n)
     _check_tol(args.tol)
     field = FieldSetting(b=args.b)
@@ -252,26 +216,20 @@ def _cmd_spectrum(args) -> int:
                 energy = float(energy) + offset
                 rows.append({"k": k, "m": m, "level": level,
                              "energy": 0.0 if abs(energy) <= zero else energy})
-    config = {"n": args.n, "j": args.j, "b": args.b,
-              "k": args.k, "m": args.m, "tol": args.tol}
-    _emit("spectrum", config, rows, args, started)
-    return 0
+    return {"n": args.n, "j": args.j, "b": args.b, "k": args.k, "m": args.m,
+            "tol": args.tol}, rows
 
 
-def _cmd_ground(args) -> int:
-    started = time.perf_counter()
+def _cmd_ground(args) -> tuple[dict, list[dict]]:
     manifold = ground_manifold(args.n, Coupling(j=args.j), FieldSetting(b=args.b),
                                tol=args.tol)
     rows = [{"energy": manifold.energy, "degeneracy": manifold.degeneracy,
              "k": state.k, "m": state.momentum}
             for state in manifold.states]
-    config = {"n": args.n, "j": args.j, "b": args.b, "tol": args.tol}
-    _emit("ground", config, rows, args, started)
-    return 0
+    return {"n": args.n, "j": args.j, "b": args.b, "tol": args.tol}, rows
 
 
-def _cmd_concurrence(args) -> int:
-    started = time.perf_counter()
+def _cmd_concurrence(args) -> tuple[dict, list[dict]]:
     pair = _pair_arg(args, args.n)
     manifold = ground_manifold(args.n, Coupling(j=args.j), FieldSetting(b=args.b),
                                tol=args.tol)
@@ -281,13 +239,10 @@ def _cmd_concurrence(args) -> int:
              "distance": min(d, args.n - d),
              "concurrence": value, "degeneracy": manifold.degeneracy,
              "energy": manifold.energy}]
-    config = {"n": args.n, "j": args.j, "b": args.b, "tol": args.tol}
-    _emit("concurrence", config, rows, args, started)
-    return 0
+    return {"n": args.n, "j": args.j, "b": args.b, "tol": args.tol}, rows
 
 
-def _cmd_lp(args) -> int:
-    started = time.perf_counter()
+def _cmd_lp(args) -> tuple[dict, list[dict]]:
     report = lp_table(args.n, Coupling(j=args.j), FieldSetting(b=args.b), tol=args.tol)
     corr = report.rank_correlation
     rows = [{"orbit": row.pattern, "period": row.period,
@@ -296,44 +251,36 @@ def _cmd_lp(args) -> int:
              "clustering": row.clustering, "dihedral_class": row.dihedral_class,
              "rank_correlation": corr}
             for row in report.rows]
-    config = {"n": args.n, "j": args.j, "b": args.b, "tol": args.tol,
-              "k": report.k, "sector_weight": report.sector_weight}
-    _emit("lp", config, rows, args, started)
-    return 0
+    return {"n": args.n, "j": args.j, "b": args.b, "tol": args.tol,
+            "k": report.k, "sector_weight": report.sector_weight}, rows
 
 
-def _cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    n_min, n_max = _parse_range(args.n)
-    rows_out = []
-    for row in sweep(n_min, n_max, parity=args.parity, regime=args.regime,
-                     distance=args.distance, tol=args.tol):
-        rows_out.append({"n": row.n, "regime": row.regime, "distance": row.distance,
-                         "concurrence": row.concurrence, "degeneracy": row.degeneracy,
-                         "energy": row.energy, "seconds": row.seconds})
-    config = {"n_min": n_min, "n_max": n_max, "parity": args.parity,
-              "regime": args.regime, "distance": args.distance, "tol": args.tol}
-    _emit("sweep", config, rows_out, args, started)
-    return 0
-
-
-def _cmd_extrapolate(args) -> int:
-    started = time.perf_counter()
+def _sweep(args) -> tuple[dict, list]:
+    """The config of a ``sweep`` or ``extrapolate`` command and its sweep rows."""
     n_min, n_max = _parse_range(args.n)
     rows = sweep(n_min, n_max, parity=args.parity, regime=args.regime,
                  distance=args.distance, tol=args.tol)
+    return {"n_min": n_min, "n_max": n_max, "parity": args.parity,
+            "regime": args.regime, "distance": args.distance, "tol": args.tol}, rows
+
+
+def _cmd_sweep(args) -> tuple[dict, list[dict]]:
+    config, rows = _sweep(args)
+    return config, [{"n": row.n, "regime": row.regime, "distance": row.distance,
+                     "concurrence": row.concurrence, "degeneracy": row.degeneracy,
+                     "energy": row.energy, "seconds": row.seconds}
+                    for row in rows]
+
+
+def _cmd_extrapolate(args) -> tuple[dict, list[dict]]:
+    config, rows = _sweep(args)
     fit = extrapolate(rows)
-    rows_out = [{"c_infinity": fit.c_infinity, "a": fit.a, "b": fit.b,
-                 "residual": fit.residual,
-                 "points": " ".join(str(n) for n in fit.points)}]
-    config = {"n_min": n_min, "n_max": n_max, "parity": args.parity,
-              "regime": args.regime, "distance": args.distance, "tol": args.tol}
-    _emit("extrapolate", config, rows_out, args, started)
-    return 0
+    return config, [{"c_infinity": fit.c_infinity, "a": fit.a, "b": fit.b,
+                     "residual": fit.residual,
+                     "points": " ".join(str(n) for n in fit.points)}]
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args) -> tuple[dict, list[dict]]:
     n_min, n_max = _parse_range(args.n)
     if n_min > n_max:
         raise ValueError(f"verify range {n_min}..{n_max} is empty")
@@ -341,20 +288,16 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
     _check_tol(args.tol)  # the oracle runs before the pipeline would refuse it
     rows = []
-    all_ok = True
     for n in range(n_min, n_max + 1):
         for j in (-1.0, 1.0):
             result = compare_with_pipeline(n, Coupling(j=j), tol=args.tol)
-            all_ok &= result.ok
             rows.append({"n": n, "j": j, "energy_delta": result.energy_delta,
                          "oracle_degeneracy": result.oracle_degeneracy,
                          "pipeline_degeneracy": result.pipeline_degeneracy,
                          "concurrence_delta": result.concurrence_delta,
                          "probability_delta": result.probability_delta,
                          "ok": result.ok})
-    config = {"n_min": n_min, "n_max": n_max, "tol": args.tol}
-    _emit("verify", config, rows, args, started)
-    return 0 if all_ok else 1
+    return {"n_min": n_min, "n_max": n_max, "tol": args.tol}, rows
 
 
 _COMMANDS = {
@@ -378,11 +321,22 @@ def run(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args)
-    except ValueError as exc:
+        config, rows = _COMMANDS[args.command](args)
+        meta = {"version": __version__,
+                "runtime_ms": round((time.perf_counter() - started) * 1000.0, 3)}
+        text = _render({"command": args.command, "config": config, "rows": rows,
+                        "meta": meta}, args.format)
+        if args.out:  # opened only now, so a refused command leaves no file behind
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (OSError, ValueError) as exc:
         print(f"xxring: error: {exc}", file=sys.stderr)
         return 2
+    return int(any(row.get("ok") is False for row in rows))
 
 
 def main() -> None:

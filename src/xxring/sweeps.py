@@ -91,13 +91,15 @@ class LimitFit:
 
 
 def extrapolate(rows: list[SweepRow]) -> LimitFit:
-    """Fit the 1/n model to sweep rows of a single parity and regime."""
+    """Fit the 1/n model to sweep rows of a single parity, regime and distance."""
     if len(rows) < 3:
         raise ValueError("extrapolation needs at least three rows")
     if len({row.regime for row in rows}) != 1:
         raise ValueError("extrapolation rows must share one regime")
     if len({row.n % 2 for row in rows}) != 1:
         raise ValueError("extrapolation rows must share one parity")
+    if len({row.distance for row in rows}) != 1:
+        raise ValueError("extrapolation rows must share one distance")
     sizes = np.array([row.n for row in rows], dtype=float)
     design = np.column_stack([np.ones_like(sizes), 1 / sizes, 1 / sizes**2])
     if np.linalg.matrix_rank(design) < 3:

@@ -213,29 +213,52 @@ class TestJsonWriter:
         if fmt == "json":
             assert out == reference_to_json(document) + "\n"
 
-    @pytest.mark.parametrize("obj", [
-        [],
-        [{}],
-        [{"a": 1}, {}],
-        [{"a": 1}, 2],
-        [{"a": [1, 2.5]}],
-        [{"a": {"b": None}}],
-        [{"a": ()}],
-        ({"x": 1.0}, {"x": -0.0}),
-        [{"{k}": 1, "}{": True, "a\"b": "{0}"}, {"{k}": None, "}{": False, "a\"b": "é"}],
-        [{"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}, {"a": 1}],
-        [{"f": np.float64(0.1) * 3, "i": 7, "g": 1e-300, "h": float("nan"), "big": 2 ** 70}],
+    @pytest.mark.parametrize("document", [
+        {"rows": []},
+        {"rows": [{}]},
+        {"rows": [{"a": 1}, {}]},
+        {"rows": [{"x": 1.0}, {"x": -0.0}]},
+        {"rows": [{"{k}": 1, "}{": True, "a\"b": "{0}"},
+                  {"{k}": None, "}{": False, "a\"b": "é"}]},
+        {"rows": [{"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}, {"a": 1}]},
+        {"rows": [{"f": np.float64(0.1) * 3, "i": 7, "g": 1e-300, "h": float("nan"),
+                   "big": 2 ** 70}]},
         {"rows": [{"n": 4, "e": -2.82842712475}], "meta": {"v": "0"}, "empty": []},
+        {"command": "{x}", "config": {"{k}": -0.0, "}{": None, "a\"b": "é", "n": 2 ** 70},
+         "rows": [], "meta": {}},
+        {"command": "c", "config": {}, "rows": [{"a": 1}],
+         "meta": {"}}": np.float64(1e-300), "ü": True}},
     ])
-    def test_documents_match_the_reference(self, obj):
-        assert cli._to_json(obj) == reference_to_json(obj)
+    def test_documents_match_the_reference(self, document):
+        assert cli._to_json(document) == reference_to_json(document)
 
-    def test_unprintable_values_still_raise(self):
-        for obj in ([{"a": np.int64(3)}], [{"a": object()}]):
-            with pytest.raises(TypeError):
-                reference_to_json(obj)
-            with pytest.raises(TypeError):
-                cli._to_json(obj)
+    @pytest.mark.parametrize("value, text", [
+        (-0.0, "0"), (np.float64(-0.0), "0"), (np.float64(0.1) * 3, "0.3"),
+        (1 / 3, "0.333333333333"), (2 ** 70, "1180591620717411303424"),
+        (True, "true"), (None, "null"), ("é{}", '"\\u00e9{}"'),
+    ])
+    def test_scalars(self, value, text):
+        """The reference shares ``_json_scalar``, so its output is pinned here."""
+        assert cli._json_scalar(value) == text
+        assert cli._csv_cell(value) == (value if isinstance(value, str) else
+                                        "" if value is None else text)
+
+    @pytest.mark.parametrize("document", [
+        {"rows": [{"a": np.int64(3)}]},
+        {"rows": [{"a": object()}]},
+        {"rows": [{"a": [1, 2.5]}]},
+        {"rows": [{"a": {"b": None}}]},
+        {"rows": [{"a": ()}]},
+        {"rows": [{"a": 1}, 2]},
+        {"rows": [["a", 1]]},
+        {"rows": ({"x": 1.0},)},
+        {"config": {"a": [1]}},
+        {"meta": {"a": {"b": 1}}},
+    ])
+    def test_unprintable_values_still_raise(self, document):
+        """Nested values and non-dict rows are outside the payload shape and raise."""
+        with pytest.raises(TypeError):
+            cli._to_json(document)
 
 
 class TestExitCodes:
@@ -335,6 +358,15 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "compare_with_pipeline", broken)
         assert cli.run(["verify", "--n", "2..3"]) == 1
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, target):
+        path = tmp_path / target
+        assert cli.run(["ground", "--n", "4", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("xxring: error: ") and str(path) in captured.err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestParserReuse:

@@ -125,6 +125,9 @@ class TestExtrapolate:
         mixed = rows_from([(4, 0.4), (6, 0.39)]) + rows_from([(8, 0.38)], regime="antiferro")
         with pytest.raises(ValueError):
             extrapolate(mixed)
+        mixed = rows_from([(4, 0.4), (6, 0.39)]) + rows_from([(8, 0.38)], distance=2)
+        with pytest.raises(ValueError, match="one distance"):
+            extrapolate(mixed)
         with pytest.raises(np.linalg.LinAlgError):
             extrapolate(rows_from([(4, 0.4), (4, 0.4), (4, 0.4)]))
 
