@@ -6,11 +6,21 @@ stay in their blocks, and only the columns of the level group a caller reads
 are scattered into full-space vectors for an independent pair reduction.  It
 cross-checks the momentum-block pipeline: ground energy, degeneracy,
 per-configuration probabilities and mixture concurrence agree to 1e-10.
+
+H(J) = J * H(1), so each popcount block is decomposed once, at J = 1, and
+both signs of J, any field and the level scan read that one decomposition.
+The process keeps it for one ring size at a time: ``_unit_spectrum(n)``
+solves the largest block (k = n/2) first, so its solver workspace is freed
+before the other blocks' eigenvectors accumulate, and holds read-only
+arrays.  Code that monkeypatches the block builder (``_popcount_block``) or
+the solver (``np.linalg.eigh``) must call ``_unit_spectrum.cache_clear()``
+first, or it may be handed a decomposition made before the patch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,20 +58,36 @@ def _popcount_block(n: int, k: int, coupling: Coupling) -> tuple[np.ndarray, np.
     return configs, block
 
 
+@lru_cache(maxsize=1)
+def _unit_spectrum(n: int, /) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Read-only (configs, levels, eigenvectors) of each popcount block at J = 1, by k.
+
+    Blocks are solved from the largest (k = n/2) outward.
+    """
+    solved = {}
+    for k in sorted(range(n + 1), key=lambda k: abs(2 * k - n)):
+        configs, block = _popcount_block(n, k, Coupling(1.0))
+        solved[k] = (configs, *np.linalg.eigh(block))
+        for array in solved[k]:
+            array.flags.writeable = False
+    return tuple(solved[k] for k in range(n + 1))
+
+
 def _full_spectrum(n, coupling, field):
     """All 2^n levels, a (configs, eigenvector) source per level, sector tags.
 
     Magnetization is conserved, so the full matrix is block diagonal by
     popcount; diagonalizing block-wise keeps every eigenvector exactly
-    inside one sector and gives it an unambiguous k tag.
+    inside one sector and gives it an unambiguous k tag.  Each block's J = 1
+    decomposition is scaled by J, its column order reversed for J < 0.
     """
     if n > FULL_DIAGONALIZE_CAP:
         raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
     values, sources, tags = [], [], []
-    for k in range(n + 1):
-        configs, block = _popcount_block(n, k, coupling)
-        w, v = np.linalg.eigh(block)
-        values.append(w + sector_energy_offset(k, n, field))
+    for k, (configs, w, v) in enumerate(_unit_spectrum(n)):
+        if coupling.j < 0:
+            w, v = w[::-1], v[:, ::-1]
+        values.append(coupling.j * w + sector_energy_offset(k, n, field))
         sources.extend((configs, v[:, col]) for col in range(len(configs)))
         tags.append(np.full(len(configs), k))
     values = np.concatenate(values)

@@ -1,18 +1,19 @@
 """Full-space brute-force path and its agreement with the block pipeline."""
 
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
 import xxring.oracle
 from xxring.basis import enumerate_sector
-from xxring.concurrence import pair_density
+from xxring.concurrence import PairDensity, concurrence_wootters, pair_density
 from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.oracle import (_full_spectrum, _mixture_pair_density, _popcount_block,
-                           compare_with_pipeline, eigenvector_concurrence_scan,
-                           full_diagonalize, full_hamiltonian)
-from xxring.spectra import SectorState
+                           _unit_spectrum, compare_with_pipeline,
+                           eigenvector_concurrence_scan, full_diagonalize, full_hamiltonian)
+from xxring.spectra import DEGENERACY_RTOL, SectorState
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -26,6 +27,34 @@ class TestFullHamiltonian:
                 literal = np.linalg.eigvalsh(full_hamiltonian(n, coupling))
                 report = full_diagonalize(n, coupling)
                 np.testing.assert_allclose(report.ground_energy, literal[0], atol=1e-12)
+
+    @pytest.mark.parametrize("j", [-1.0, 1.0, 0.5, -2.5])
+    @pytest.mark.parametrize("b", [0.0, 0.3])
+    def test_ground_matches_the_literal_matrix(self, j, b):
+        # a J = 1 column order kept for J < 0 leaves every level in place but
+        # pairs it with the wrong eigenvector
+        coupling = Coupling(j)
+        for n in range(2, 9):
+            up = np.array([c.bit_count() for c in range(1 << n)])
+            w, v = np.linalg.eigh(full_hamiltonian(n, coupling) + np.diag(-b * (up - n / 2)))
+            d = int(np.count_nonzero(w - w[0] <= DEGENERACY_RTOL * (w[-1] - w[0])))
+            probs = (v[:, :d] ** 2).sum(axis=1) / d
+            # sites 0 and 1 are the two lowest bits; rows in (uu, ud, du, dd) order
+            amps = v[:, :d].T.reshape(d, -1, 4)[:, :, [3, 1, 2, 0]]
+            rho = np.einsum("dra,drb->ab", amps, amps) / d
+            report = full_diagonalize(n, coupling, FieldSetting(b))
+            label = f"n={n}"
+            np.testing.assert_allclose(report.ground_energy, w[0], rtol=0, atol=1e-10,
+                                       err_msg=label)
+            assert report.ground_degeneracy == d, label
+            assert report.ground_sectors == tuple(
+                np.flatnonzero(np.bincount(up, weights=probs) > 1e-8).tolist()), label
+            np.testing.assert_allclose(report.config_probabilities, probs, rtol=0,
+                                       atol=1e-10, err_msg=label)
+            np.testing.assert_allclose(
+                report.ground_concurrence,
+                concurrence_wootters(PairDensity(matrix=rho, pair=(0, 1))).value,
+                rtol=0, atol=1e-10, err_msg=label)
 
     def test_symmetric(self):
         h = full_hamiltonian(5, ANTIFERRO)
@@ -80,7 +109,9 @@ class TestFullDiagonalize:
             full_diagonalize(15, FERRO)
 
     def test_no_full_space_matrix(self):
-        # a 2^12 x 2^12 float array alone would take 128 MiB
+        # a 2^12 x 2^12 float array alone would take 128 MiB; a cached n = 12
+        # decomposition would hide the cost of the solve
+        _unit_spectrum.cache_clear()
         tracemalloc.start()
         try:
             full_diagonalize(12, ANTIFERRO)
@@ -95,6 +126,48 @@ class TestFullDiagonalize:
                             lambda *args, **kwargs: calls.append(args))
         full_diagonalize(8, FERRO)
         assert calls == []
+
+
+@pytest.fixture
+def eigh_dims(monkeypatch):
+    """Dimension of every matrix passed to np.linalg.eigh while the test runs."""
+    dims = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        dims.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return dims
+
+
+class TestUnitSpectrum:
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_each_block_solved_once_for_both_signs(self, eigh_dims, n):
+        _unit_spectrum.cache_clear()
+        full_diagonalize(n, FERRO)
+        full_diagonalize(n, ANTIFERRO)
+        # each call also solves the 4 x 4 pair density of its concurrence;
+        # no popcount block of these rings has dimension 4
+        blocks = [d for d in eigh_dims if d != 4]
+        assert sorted(blocks) == sorted(comb(n, k) for k in range(n + 1))
+        assert blocks[0] == comb(n, n // 2)  # largest block first
+        assert len(eigh_dims) == n + 3
+
+    @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["-1.0", "1.0"])
+    def test_level_scan_reads_the_same_solve(self, eigh_dims, coupling):
+        _unit_spectrum.cache_clear()
+        full_diagonalize(8, coupling)
+        eigh_dims.clear()
+        scan = eigenvector_concurrence_scan(8, coupling)
+        assert eigh_dims == [4] * len(scan.rows)  # pair densities only
+
+    def test_arrays_are_read_only(self):
+        for configs, w, v in _unit_spectrum(5):
+            for array in (configs, w, v):
+                with pytest.raises(ValueError):
+                    array[0] = 0
 
 
 class TestPairReduction:
