@@ -16,7 +16,7 @@ pairwise entanglement of the odd rings relative to a single ground vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +39,15 @@ _SPIN_FLIP = np.array([
 
 @dataclass(frozen=True)
 class PairDensity:
-    """4x4 reduced density matrix of the sites ``pair`` (p < q)."""
+    """4x4 reduced density matrix of the sites ``pair`` (p < q).
+
+    ``spectrum`` holds its ascending eigenvalues and eigenvectors, solved
+    once here for the PSD check and read by ``concurrence_wootters``.
+    """
 
     matrix: np.ndarray
     pair: tuple[int, int]
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = self.matrix
@@ -52,8 +57,12 @@ class PairDensity:
             raise ValueError(f"trace {np.trace(m)} is not 1 within {DENSITY_TOL}")
         if np.abs(m - m.conj().T).max() > DENSITY_TOL:
             raise ValueError(f"pair density is not Hermitian within {DENSITY_TOL}")
-        if np.linalg.eigvalsh(m).min() < PSD_FLOOR:
+        values, vectors = np.linalg.eigh(m)
+        if values.min() < PSD_FLOOR:
             raise ValueError("pair density has an eigenvalue below -1e-10")
+        for array in (values, vectors):
+            array.flags.writeable = False
+        object.__setattr__(self, "spectrum", (values, vectors))
 
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal().real
@@ -122,10 +131,7 @@ def concurrence_wootters(rho: PairDensity) -> ConcurrenceResult:
     A value at or below ``DENSITY_TOL``, the pair density's own tolerance,
     cannot be resolved (|z| = sqrt(u+ u-) exactly gives ~1e-16) and reads 0.
     """
-    m = rho.matrix
-    values, vectors = np.linalg.eigh(m)
-    if values.min() < PSD_FLOOR:
-        raise ValueError("pair density has an eigenvalue below -1e-10")
+    values, vectors = rho.spectrum
     root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
     lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
     value = lam[0] - lam[1] - lam[2] - lam[3]

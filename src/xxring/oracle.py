@@ -9,12 +9,24 @@ per-configuration probabilities and mixture concurrence agree to 1e-10.
 
 H(J) = J * H(1), so each popcount block is decomposed once, at J = 1, and
 both signs of J, any field and the level scan read that one decomposition.
-The process keeps it for one ring size at a time: ``_unit_spectrum(n)``
-solves the largest block (k = n/2) first, so its solver workspace is freed
-before the other blocks' eigenvectors accumulate, and holds read-only
-arrays.  Code that monkeypatches the block builder (``_popcount_block``) or
-the solver (``np.linalg.eigh``) must call ``_unit_spectrum.cache_clear()``
-first, or it may be handed a decomposition made before the patch.
+Spin inversion halves that work.  Complementing the bits maps the k-up
+configurations onto the (n - k)-up ones in reversed order, so block n - k is
+exactly block k with both axes reversed (a test checks this entry by entry):
+
+- blocks k < n/2 are solved with ``np.linalg.eigh``;
+- blocks k > n/2 are not solved: they reuse block n - k's levels and take
+  its eigenvectors with the rows reversed, a read-only view;
+- the half-filled block (even n) maps onto itself, so it splits into two
+  half-size blocks A +- C[:, ::-1] (A, C its top-left and top-right
+  quarters) with eigenvectors [x; +-x[::-1]] / sqrt(2).
+
+The process keeps the decomposition for one ring size at a time:
+``_unit_spectrum(n)`` solves the largest block (k = n/2) first, so its solver
+workspace is freed before the other blocks' eigenvectors accumulate, and
+holds read-only arrays.  Code that monkeypatches the block builder
+(``_popcount_block``) or the solver (``np.linalg.eigh``) must call
+``_unit_spectrum.cache_clear()`` first, or it may be handed a decomposition
+made before the patch.
 """
 
 from __future__ import annotations
@@ -58,23 +70,46 @@ def _popcount_block(n: int, k: int, coupling: Coupling) -> tuple[np.ndarray, np.
     return configs, block
 
 
+def _split_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending levels and eigenvectors of a block equal to ``block[::-1, ::-1]``.
+
+    With A and C the top-left and top-right quarters, (A +- C[:, ::-1]) x = w x
+    gives the eigenvector [x; +-x[::-1]] / sqrt(2); both halves are symmetric.
+    """
+    half = len(block) // 2
+    top, cross = block[:half, :half], block[:half, half:][:, ::-1]
+    w_even, x_even = np.linalg.eigh(top + cross)
+    w_odd, x_odd = np.linalg.eigh(top - cross)
+    w = np.concatenate([w_even, w_odd])
+    order = np.argsort(w, kind="stable")
+    v = np.block([[x_even, x_odd], [x_even[::-1], -x_odd[::-1]]])[:, order]
+    v /= np.sqrt(2)
+    return w[order], v
+
+
 @lru_cache(maxsize=1)
 def _unit_spectrum(n: int, /) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Read-only (configs, levels, eigenvectors) of each popcount block at J = 1, by k.
 
-    Blocks are solved from the largest (k = n/2) outward.
+    Blocks k <= n/2 are solved from the largest (k = n/2) down; block n - k
+    is block k mirrored by spin inversion.
     """
     solved = {}
-    for k in sorted(range(n + 1), key=lambda k: abs(2 * k - n)):
+    for k in range(n // 2, -1, -1):
         configs, block = _popcount_block(n, k, Coupling(1.0))
-        solved[k] = (configs, *np.linalg.eigh(block))
+        solved[k] = (configs, *(_split_eigh(block) if 2 * k == n else np.linalg.eigh(block)))
         for array in solved[k]:
             array.flags.writeable = False
+        if 2 * k < n:
+            _, w, v = solved[k]
+            mirror = ((1 << n) - 1 - configs)[::-1]
+            mirror.flags.writeable = False
+            solved[n - k] = (mirror, w, v[::-1])
     return tuple(solved[k] for k in range(n + 1))
 
 
 def _full_spectrum(n, coupling, field):
-    """All 2^n levels, a (configs, eigenvector) source per level, sector tags.
+    """All 2^n levels ascending, each with its popcount k and its column in block k.
 
     Magnetization is conserved, so the full matrix is block diagonal by
     popcount; diagonalizing block-wise keeps every eigenvector exactly
@@ -83,29 +118,48 @@ def _full_spectrum(n, coupling, field):
     """
     if n > FULL_DIAGONALIZE_CAP:
         raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
-    values, sources, tags = [], [], []
-    for k, (configs, w, v) in enumerate(_unit_spectrum(n)):
+    if n < 2:
+        raise ValueError("pairwise concurrence needs at least two sites")
+    values, tags, columns = [], [], []
+    for k, (configs, w, _) in enumerate(_unit_spectrum(n)):
+        column = np.arange(len(configs))
         if coupling.j < 0:
-            w, v = w[::-1], v[:, ::-1]
+            w, column = w[::-1], column[::-1]
         values.append(coupling.j * w + sector_energy_offset(k, n, field))
-        sources.extend((configs, v[:, col]) for col in range(len(configs)))
         tags.append(np.full(len(configs), k))
+        columns.append(column)
     values = np.concatenate(values)
     order = np.argsort(values, kind="stable")
-    return values[order], [sources[i] for i in order], np.concatenate(tags)[order]
+    return values[order], np.concatenate(tags)[order], np.concatenate(columns)[order]
 
 
-def _columns(sources, n: int) -> np.ndarray:
+def _columns(n: int, tags: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """The given levels' eigenvectors as columns over all 2^n configurations."""
-    out = np.zeros((1 << n, len(sources)))
-    for col, (configs, vector) in enumerate(sources):
-        out[configs, col] = vector
+    blocks = _unit_spectrum(n)
+    out = np.zeros((1 << n, len(tags)))
+    for i, (k, column) in enumerate(zip(tags.tolist(), columns.tolist())):
+        configs, _, v = blocks[k]
+        out[configs, i] = v[:, column]
     return out
+
+
+def _window(values: np.ndarray, tol: float) -> float:
+    """Width of a level group: tol times the spectral range."""
+    return tol * max(float(values[-1] - values[0]), np.finfo(float).tiny)
+
+
+def _first_group_end(values: np.ndarray, tol: float) -> int:
+    """End of the ground group, without scanning the levels above it.
+
+    ``values - values[0]`` is ascending, so the levels within the window
+    are exactly the first ones.
+    """
+    return int(np.count_nonzero(values - values[0] <= _window(values, tol)))
 
 
 def _degenerate_groups(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     """Half-open index ranges of levels equal within tol * spectral range."""
-    window = tol * max(float(values[-1] - values[0]), np.finfo(float).tiny)
+    window = _window(values, tol)
     groups = []
     start = 0
     for i in range(1, len(values) + 1):
@@ -144,16 +198,16 @@ class FullSpectrumReport:
 def full_diagonalize(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
                      tol: float = DEGENERACY_RTOL) -> FullSpectrumReport:
     """Ground-level structure from the popcount-blocked full spectrum."""
-    values, sources, tags = _full_spectrum(n, coupling, field)
-    start, stop = _degenerate_groups(values, tol)[0]
-    ground = _columns(sources[start:stop], n)
-    probs = (np.abs(ground) ** 2).sum(axis=1) / (stop - start)
+    values, tags, columns = _full_spectrum(n, coupling, field)
+    d = _first_group_end(values, tol)
+    ground = _columns(n, tags[:d], columns[:d])
+    probs = (np.abs(ground) ** 2).sum(axis=1) / d
     ground_c = concurrence_wootters(_mixture_pair_density(ground, n, (0, 1))).value
     return FullSpectrumReport(
         n=n,
-        ground_energy=float(values[start]),
-        ground_degeneracy=stop - start,
-        ground_sectors=tuple(sorted(set(tags[start:stop].tolist()))),
+        ground_energy=float(values[0]),
+        ground_degeneracy=d,
+        ground_sectors=tuple(sorted(set(tags[:d].tolist()))),
         ground_concurrence=ground_c,
         config_probabilities=probs,
     )
@@ -185,10 +239,11 @@ def eigenvector_concurrence_scan(n: int, coupling: Coupling,
     """
     if n > SCAN_CAP:
         raise ValueError(f"level scan is capped at n={SCAN_CAP}")
-    values, sources, _ = _full_spectrum(n, coupling, field)
+    values, tags, columns = _full_spectrum(n, coupling, field)
     rows = []
     for start, stop in _degenerate_groups(values, tol):
-        rho = _mixture_pair_density(_columns(sources[start:stop], n), n, (0, 1))
+        rho = _mixture_pair_density(_columns(n, tags[start:stop], columns[start:stop]),
+                                    n, (0, 1))
         rows.append(LevelRow(energy=float(values[start]), degeneracy=stop - start,
                              concurrence=concurrence_wootters(rho).value))
     top = max(row.concurrence for row in rows)

@@ -10,9 +10,10 @@ import xxring.oracle
 from xxring.basis import enumerate_sector
 from xxring.concurrence import PairDensity, concurrence_wootters, pair_density
 from xxring.hamiltonian import Coupling, FieldSetting
-from xxring.oracle import (_full_spectrum, _mixture_pair_density, _popcount_block,
-                           _unit_spectrum, compare_with_pipeline,
-                           eigenvector_concurrence_scan, full_diagonalize, full_hamiltonian)
+from xxring.oracle import (_degenerate_groups, _first_group_end, _full_spectrum,
+                           _mixture_pair_density, _popcount_block, _unit_spectrum,
+                           compare_with_pipeline, eigenvector_concurrence_scan,
+                           full_diagonalize, full_hamiltonian)
 from xxring.spectra import DEGENERACY_RTOL, SectorState
 
 FERRO = Coupling(-1.0)
@@ -77,6 +78,21 @@ class TestFullHamiltonian:
             assert configs.tolist() == [c for c in range(1 << n) if c.bit_count() == k]
             np.testing.assert_array_equal(block, literal[np.ix_(configs, configs)])
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_spin_inversion_mirrors_the_popcount_blocks(self, n):
+        # complementing the bits reverses the ascending configuration order,
+        # so block n - k is block k with both axes reversed, entry for entry
+        literal = full_hamiltonian(n, ANTIFERRO) if n <= 8 else None
+        for k in range(n // 2 + 1):
+            configs, block = _popcount_block(n, k, ANTIFERRO)
+            mirror_configs, mirror = _popcount_block(n, n - k, ANTIFERRO)
+            label = f"n={n} k={k}"
+            assert np.array_equal(mirror_configs, ((1 << n) - 1 - configs)[::-1]), label
+            assert np.array_equal(mirror, block[::-1, ::-1]), label
+            if literal is not None:
+                assert np.array_equal(block[::-1, ::-1],
+                                      literal[np.ix_(mirror_configs, mirror_configs)]), label
+
     def test_cap(self):
         with pytest.raises(ValueError):
             full_hamiltonian(15, FERRO)
@@ -120,6 +136,19 @@ class TestFullDiagonalize:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_first_group_is_the_scanned_first_group(self, n):
+        for j in (-1.0, 1.0):
+            for b in (0.0, 0.3):
+                values, _, _ = _full_spectrum(n, Coupling(j), FieldSetting(b))
+                assert ((0, _first_group_end(values, DEGENERACY_RTOL))
+                        == _degenerate_groups(values, DEGENERACY_RTOL)[0]), (j, b)
+
+    def test_refuses_rings_without_a_pair(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="at least two sites"):
+                full_diagonalize(n, FERRO)
+
     def test_no_level_scan(self, monkeypatch):
         calls = []
         monkeypatch.setattr(xxring.oracle, "eigenvector_concurrence_scan",
@@ -148,12 +177,39 @@ class TestUnitSpectrum:
         _unit_spectrum.cache_clear()
         full_diagonalize(n, FERRO)
         full_diagonalize(n, ANTIFERRO)
+        # the largest block first: the two halves of the half-filled block
+        # for even n, then the blocks k < n/2 downward; blocks k > n/2 are
+        # mirrored, not solved
+        solves = [comb(n, n // 2) // 2] * 2 if n % 2 == 0 else []
+        solves += [comb(n, k) for k in range(n // 2, -1, -1) if 2 * k < n]
         # each call also solves the 4 x 4 pair density of its concurrence;
-        # no popcount block of these rings has dimension 4
-        blocks = [d for d in eigh_dims if d != 4]
-        assert sorted(blocks) == sorted(comb(n, k) for k in range(n + 1))
-        assert blocks[0] == comb(n, n // 2)  # largest block first
-        assert len(eigh_dims) == n + 3
+        # no popcount block or half of these rings has dimension 4
+        assert [d for d in eigh_dims if d != 4] == solves
+        assert len(eigh_dims) == len(solves) + 2
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_block_is_decomposed(self, n):
+        for k, (configs, w, v) in enumerate(_unit_spectrum(n)):
+            expected_configs, block = _popcount_block(n, k, ANTIFERRO)
+            label = f"n={n} k={k}"
+            assert np.array_equal(configs, expected_configs), label
+            assert np.abs(block @ v - v * w).max() <= 1e-12, label
+            assert np.abs(v.T @ v - np.eye(len(w))).max() <= 1e-12, label
+            if 2 * k > n:  # block n - k's levels and its rows reversed, no copy
+                _, w_mirror, v_mirror = _unit_spectrum(n)[n - k]
+                assert w is w_mirror, label
+                assert np.shares_memory(v, v_mirror), label
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_half_filled_block_from_its_two_halves(self, n):
+        configs, w, v = _unit_spectrum(n)[n // 2]
+        # the unsplit block, which test_popcount_block_is_the_literal_block
+        # pins to the literal matrix
+        _, block = _popcount_block(n, n // 2, ANTIFERRO)
+        assert np.abs(block @ v - v * w).max() <= 1e-12
+        assert np.abs(v.T @ v - np.eye(len(w))).max() <= 1e-12
+        assert np.all(np.diff(w) >= 0)
+        assert np.abs(w - np.linalg.eigvalsh(block)).max() <= 1e-12
 
     @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["-1.0", "1.0"])
     def test_level_scan_reads_the_same_solve(self, eigh_dims, coupling):
