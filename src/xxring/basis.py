@@ -23,7 +23,6 @@ configurations again.  An orbit and its mirror form one dihedral class.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -77,13 +76,6 @@ class SectorBasis:
     @property
     def dim(self) -> int:
         return len(self.configs)
-
-    def index_of(self, bits: int) -> int:
-        """Position of ``bits`` in ``configs``; KeyError if it is not in the sector."""
-        i = bisect_left(self.configs, bits)
-        if i == len(self.configs) or self.configs[i] != bits:
-            raise KeyError(bits)
-        return i
 
 
 def check_ring_size(n: int) -> None:

@@ -24,13 +24,15 @@ import sys
 import time
 from functools import lru_cache
 
+import numpy as np
+
 from . import __version__
 from .basis import check_ring_size
 from .concurrence import concurrence_wootters, manifold_pair_density
 from .hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from .oracle import FULL_DIAGONALIZE_CAP, compare_with_pipeline
 from .polarization import lp_table
-from .spectra import DEGENERACY_RTOL, block_levels, ground_manifold
+from .spectra import DEGENERACY_RTOL, block_levels, check_finite_energies, ground_manifold
 from .sweeps import extrapolate, sweep
 
 
@@ -209,13 +211,15 @@ def _cmd_spectrum(args) -> tuple[dict, list[dict]]:
     rows = []
     ms = range(args.n) if args.m is None else [args.m]
     zero = args.tol * args.n * abs(args.j)  # exact zero levels come out as LAPACK noise
-    for k in ks:
-        offset = sector_energy_offset(k, args.n, field)
-        for m in ms:
-            for level, energy in enumerate(block_levels(args.n, k, m, coupling)):
-                energy = float(energy) + offset
-                rows.append({"k": k, "m": m, "level": level,
-                             "energy": 0.0 if abs(energy) <= zero else energy})
+    with np.errstate(over="ignore"):  # refused below
+        for k in ks:
+            offset = sector_energy_offset(k, args.n, field)
+            for m in ms:
+                for level, energy in enumerate(block_levels(args.n, k, m, coupling)):
+                    energy = float(energy) + offset
+                    rows.append({"k": k, "m": m, "level": level,
+                                 "energy": 0.0 if abs(energy) <= zero else energy})
+    check_finite_energies([row["energy"] for row in rows], coupling, field)
     return {"n": args.n, "j": args.j, "b": args.b, "k": args.k, "m": args.m,
             "tol": args.tol}, rows
 

@@ -13,20 +13,27 @@ Spin inversion halves that work.  Complementing the bits maps the k-up
 configurations onto the (n - k)-up ones in reversed order, so block n - k is
 exactly block k with both axes reversed (a test checks this entry by entry):
 
-- blocks k < n/2 are solved with ``np.linalg.eigh``;
+- blocks k <= n/2 are solved;
 - blocks k > n/2 are not solved: they reuse block n - k's levels and take
   its eigenvectors with the rows reversed, a read-only view;
 - the half-filled block (even n) maps onto itself, so it splits into two
   half-size blocks A +- C[:, ::-1] (A, C its top-left and top-right
   quarters) with eigenvectors [x; +-x[::-1]] / sqrt(2).
 
-The process keeps the decomposition for one ring size at a time:
-``_unit_spectrum(n)`` solves the largest block (k = n/2) first, so its solver
-workspace is freed before the other blocks' eigenvectors accumulate, and
-holds read-only arrays.  Code that monkeypatches the block builder
-(``_popcount_block``) or the solver (``np.linalg.eigh``) must call
-``_unit_spectrum.cache_clear()`` first, or it may be handed a decomposition
-made before the patch.
+Eigenvectors are solved only for the blocks a caller reads.  At zero field
+the ground level lies in block n // 2 (or its mirror) for both signs of J,
+so ``_unit_spectrum(n)`` takes every other block's levels from
+``np.linalg.eigvalsh`` and runs ``np.linalg.eigh`` on block n // 2 alone.
+``_unit_vectors(n, k)`` solves any other block's eigenvectors on first read
+(a field that moves the ground level, or the level scan) and keeps them
+beside the levels.
+
+The process keeps the decomposition for one ring size at a time, as
+read-only arrays.  Code that monkeypatches the block builder
+(``_popcount_block``) or a solver (``np.linalg.eigh``, ``np.linalg.eigvalsh``)
+must call ``_unit_spectrum.cache_clear()`` first, which drops the levels and
+the eigenvectors together, or it may be handed a decomposition made before
+the patch.
 """
 
 from __future__ import annotations
@@ -45,19 +52,6 @@ SCAN_CAP = 10
 AGREEMENT_ATOL = 1e-10
 
 
-def full_hamiltonian(n: int, coupling: Coupling) -> np.ndarray:
-    """Dense 2^n x 2^n Hamiltonian over all configurations."""
-    if n > FULL_DIAGONALIZE_CAP:
-        raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
-    dim = 1 << n
-    h = np.zeros((dim, dim))
-    for c in range(dim):
-        for i, j in ring_bonds(n):
-            if ((c >> i) & 1) != ((c >> j) & 1):
-                h[c ^ ((1 << i) | (1 << j)), c] += coupling.j
-    return h
-
-
 def _popcount_block(n: int, k: int, coupling: Coupling) -> tuple[np.ndarray, np.ndarray]:
     """Ascending k-up configurations and their Hamiltonian block, one step per bond."""
     full = np.arange(1 << n)
@@ -70,42 +64,88 @@ def _popcount_block(n: int, k: int, coupling: Coupling) -> tuple[np.ndarray, np.
     return configs, block
 
 
-def _split_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending levels and eigenvectors of a block equal to ``block[::-1, ::-1]``.
+def _split_eigh(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Configurations, ascending levels and eigenvectors of an even ring's half-filled block.
 
-    With A and C the top-left and top-right quarters, (A +- C[:, ::-1]) x = w x
-    gives the eigenvector [x; +-x[::-1]] / sqrt(2); both halves are symmetric.
+    The block equals ``block[::-1, ::-1]``.  With A and C its top-left and
+    top-right quarters, (A +- C[:, ::-1]) x = w x gives the eigenvector
+    [x; +-x[::-1]] / sqrt(2); both halves are symmetric.  The unsplit block is
+    dropped before the halves are solved, and each half's eigenvectors are
+    written straight into their level-ordered columns of one array.
     """
-    half = len(block) // 2
+    configs, block = _popcount_block(n, n // 2, Coupling(1.0))
+    half = len(configs) // 2
     top, cross = block[:half, :half], block[:half, half:][:, ::-1]
-    w_even, x_even = np.linalg.eigh(top + cross)
-    w_odd, x_odd = np.linalg.eigh(top - cross)
+    even, odd = top + cross, top - cross
+    del block, top, cross
+    w_even, x_even = np.linalg.eigh(even)
+    del even
+    w_odd, x_odd = np.linalg.eigh(odd)
+    del odd
     w = np.concatenate([w_even, w_odd])
     order = np.argsort(w, kind="stable")
-    v = np.block([[x_even, x_odd], [x_even[::-1], -x_odd[::-1]]])[:, order]
-    v /= np.sqrt(2)
-    return w[order], v
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(w))
+    v = np.empty((len(w), len(w)))
+    for x, sign, cols in ((x_even, 1.0, rank[:half]), (x_odd, -1.0, rank[half:])):
+        x /= np.sqrt(2)
+        v[:half, cols] = x
+        x *= sign
+        v[half:, cols] = x[::-1]
+    return configs, w[order], v
 
 
 @lru_cache(maxsize=1)
-def _unit_spectrum(n: int, /) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Read-only (configs, levels, eigenvectors) of each popcount block at J = 1, by k.
+def _unit_spectrum(n: int, /) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...],
+                                       dict[int, np.ndarray]]:
+    """Read-only (configs, levels) of each popcount block at J = 1, by k, and its eigenvectors.
 
-    Blocks k <= n/2 are solved from the largest (k = n/2) down; block n - k
-    is block k mirrored by spin inversion.
+    Blocks k <= n/2 are solved; block n - k is block k mirrored by spin
+    inversion.  Every block gets its levels from ``np.linalg.eigvalsh`` except
+    block n // 2, whose ``eigh`` also gives the eigenvectors.  The dict maps
+    each k <= n/2 solved so far to its eigenvectors; ``_unit_vectors`` fills
+    it on first read.
+
+    The solve order keeps the peak low.  For even n block n // 2 goes last,
+    so its eigenvectors are not held while block n/2 - 1's levels are solved,
+    a larger solve than its two halves.  For odd n its whole-block ``eigh``
+    is the largest solve of the ring and goes first, before the level solves
+    leave their buffers on the heap.
     """
-    solved = {}
-    for k in range(n // 2, -1, -1):
-        configs, block = _popcount_block(n, k, Coupling(1.0))
-        solved[k] = (configs, *(_split_eigh(block) if 2 * k == n else np.linalg.eigh(block)))
-        for array in solved[k]:
-            array.flags.writeable = False
+    levels, vectors = {}, {}
+    for k in range(n // 2 + 1) if n % 2 == 0 else range(n // 2, -1, -1):
+        if 2 * k == n:
+            configs, w, vectors[k] = _split_eigh(n)
+        else:
+            configs, block = _popcount_block(n, k, Coupling(1.0))
+            if k == n // 2:
+                w, vectors[k] = np.linalg.eigh(block)
+            else:
+                w = np.linalg.eigvalsh(block)
+            del block  # not held while the next block is built
+        configs.flags.writeable = w.flags.writeable = False
+        levels[k] = (configs, w)
         if 2 * k < n:
-            _, w, v = solved[k]
             mirror = ((1 << n) - 1 - configs)[::-1]
             mirror.flags.writeable = False
-            solved[n - k] = (mirror, w, v[::-1])
-    return tuple(solved[k] for k in range(n + 1))
+            levels[n - k] = (mirror, w)
+    vectors[n // 2].flags.writeable = False
+    return tuple(levels[k] for k in range(n + 1)), vectors
+
+
+def _unit_vectors(n: int, k: int) -> np.ndarray:
+    """Read-only J = 1 eigenvectors of popcount block k, solved on first read.
+
+    They are kept beside the levels of ``_unit_spectrum(n)``.  Block n - k > n/2
+    takes block k's eigenvectors with the rows reversed, a view.
+    """
+    _, vectors = _unit_spectrum(n)
+    canonical = min(k, n - k)
+    if canonical not in vectors:
+        v = np.linalg.eigh(_popcount_block(n, canonical, Coupling(1.0))[1])[1]
+        v.flags.writeable = False
+        vectors[canonical] = v
+    return vectors[canonical] if k == canonical else vectors[canonical][::-1]
 
 
 def _full_spectrum(n, coupling, field):
@@ -114,32 +154,36 @@ def _full_spectrum(n, coupling, field):
     Magnetization is conserved, so the full matrix is block diagonal by
     popcount; diagonalizing block-wise keeps every eigenvector exactly
     inside one sector and gives it an unambiguous k tag.  Each block's J = 1
-    decomposition is scaled by J, its column order reversed for J < 0.
+    levels are scaled by J, their column order reversed for J < 0.  Levels
+    or a spectral range that overflow are refused: every level would fall
+    inside an infinite tolerance window.
     """
     if n > FULL_DIAGONALIZE_CAP:
         raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
     if n < 2:
         raise ValueError("pairwise concurrence needs at least two sites")
     values, tags, columns = [], [], []
-    for k, (configs, w, _) in enumerate(_unit_spectrum(n)):
-        column = np.arange(len(configs))
-        if coupling.j < 0:
-            w, column = w[::-1], column[::-1]
-        values.append(coupling.j * w + sector_energy_offset(k, n, field))
-        tags.append(np.full(len(configs), k))
-        columns.append(column)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for k, (configs, w) in enumerate(_unit_spectrum(n)[0]):
+            column = np.arange(len(configs))
+            if coupling.j < 0:
+                w, column = w[::-1], column[::-1]
+            values.append(coupling.j * w + sector_energy_offset(k, n, field))
+            tags.append(np.full(len(configs), k))
+            columns.append(column)
     values = np.concatenate(values)
+    if not np.isfinite(float(values.max()) - float(values.min())):
+        raise ValueError(f"energies overflow at J={coupling.j:g}, b={field.b:g}")
     order = np.argsort(values, kind="stable")
     return values[order], np.concatenate(tags)[order], np.concatenate(columns)[order]
 
 
 def _columns(n: int, tags: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """The given levels' eigenvectors as columns over all 2^n configurations."""
-    blocks = _unit_spectrum(n)
+    levels, _ = _unit_spectrum(n)
     out = np.zeros((1 << n, len(tags)))
     for i, (k, column) in enumerate(zip(tags.tolist(), columns.tolist())):
-        configs, _, v = blocks[k]
-        out[configs, i] = v[:, column]
+        out[levels[k][0], i] = _unit_vectors(n, k)[:, column]
     return out
 
 

@@ -103,6 +103,17 @@ def block_levels(n: int, k: int, m: int, coupling: Coupling) -> np.ndarray:
     return levels[::-1] if coupling.j < 0 else levels
 
 
+def check_finite_energies(energies, coupling: Coupling, field: FieldSetting) -> None:
+    """Refuse energies, or a spread of energies, that overflow to inf or nan.
+
+    An infinite spectral range would make the degeneracy window infinite, so
+    every level would count as degenerate with the ground level.
+    """
+    energies = np.asarray(energies, dtype=float)
+    if energies.size and not np.isfinite(float(energies.max()) - float(energies.min())):
+        raise ValueError(f"energies overflow at J={coupling.j:g}, b={field.b:g}")
+
+
 @dataclass(frozen=True)
 class SectorState:
     """Amplitude vector over one sector basis, with its momentum tag."""
@@ -171,7 +182,8 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
     and diagonalizes only the blocks holding one.  States are lifted to
     read-only sector amplitudes and ordered by (k, m).  A repeated input
     returns the cached result of the first call.  ``tol`` must be finite and
-    nonnegative; 0 keeps only levels equal to the minimum.
+    nonnegative; 0 keeps only levels equal to the minimum.  J and b whose
+    levels or spectral range overflow are refused with ValueError.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
@@ -182,12 +194,14 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
 def _ground_manifold(n: int, coupling: Coupling, field: FieldSetting,
                      tol: float) -> GroundManifold:
     levels = {}  # (k, m) -> levels plus the field offset of k, for every block
-    for k in range(n // 2 + 1):
-        for m in range(n // 2 + 1):
-            values = block_levels(n, k, m, coupling)
-            for image in {(k, m), (n - k, m), (k, -m % n), (n - k, -m % n)}:
-                levels[image] = values + sector_energy_offset(image[0], n, field)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for k in range(n // 2 + 1):
+            for m in range(n // 2 + 1):
+                values = block_levels(n, k, m, coupling)
+                for image in {(k, m), (n - k, m), (k, -m % n), (n - k, -m % n)}:
+                    levels[image] = values + sector_energy_offset(image[0], n, field)
     all_values = np.concatenate(list(levels.values()))
+    check_finite_energies(all_values, coupling, field)
     e0 = float(all_values.min())
     window = tol * max(float(all_values.max()) - e0, np.finfo(float).tiny)
 

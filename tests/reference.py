@@ -2,12 +2,14 @@
 
 Each one works on single configurations or Python loops and shares no code
 with the array paths it cross-checks: rotations and reflections of one
-bitmask, the dihedral classes of a sector's orbits, the dense sector
-Hamiltonian with a matrix-free product, and the X-form concurrence.
+bitmask, the dihedral classes of a sector's orbits, a configuration's
+position in its sector, the dense sector Hamiltonian with a matrix-free
+product, the dense 2^n Hamiltonian, and the X-form concurrence.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +17,7 @@ import numpy as np
 from xxring.basis import SectorBasis, TranslationOrbit, ring_bonds
 from xxring.concurrence import PairDensity
 from xxring.hamiltonian import Coupling
+from xxring.oracle import FULL_DIAGONALIZE_CAP
 
 X_OFFDIAG_TOL = 1e-10
 
@@ -79,6 +82,14 @@ def dihedral_classes(orbits: list[TranslationOrbit], n: int) -> list[DihedralCla
     ]
 
 
+def index_of(basis: SectorBasis, bits: int) -> int:
+    """Position of ``bits`` in ``basis.configs``; KeyError if it is not in the sector."""
+    i = bisect_left(basis.configs, bits)
+    if i == len(basis.configs) or basis.configs[i] != bits:
+        raise KeyError(bits)
+    return i
+
+
 def build_sector_hamiltonian(basis: SectorBasis, coupling: Coupling) -> np.ndarray:
     """Dense real-symmetric Hamiltonian of one magnetization sector."""
     n = basis.n
@@ -86,7 +97,7 @@ def build_sector_hamiltonian(basis: SectorBasis, coupling: Coupling) -> np.ndarr
     for a, c in enumerate(basis.configs):
         for i, j in ring_bonds(n):
             if ((c >> i) & 1) != ((c >> j) & 1):
-                h[basis.index_of(c ^ ((1 << i) | (1 << j))), a] += coupling.j
+                h[index_of(basis, c ^ ((1 << i) | (1 << j))), a] += coupling.j
     return h
 
 
@@ -101,8 +112,21 @@ def apply_hamiltonian(basis: SectorBasis, coupling: Coupling, v: np.ndarray) -> 
             continue
         for i, j in ring_bonds(basis.n):
             if ((c >> i) & 1) != ((c >> j) & 1):
-                out[basis.index_of(c ^ ((1 << i) | (1 << j)))] += coupling.j * v[a]
+                out[index_of(basis, c ^ ((1 << i) | (1 << j)))] += coupling.j * v[a]
     return out
+
+
+def full_hamiltonian(n: int, coupling: Coupling) -> np.ndarray:
+    """Dense 2^n x 2^n Hamiltonian over all configurations."""
+    if n > FULL_DIAGONALIZE_CAP:
+        raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
+    dim = 1 << n
+    h = np.zeros((dim, dim))
+    for c in range(dim):
+        for i, j in ring_bonds(n):
+            if ((c >> i) & 1) != ((c >> j) & 1):
+                h[c ^ ((1 << i) | (1 << j)), c] += coupling.j
+    return h
 
 
 def concurrence_xstate(rho: PairDensity) -> float:

@@ -10,7 +10,8 @@ import pytest
 
 import xxring.cli as cli
 from xxring.hamiltonian import Coupling
-from xxring.oracle import full_hamiltonian
+
+from reference import full_hamiltonian
 
 
 def run_json(capsys, argv):
@@ -347,6 +348,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.filterwarnings("error")  # overflow is refused, not warned about
+    @pytest.mark.parametrize("argv, message", [
+        (["ground", "--n", "2", "--b", "1e308"], "J=-1, b=1e+308"),
+        (["ground", "--n", "4", "--j", "1e308"], "J=1e+308, b=0"),
+        (["concurrence", "--n", "4", "--j=-1e308"], "J=-1e+308, b=0"),
+        (["spectrum", "--n", "4", "--b", "1e308"], "J=-1, b=1e+308"),
+        (["spectrum", "--n", "2", "--b", "1e308"], "J=-1, b=1e+308"),  # range inf
+        (["spectrum", "--n", "4", "--j", "1e308"], "J=1e+308, b=0"),
+    ])
+    def test_refuses_energies_that_overflow(self, capsys, argv, message):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"xxring: error: energies overflow at {message}\n"
 
     def test_verify_mismatch_exits_one(self, capsys, monkeypatch):
         from xxring.oracle import PipelineAgreement

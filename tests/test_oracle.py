@@ -1,5 +1,6 @@
 """Full-space brute-force path and its agreement with the block pipeline."""
 
+import re
 import tracemalloc
 from math import comb
 
@@ -12,9 +13,11 @@ from xxring.concurrence import PairDensity, concurrence_wootters, pair_density
 from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.oracle import (_degenerate_groups, _first_group_end, _full_spectrum,
                            _mixture_pair_density, _popcount_block, _unit_spectrum,
-                           compare_with_pipeline, eigenvector_concurrence_scan,
-                           full_diagonalize, full_hamiltonian)
+                           _unit_vectors, compare_with_pipeline,
+                           eigenvector_concurrence_scan, full_diagonalize)
 from xxring.spectra import DEGENERACY_RTOL, SectorState
+
+from reference import full_hamiltonian
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -144,6 +147,23 @@ class TestFullDiagonalize:
                 assert ((0, _first_group_end(values, DEGENERACY_RTOL))
                         == _degenerate_groups(values, DEGENERACY_RTOL)[0]), (j, b)
 
+    @pytest.mark.filterwarnings("error")  # overflow is refused, not warned about
+    @pytest.mark.parametrize("n, j, b", [(2, 1.0, 1e308), (4, 1e308, 0.0), (4, 1e308, -1e308)])
+    def test_refuses_energies_that_overflow(self, n, j, b):
+        message = f"energies overflow at J={j:g}, b={b:g}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            full_diagonalize(n, Coupling(j), FieldSetting(b))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compare_with_pipeline(n, Coupling(j), FieldSetting(b))
+
+    def test_field_just_below_overflow(self):
+        # an infinite range once took all four levels of n = 2 into the ground
+        # group; the true ground level is the all-up state, alone in k = 2
+        report = full_diagonalize(2, ANTIFERRO, FieldSetting(1e307))
+        assert (report.ground_energy, report.ground_degeneracy) == (-1e307, 1)
+        assert report.ground_sectors == (2,)
+        assert compare_with_pipeline(2, ANTIFERRO, FieldSetting(1e307)).ok
+
     def test_refuses_rings_without_a_pair(self):
         for n in (0, 1):
             with pytest.raises(ValueError, match="at least two sites"):
@@ -158,51 +178,67 @@ class TestFullDiagonalize:
 
 
 @pytest.fixture
-def eigh_dims(monkeypatch):
-    """Dimension of every matrix passed to np.linalg.eigh while the test runs."""
-    dims = []
-    original = np.linalg.eigh
+def solves(monkeypatch):
+    """(solver, dimension) of every np.linalg.eigh and eigvalsh call while the test runs."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, len(a)))
+            return _solver(a, *args, **kwargs)
 
-    def counted(a, *args, **kwargs):
-        dims.append(len(a))
-        return original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return dims
+
+def block_solves(calls):
+    """The calls that solve a popcount block or a half of one.
+
+    Each oracle concurrence also solves the 4 x 4 pair density it reduces to;
+    no popcount block or half of the rings these tests use has dimension 4.
+    """
+    return [call for call in calls if call[1] != 4]
 
 
 class TestUnitSpectrum:
     @pytest.mark.parametrize("n", [6, 9, 12])
-    def test_each_block_solved_once_for_both_signs(self, eigh_dims, n):
+    def test_each_block_solved_once_for_both_signs(self, solves, n):
         _unit_spectrum.cache_clear()
         full_diagonalize(n, FERRO)
         full_diagonalize(n, ANTIFERRO)
-        # the largest block first: the two halves of the half-filled block
-        # for even n, then the blocks k < n/2 downward; blocks k > n/2 are
-        # mirrored, not solved
-        solves = [comb(n, n // 2) // 2] * 2 if n % 2 == 0 else []
-        solves += [comb(n, k) for k in range(n // 2, -1, -1) if 2 * k < n]
-        # each call also solves the 4 x 4 pair density of its concurrence;
-        # no popcount block or half of these rings has dimension 4
-        assert [d for d in eigh_dims if d != 4] == solves
-        assert len(eigh_dims) == len(solves) + 2
+        # for even n the levels of blocks k < n/2 upward, then the two halves
+        # of block n/2 with its eigenvectors; for odd n the whole block n // 2
+        # with its eigenvectors first, then the levels of blocks k < n // 2
+        # downward.  Blocks k > n/2 are mirrored, not solved, and both ground
+        # levels lie in block n // 2 or its mirror, so no other eigenvectors
+        # are read
+        if n % 2 == 0:
+            expected = [("eigvalsh", comb(n, k)) for k in range(n // 2)]
+            expected += [("eigh", comb(n, n // 2) // 2)] * 2
+        else:
+            expected = [("eigh", comb(n, n // 2))]
+            expected += [("eigvalsh", comb(n, k)) for k in range(n // 2 - 1, -1, -1)]
+        assert block_solves(solves) == expected
+        assert solves.count(("eigh", 4)) == 2  # one pair density per call
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_block_is_decomposed(self, n):
-        for k, (configs, w, v) in enumerate(_unit_spectrum(n)):
+        levels, _ = _unit_spectrum(n)
+        for k, (configs, w) in enumerate(levels):
             expected_configs, block = _popcount_block(n, k, ANTIFERRO)
+            v = _unit_vectors(n, k)
             label = f"n={n} k={k}"
             assert np.array_equal(configs, expected_configs), label
+            assert np.abs(w - np.linalg.eigvalsh(block)).max() <= 1e-12, label
             assert np.abs(block @ v - v * w).max() <= 1e-12, label
             assert np.abs(v.T @ v - np.eye(len(w))).max() <= 1e-12, label
             if 2 * k > n:  # block n - k's levels and its rows reversed, no copy
-                _, w_mirror, v_mirror = _unit_spectrum(n)[n - k]
-                assert w is w_mirror, label
-                assert np.shares_memory(v, v_mirror), label
+                assert w is levels[n - k][1], label
+                assert np.shares_memory(v, _unit_vectors(n, n - k)), label
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_half_filled_block_from_its_two_halves(self, n):
-        configs, w, v = _unit_spectrum(n)[n // 2]
+        configs, w = _unit_spectrum(n)[0][n // 2]
+        v = _unit_vectors(n, n // 2)
         # the unsplit block, which test_popcount_block_is_the_literal_block
         # pins to the literal matrix
         _, block = _popcount_block(n, n // 2, ANTIFERRO)
@@ -210,20 +246,47 @@ class TestUnitSpectrum:
         assert np.abs(v.T @ v - np.eye(len(w))).max() <= 1e-12
         assert np.all(np.diff(w) >= 0)
         assert np.abs(w - np.linalg.eigvalsh(block)).max() <= 1e-12
+        # each column is [x; +-x[::-1]] / sqrt(2), half of them of each sign
+        even = [np.array_equal(v[::-1, c], v[:, c]) for c in range(len(w))]
+        odd = [np.array_equal(v[::-1, c], -v[:, c]) for c in range(len(w))]
+        assert all(e != o for e, o in zip(even, odd))
+        assert sum(even) == sum(odd) == len(w) // 2
 
     @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["-1.0", "1.0"])
-    def test_level_scan_reads_the_same_solve(self, eigh_dims, coupling):
+    def test_level_scan_solves_each_block_once(self, solves, coupling):
         _unit_spectrum.cache_clear()
         full_diagonalize(8, coupling)
-        eigh_dims.clear()
+        solves.clear()
+        eigenvector_concurrence_scan(8, coupling)
+        # every level is read: the eigenvectors of blocks k < 4, on first read
+        assert sorted(block_solves(solves)) == [("eigh", comb(8, k)) for k in range(4)]
+        solves.clear()
         scan = eigenvector_concurrence_scan(8, coupling)
-        assert eigh_dims == [4] * len(scan.rows)  # pair densities only
+        assert solves == [("eigh", 4)] * len(scan.rows)  # pair densities only
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("b", [1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["-1.0", "1.0"])
+    def test_field_moved_ground_solved_on_read(self, solves, n, b, coupling):
+        _unit_spectrum.cache_clear()
+        full_diagonalize(n, coupling)
+        solves.clear()
+        report = full_diagonalize(n, coupling, FieldSetting(b))
+        # the field moves the ground level out of block n // 2 and its mirror
+        read = {min(k, n - k) for k in report.ground_sectors}
+        assert n // 2 not in read, report.ground_sectors
+        assert sorted(block_solves(solves)) == [("eigh", comb(n, k)) for k in sorted(read)]
+        solves.clear()
+        full_diagonalize(n, coupling, FieldSetting(b))
+        assert block_solves(solves) == []
+        assert compare_with_pipeline(n, coupling, FieldSetting(b)).ok
 
     def test_arrays_are_read_only(self):
-        for configs, w, v in _unit_spectrum(5):
-            for array in (configs, w, v):
-                with pytest.raises(ValueError):
-                    array[0] = 0
+        levels, _ = _unit_spectrum(5)
+        arrays = [array for block in levels for array in block]
+        for array in arrays + [_unit_vectors(5, k) for k in range(6)]:
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestPairReduction:

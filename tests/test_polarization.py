@@ -10,7 +10,7 @@ from xxring.hamiltonian import Coupling
 from xxring.polarization import clustering_score, lp_table, orbit_probabilities
 from xxring.spectra import ground_manifold
 
-from reference import dihedral_classes, reflect, rotate
+from reference import dihedral_classes, index_of, reflect, rotate
 
 FERRO = Coupling(-1.0)
 
@@ -95,7 +95,7 @@ class TestOrbitReports:
                     raw += np.abs(state.amplitudes) ** 2 / manifold.degeneracy
             raw /= report.sector_weight
             for row in report.rows:
-                member = [raw[sector.index_of(rotate(row.representative, t, n))]
+                member = [raw[index_of(sector, rotate(row.representative, t, n))]
                           for t in range(row.period)]
                 assert max(member) - min(member) <= 1e-10
 

@@ -1,5 +1,7 @@
 """Eigensolver contract, block-vector lifting, and ground manifolds."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ import xxring.spectra
 from xxring.spectra import (DEGENERACY_RTOL, GroundManifold, block_levels, eigh,
                             ground_manifold, lift_block_vector)
 
-from reference import apply_hamiltonian, build_sector_hamiltonian, rotate
+from reference import apply_hamiltonian, build_sector_hamiltonian, index_of, rotate
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -122,7 +124,7 @@ class TestLiftBlockVector:
                 for orbit in orbits:
                     if (m * orbit.period) % n:
                         continue
-                    mags = [abs(lifted[basis.index_of(c)]) for c in orbit.members]
+                    mags = [abs(lifted[index_of(basis, c)]) for c in orbit.members]
                     assert max(mags) - min(mags) <= 1e-10
 
     def test_six_site_orbit_weights(self):
@@ -131,7 +133,7 @@ class TestLiftBlockVector:
         block = build_momentum_block(basis, 0, FERRO)
         spectrum = eigh(block.matrix)
         lifted = lift_block_vector(block, spectrum.vectors[:, 0])
-        probs = sorted(abs(lifted[basis.index_of(o.members[0])]) ** 2 for o in orbits)
+        probs = sorted(abs(lifted[index_of(basis, o.members[0])]) ** 2 for o in orbits)
         np.testing.assert_allclose(probs, [1 / 72, 1 / 18, 1 / 18, 1 / 8], atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -147,6 +149,23 @@ class TestGroundManifold:
         assert manifold.degeneracy == 1
         np.testing.assert_allclose(manifold.energy, -2 * np.sqrt(2), atol=1e-10)
         assert manifold.states[0].k == 2 and manifold.states[0].momentum == 0
+
+    @pytest.mark.filterwarnings("error")  # overflow is refused, not warned about
+    @pytest.mark.parametrize("n, j, b, message", [
+        (2, -1.0, 1e308, "J=-1, b=1e+308"),  # levels +-1e308, their range inf
+        (4, 1e308, 0.0, "J=1e+308, b=0"),  # levels inf
+        (4, 1e308, -1e308, "J=1e+308, b=-1e+308"),  # inf - inf: levels nan
+    ])
+    def test_refuses_energies_that_overflow(self, n, j, b, message):
+        with pytest.raises(ValueError, match=f"energies overflow at {re.escape(message)}$"):
+            ground_manifold(n, Coupling(j), FieldSetting(b))
+
+    def test_field_just_below_overflow(self):
+        # an infinite range once made every level of n = 2 fall in the window;
+        # the true ground level is the all-up state, alone in k = 2
+        manifold = ground_manifold(2, FERRO, FieldSetting(1e307))
+        assert manifold.energy == -1e307
+        assert [(s.k, s.momentum) for s in manifold.states] == [(2, 0)]
 
     def test_three_site_degeneracies(self):
         ferro = ground_manifold(3, FERRO)
