@@ -320,9 +320,32 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--b -1e-3`` as ``--b=-1e-3`` for the float options.
+
+    argparse reads a token as a negative number only when it is digits with
+    at most a decimal point, so it takes -1e-3, -1E+2 or -.5e1 after --j, --b
+    or --tol for an option.  A token that ``float`` reads is joined to the
+    option before it; anything else is left for argparse to refuse.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in ("--j", "--b", "--tol") and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
+
+
 def run(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None
+                                                          else argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     started = time.perf_counter()

@@ -3,37 +3,46 @@
 It deliberately avoids the translation-symmetry machinery: popcount blocks
 are built from ``np.arange(2**n)`` with numpy bit operations, eigenvectors
 stay in their blocks, and only the columns of the level group a caller reads
-are scattered into full-space vectors for an independent pair reduction.  It
+are gathered into full-space vectors for an independent pair reduction.  It
 cross-checks the momentum-block pipeline: ground energy, degeneracy,
 per-configuration probabilities and mixture concurrence agree to 1e-10.
 
 H(J) = J * H(1), so each popcount block is decomposed once, at J = 1, and
 both signs of J, any field and the level scan read that one decomposition.
-Spin inversion halves that work.  Complementing the bits maps the k-up
-configurations onto the (n - k)-up ones in reversed order, so block n - k is
-exactly block k with both axes reversed (a test checks this entry by entry):
+Spin inversion C complements the bits, which maps the k-up configurations
+onto the (n - k)-up ones in reversed order, so block n - k is block k with
+both axes reversed: blocks k <= n/2 are solved, and block n - k reuses block
+k's levels and its eigenvectors with the rows reversed.
 
-- blocks k <= n/2 are solved;
-- blocks k > n/2 are not solved: they reuse block n - k's levels and take
-  its eigenvectors with the rows reversed, a read-only view;
-- the half-filled block (even n) maps onto itself, so it splits into two
-  half-size blocks A +- C[:, ::-1] (A, C its top-left and top-right
-  quarters) with eigenvectors [x; +-x[::-1]] / sqrt(2).
+No block is solved whole.  Each canonical block is listed as its
+configurations and the (row, column) pairs of its unit hops, and split by
+the ring's reflection R (site i -> n - 1 - i) into its even and odd pieces;
+the half-filled block of an even ring, which C maps onto itself, splits by
+R and C into four.  These are the one-dimensional irreducible blocks of
+Sandvik, "Computational studies of quantum spin systems", AIP Conf. Proc.
+1297 (2010), section 4, for reflection instead of translation.  For a
+character chi of the group, the orbit of configuration i holds the unit
+vector sum u(i)|i>, with u(i) = chi(g_i) / sqrt(|orbit|) and g_i taking the
+orbit's least member to i, when chi is trivial on i's stabilizer (otherwise
+u(i) = 0 and the orbit has no vector in that piece).  Piece entries sum
+u(i) u(j) over the hops, a block's levels merge its pieces' levels, and a
+level's eigenvector is gathered from its piece as v[i] = u(i) x[a(i)], a(i)
+being the orbit's column in the piece.
 
 Eigenvectors are solved only for the blocks a caller reads.  At zero field
 the ground level lies in block n // 2 (or its mirror) for both signs of J,
 so ``_unit_spectrum(n)`` takes every other block's levels from
-``np.linalg.eigvalsh`` and runs ``np.linalg.eigh`` on block n // 2 alone.
-``_unit_vectors(n, k)`` solves any other block's eigenvectors on first read
-(a field that moves the ground level, or the level scan) and keeps them
-beside the levels.
+``np.linalg.eigvalsh`` of its pieces and runs ``np.linalg.eigh`` on the
+pieces of block n // 2 alone.  ``_unit_columns(n, k, columns)`` solves any
+other block's pieces on first read (a field that moves the ground level, or
+the level scan) and keeps their eigenvectors beside the levels.
 
 The process keeps the decomposition for one ring size at a time, as
-read-only arrays.  Code that monkeypatches the block builder
-(``_popcount_block``) or a solver (``np.linalg.eigh``, ``np.linalg.eigvalsh``)
-must call ``_unit_spectrum.cache_clear()`` first, which drops the levels and
-the eigenvectors together, or it may be handed a decomposition made before
-the patch.
+read-only arrays.  Code that monkeypatches the hop list (``_hops``), the
+pieces (``_pieces``, ``_piece_matrix``) or a solver (``np.linalg.eigh``,
+``np.linalg.eigvalsh``) must call ``_unit_spectrum.cache_clear()`` first,
+which drops the levels, the pieces and their eigenvectors together, or it
+may be handed a decomposition made before the patch.
 """
 
 from __future__ import annotations
@@ -51,101 +60,140 @@ FULL_DIAGONALIZE_CAP = 14
 SCAN_CAP = 10
 AGREEMENT_ATOL = 1e-10
 
+# Character tables, one row per character: <R> on (1, R), and <R, C> on
+# (1, R, C, RC) for the half-filled block of an even ring.
+_REFLECTION_CHARACTERS = np.array([[1, 1], [1, -1]])
+_REFLECTION_FLIP_CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
+                                        [1, 1, -1, -1], [1, -1, -1, 1]])
 
-def _popcount_block(n: int, k: int, coupling: Coupling) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending k-up configurations and their Hamiltonian block, one step per bond."""
+
+def _hops(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending k-up configurations and the (row, column) indices of their unit hops.
+
+    One numpy step per bond; n = 2 lists its one bond twice, so each of its
+    hops appears twice, as its literal matrix entry of 2 requires.
+    """
     full = np.arange(1 << n)
     configs = full[((full[:, None] >> np.arange(n)) & 1).sum(axis=1) == k]
-    block = np.zeros((len(configs), len(configs)))
+    rows, columns = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for i, j in ring_bonds(n):
         hop = np.flatnonzero(((configs >> i) ^ (configs >> j)) & 1)
-        rows = np.searchsorted(configs, configs[hop] ^ ((1 << i) | (1 << j)))
-        block[rows, hop] += coupling.j  # one entry per hop; n = 2 lists its bond twice
-    return configs, block
+        rows.append(np.searchsorted(configs, configs[hop] ^ ((1 << i) | (1 << j))))
+        columns.append(hop)
+    return configs, np.concatenate(rows), np.concatenate(columns)
 
 
-def _split_eigh(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Configurations, ascending levels and eigenvectors of an even ring's half-filled block.
+def _pieces(n: int, k: int, configs: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Read-only piece column a(i) and coefficient u(i) of every configuration, per piece.
 
-    The block equals ``block[::-1, ::-1]``.  With A and C its top-left and
-    top-right quarters, (A +- C[:, ::-1]) x = w x gives the eigenvector
-    [x; +-x[::-1]] / sqrt(2); both halves are symmetric.  The unsplit block is
-    dropped before the halves are solved, and each half's eigenvectors are
-    written straight into their level-ordered columns of one array.
+    One pair per character of <R> (or of <R, C> when 2k = n) whose piece is
+    not empty, in character-table order.  Every group element is its own
+    inverse, so the one taking i to its orbit's least member takes that
+    member back to i.
     """
-    configs, block = _popcount_block(n, n // 2, Coupling(1.0))
-    half = len(configs) // 2
-    top, cross = block[:half, :half], block[:half, half:][:, ::-1]
-    even, odd = top + cross, top - cross
-    del block, top, cross
-    w_even, x_even = np.linalg.eigh(even)
-    del even
-    w_odd, x_odd = np.linalg.eigh(odd)
-    del odd
-    w = np.concatenate([w_even, w_odd])
-    order = np.argsort(w, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(w))
-    v = np.empty((len(w), len(w)))
-    for x, sign, cols in ((x_even, 1.0, rank[:half]), (x_odd, -1.0, rank[half:])):
-        x /= np.sqrt(2)
-        v[:half, cols] = x
-        x *= sign
-        v[half:, cols] = x[::-1]
-    return configs, w[order], v
+    index = np.arange(len(configs))
+    mirrored = np.zeros_like(configs)
+    for site in range(n):
+        mirrored |= ((configs >> site) & 1) << (n - 1 - site)
+    r = np.searchsorted(configs, mirrored)
+    if 2 * k == n:  # C reverses the ascending index
+        images = np.stack([index, r, index[::-1], r[::-1]])
+        characters = _REFLECTION_FLIP_CHARACTERS
+    else:
+        images, characters = np.stack([index, r]), _REFLECTION_CHARACTERS
+    fixed = images == index  # stabilizer membership, by element
+    least = images.min(axis=0)
+    to_least = images.argmin(axis=0)
+    scale = np.sqrt(fixed.sum(axis=0) / len(images))  # 1 / sqrt(|orbit|)
+    pieces = []
+    for chi in characters:
+        allowed = ~(fixed & (chi[:, None] < 0)).any(axis=0)
+        leaders = allowed & (least == index)
+        if leaders.any():
+            a = np.where(allowed, np.cumsum(leaders)[least] - 1, 0)
+            u = np.where(allowed, chi[to_least] * scale, 0.0)
+            a.flags.writeable = u.flags.writeable = False
+            pieces.append((a, u))
+    return tuple(pieces)
+
+
+def _piece_matrix(a: np.ndarray, u: np.ndarray, rows: np.ndarray,
+                  columns: np.ndarray) -> np.ndarray:
+    """One piece of a block: entry (a(i), a(j)) sums u(i) u(j) over the hops (i, j)."""
+    dim = int(a.max()) + 1
+    flat = np.bincount(a[rows] * dim + a[columns], weights=u[rows] * u[columns],
+                       minlength=dim * dim)
+    return flat.reshape(dim, dim)
+
+
+def _eigh_pieces(pieces, rows: np.ndarray, columns: np.ndarray) -> tuple[tuple, tuple]:
+    """Levels and read-only eigenvectors of each piece, each matrix dropped after its solve."""
+    parts, vectors = zip(*(np.linalg.eigh(_piece_matrix(a, u, rows, columns))
+                           for a, u in pieces))
+    for x in vectors:
+        x.flags.writeable = False
+    return parts, vectors
 
 
 @lru_cache(maxsize=1)
 def _unit_spectrum(n: int, /) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...],
-                                       dict[int, np.ndarray]]:
-    """Read-only (configs, levels) of each popcount block at J = 1, by k, and its eigenvectors.
+                                       dict[int, tuple], dict[int, tuple[np.ndarray, ...]]]:
+    """Read-only J = 1 levels of each popcount block, its pieces and their eigenvectors.
 
-    Blocks k <= n/2 are solved; block n - k is block k mirrored by spin
-    inversion.  Every block gets its levels from ``np.linalg.eigvalsh`` except
-    block n // 2, whose ``eigh`` also gives the eigenvectors.  The dict maps
-    each k <= n/2 solved so far to its eigenvectors; ``_unit_vectors`` fills
-    it on first read.
+    Returns ``(levels, blocks, vectors)``.  ``levels[k]`` is
+    ``(configs, w)``, w ascending.  ``blocks`` maps each k <= n/2 to
+    ``(pieces, piece, local)``: the ``_pieces`` pairs, and for each
+    ascending level the piece it came from and its column there (ties keep
+    piece order).  ``vectors`` maps each k <= n/2 solved so far to its
+    pieces' eigenvectors; ``_unit_columns`` fills it on first read.
 
-    The solve order keeps the peak low.  For even n block n // 2 goes last,
-    so its eigenvectors are not held while block n/2 - 1's levels are solved,
-    a larger solve than its two halves.  For odd n its whole-block ``eigh``
-    is the largest solve of the ring and goes first, before the level solves
-    leave their buffers on the heap.
+    Block n // 2 is solved last, so its eigenvectors are not held while the
+    other blocks' levels are solved.
     """
-    levels, vectors = {}, {}
-    for k in range(n // 2 + 1) if n % 2 == 0 else range(n // 2, -1, -1):
-        if 2 * k == n:
-            configs, w, vectors[k] = _split_eigh(n)
+    levels, blocks, vectors = {}, {}, {}
+    for k in range(n // 2 + 1):
+        configs, rows, columns = _hops(n, k)
+        pieces = _pieces(n, k, configs)
+        if k == n // 2:
+            parts, vectors[k] = _eigh_pieces(pieces, rows, columns)
         else:
-            configs, block = _popcount_block(n, k, Coupling(1.0))
-            if k == n // 2:
-                w, vectors[k] = np.linalg.eigh(block)
-            else:
-                w = np.linalg.eigvalsh(block)
-            del block  # not held while the next block is built
-        configs.flags.writeable = w.flags.writeable = False
+            parts = [np.linalg.eigvalsh(_piece_matrix(a, u, rows, columns))
+                     for a, u in pieces]
+        w = np.concatenate(parts)
+        order = np.argsort(w, kind="stable")
+        piece = np.repeat(np.arange(len(parts)), [len(part) for part in parts])[order]
+        local = np.concatenate([np.arange(len(part)) for part in parts])[order]
+        w = w[order]
+        for array in (configs, w, piece, local):
+            array.flags.writeable = False
         levels[k] = (configs, w)
+        blocks[k] = (pieces, piece, local)
         if 2 * k < n:
             mirror = ((1 << n) - 1 - configs)[::-1]
             mirror.flags.writeable = False
             levels[n - k] = (mirror, w)
-    vectors[n // 2].flags.writeable = False
-    return tuple(levels[k] for k in range(n + 1)), vectors
+    return tuple(levels[k] for k in range(n + 1)), blocks, vectors
 
 
-def _unit_vectors(n: int, k: int) -> np.ndarray:
-    """Read-only J = 1 eigenvectors of popcount block k, solved on first read.
+def _unit_columns(n: int, k: int, columns: np.ndarray) -> np.ndarray:
+    """J = 1 eigenvectors of popcount block k at the given ascending-level columns.
 
-    They are kept beside the levels of ``_unit_spectrum(n)``.  Block n - k > n/2
-    takes block k's eigenvectors with the rows reversed, a view.
+    Each column is gathered from its piece, v[i] = u(i) x[a(i), c], so no
+    d x d array is built.  A block's piece eigenvectors are solved on first
+    read and kept; block n - k > n/2 gives block k's columns with the rows
+    reversed.
     """
-    _, vectors = _unit_spectrum(n)
+    _, blocks, vectors = _unit_spectrum(n)
     canonical = min(k, n - k)
+    pieces, piece, local = blocks[canonical]
     if canonical not in vectors:
-        v = np.linalg.eigh(_popcount_block(n, canonical, Coupling(1.0))[1])[1]
-        v.flags.writeable = False
-        vectors[canonical] = v
-    return vectors[canonical] if k == canonical else vectors[canonical][::-1]
+        vectors[canonical] = _eigh_pieces(pieces, *_hops(n, canonical)[1:])[1]
+    out = np.zeros((len(piece), len(columns)))
+    piece, local = piece[columns], local[columns]
+    for p, ((a, u), x) in enumerate(zip(pieces, vectors[canonical])):
+        picked = np.flatnonzero(piece == p)
+        out[:, picked] = u[:, None] * x[np.ix_(a, local[picked])]
+    return out if k == canonical else out[::-1]
 
 
 def _full_spectrum(n, coupling, field):
@@ -180,10 +228,11 @@ def _full_spectrum(n, coupling, field):
 
 def _columns(n: int, tags: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """The given levels' eigenvectors as columns over all 2^n configurations."""
-    levels, _ = _unit_spectrum(n)
+    levels = _unit_spectrum(n)[0]
     out = np.zeros((1 << n, len(tags)))
-    for i, (k, column) in enumerate(zip(tags.tolist(), columns.tolist())):
-        out[levels[k][0], i] = _unit_vectors(n, k)[:, column]
+    for k in np.unique(tags).tolist():
+        picked = np.flatnonzero(tags == k)
+        out[np.ix_(levels[k][0], picked)] = _unit_columns(n, k, columns[picked])
     return out
 
 

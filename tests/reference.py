@@ -1,10 +1,11 @@
 """Scalar references the tests check the library against.
 
-Each one works on single configurations or Python loops and shares no code
-with the array paths it cross-checks: rotations and reflections of one
-bitmask, the dihedral classes of a sector's orbits, a configuration's
-position in its sector, the dense sector Hamiltonian with a matrix-free
-product, the dense 2^n Hamiltonian, and the X-form concurrence.
+Each one works on single configurations, Python loops or dense matrices
+and shares no code with the array paths it cross-checks: rotations and
+reflections of one bitmask, the dihedral classes of a sector's orbits, a
+configuration's position in its sector, the dense sector Hamiltonian with a
+matrix-free product, the dense 2^n Hamiltonian and its dense popcount
+blocks, and the X-form concurrence.
 """
 
 from __future__ import annotations
@@ -127,6 +128,18 @@ def full_hamiltonian(n: int, coupling: Coupling) -> np.ndarray:
             if ((c >> i) & 1) != ((c >> j) & 1):
                 h[c ^ ((1 << i) | (1 << j)), c] += coupling.j
     return h
+
+
+def popcount_block(n: int, k: int, coupling: Coupling) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending k-up configurations and their dense Hamiltonian block, one step per bond."""
+    full = np.arange(1 << n)
+    configs = full[((full[:, None] >> np.arange(n)) & 1).sum(axis=1) == k]
+    block = np.zeros((len(configs), len(configs)))
+    for i, j in ring_bonds(n):
+        hop = np.flatnonzero(((configs >> i) ^ (configs >> j)) & 1)
+        rows = np.searchsorted(configs, configs[hop] ^ ((1 << i) | (1 << j)))
+        block[rows, hop] += coupling.j  # one entry per hop; n = 2 lists its bond twice
+    return configs, block
 
 
 def concurrence_xstate(rho: PairDensity) -> float:

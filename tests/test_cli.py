@@ -364,6 +364,39 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"xxring: error: energies overflow at {message}\n"
 
+    @pytest.mark.parametrize("option, value", [
+        ("--b", "-1e-3"), ("--b", "-1E+2"), ("--j", "-.5e1"), ("--j", "-1e-3"),
+        ("--tol", "-0e0"), ("--b", "-5"), ("--j", "-0.25"),
+    ])
+    def test_negative_value_with_an_exponent(self, capsys, option, value):
+        # argparse alone took -1e-3 for an option and exited 2
+        assert cli.run(["ground", "--n", "4", option, value]) == 0
+        spaced = capsys.readouterr().out
+        assert cli.run(["ground", "--n", "4", f"{option}={value}"]) == 0
+        assert strip_runtime(spaced) == strip_runtime(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ground", "--n", "4", "--b", "-1e309"], "field b must be finite, got -inf"),
+        (["concurrence", "--n", "4", "--j", "-1e308"], "energies overflow at J=-1e+308"),
+        (["ground", "--n", "4", "--tol", "-1e-3"], "tol must be finite and nonnegative"),
+    ])
+    def test_negative_exponent_refused_as_a_value(self, capsys, argv, message):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" not in captured.err
+        assert message in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["ground", "--n", "4", "--b", "-x"],
+        ["ground", "--n", "4", "--b", "--n", "5"],
+        ["ground", "--n", "4", "--bb", "-1e-3"],
+        ["verify", "--n", "2..3", "--b", "-1e-3"],
+    ])
+    def test_mistyped_option_is_still_a_usage_error(self, capsys, argv):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" in captured.err
+
     def test_verify_mismatch_exits_one(self, capsys, monkeypatch):
         from xxring.oracle import PipelineAgreement
 

@@ -1,6 +1,7 @@
 """Full-space brute-force path and its agreement with the block pipeline."""
 
 import re
+import sys
 import tracemalloc
 from math import comb
 
@@ -11,13 +12,13 @@ import xxring.oracle
 from xxring.basis import enumerate_sector
 from xxring.concurrence import PairDensity, concurrence_wootters, pair_density
 from xxring.hamiltonian import Coupling, FieldSetting
-from xxring.oracle import (_degenerate_groups, _first_group_end, _full_spectrum,
-                           _mixture_pair_density, _popcount_block, _unit_spectrum,
-                           _unit_vectors, compare_with_pipeline,
+from xxring.oracle import (_degenerate_groups, _first_group_end, _full_spectrum, _hops,
+                           _mixture_pair_density, _piece_matrix, _unit_columns,
+                           _unit_spectrum, compare_with_pipeline,
                            eigenvector_concurrence_scan, full_diagonalize)
 from xxring.spectra import DEGENERACY_RTOL, SectorState
 
-from reference import full_hamiltonian
+from reference import full_hamiltonian, popcount_block, reflect, rotate
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -77,9 +78,20 @@ class TestFullHamiltonian:
         # n = 1 has no bond; n = 2 has its single bond twice
         literal = full_hamiltonian(n, coupling)
         for k in range(n + 1):
-            configs, block = _popcount_block(n, k, coupling)
+            configs, block = popcount_block(n, k, coupling)
             assert configs.tolist() == [c for c in range(1 << n) if c.bit_count() == k]
             np.testing.assert_array_equal(block, literal[np.ix_(configs, configs)])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_hop_list_rebuilds_the_dense_block(self, n):
+        # one unit entry per hop, accumulated where hops land on one entry
+        for k in range(n + 1):
+            configs, rows, columns = _hops(n, k)
+            dense = np.zeros((len(configs), len(configs)))
+            np.add.at(dense, (rows, columns), 1.0)
+            expected_configs, block = popcount_block(n, k, ANTIFERRO)
+            assert np.array_equal(configs, expected_configs), k
+            assert np.array_equal(dense, block), k
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_spin_inversion_mirrors_the_popcount_blocks(self, n):
@@ -87,8 +99,8 @@ class TestFullHamiltonian:
         # so block n - k is block k with both axes reversed, entry for entry
         literal = full_hamiltonian(n, ANTIFERRO) if n <= 8 else None
         for k in range(n // 2 + 1):
-            configs, block = _popcount_block(n, k, ANTIFERRO)
-            mirror_configs, mirror = _popcount_block(n, n - k, ANTIFERRO)
+            configs, block = popcount_block(n, k, ANTIFERRO)
+            mirror_configs, mirror = popcount_block(n, n - k, ANTIFERRO)
             label = f"n={n} k={k}"
             assert np.array_equal(mirror_configs, ((1 << n) - 1 - configs)[::-1]), label
             assert np.array_equal(mirror, block[::-1, ::-1]), label
@@ -139,6 +151,19 @@ class TestFullDiagonalize:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
+    def test_peak_below_one_dense_block(self):
+        # no popcount block is built or solved whole: the n = 12 solve peaks
+        # below the bytes of its largest block as one dense float64 array
+        bound = comb(12, 6) ** 2 * np.dtype(float).itemsize
+        _unit_spectrum.cache_clear()
+        tracemalloc.start()
+        try:
+            full_diagonalize(12, ANTIFERRO)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_first_group_is_the_scanned_first_group(self, n):
         for j in (-1.0, 1.0):
@@ -179,11 +204,11 @@ class TestFullDiagonalize:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """(solver, dimension) of every np.linalg.eigh and eigvalsh call while the test runs."""
+    """(solver, dimension, calling module) of every np.linalg.eigh and eigvalsh call."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, len(a)))
+            calls.append((_name, len(a), sys._getframe(1).f_globals["__name__"]))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -191,12 +216,47 @@ def solves(monkeypatch):
 
 
 def block_solves(calls):
-    """The calls that solve a popcount block or a half of one.
+    """(solver, dimension) of the calls that solve a piece of a popcount block.
 
-    Each oracle concurrence also solves the 4 x 4 pair density it reduces to;
-    no popcount block or half of the rings these tests use has dimension 4.
+    Each oracle concurrence also solves the 4 x 4 pair density it reduces to,
+    from ``xxring.concurrence``; a piece can have dimension 4 too.
     """
-    return [call for call in calls if call[1] != 4]
+    return [(solver, dim) for solver, dim, module in calls if module == "xxring.oracle"]
+
+
+def pair_solves(calls):
+    """Number of 4 x 4 pair-density solves among the calls."""
+    return sum(module == "xxring.concurrence" and dim == 4 for _, dim, module in calls)
+
+
+def mirror_site(bits, n):
+    """The oracle's reflection, site i -> n - 1 - i, as a rotation of the reference one."""
+    return rotate(reflect(bits, n), n - 1, n)
+
+
+def piece_dimensions(n, k):
+    """Dimension of each non-empty piece of block k, in character-table order.
+
+    A character chi of the group appears (1/|G|) sum_g chi(g) |Fix(g)| times
+    in its permutation action on the k-up configurations: the reflection R
+    on every block, and R with spin inversion C on the half-filled block of
+    an even ring.  Fixed points are counted one configuration at a time.
+    """
+    flip = (1 << n) - 1
+    elements = [lambda c: c, lambda c: mirror_site(c, n)]
+    characters = [(1, 1), (1, -1)]
+    if 2 * k == n:
+        elements += [lambda c: flip ^ c, lambda c: mirror_site(flip ^ c, n)]
+        characters = [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1)]
+    configs = [c for c in range(1 << n) if c.bit_count() == k]
+    fixed = [sum(g(c) == c for c in configs) for g in elements]
+    dims = [sum(x * f for x, f in zip(chi, fixed)) // len(elements) for chi in characters]
+    return [d for d in dims if d]
+
+
+def all_columns(n, k):
+    """Every eigenvector of block k, read through the column accessor."""
+    return _unit_columns(n, k, np.arange(comb(n, k)))
 
 
 class TestUnitSpectrum:
@@ -205,52 +265,93 @@ class TestUnitSpectrum:
         _unit_spectrum.cache_clear()
         full_diagonalize(n, FERRO)
         full_diagonalize(n, ANTIFERRO)
-        # for even n the levels of blocks k < n/2 upward, then the two halves
-        # of block n/2 with its eigenvectors; for odd n the whole block n // 2
-        # with its eigenvectors first, then the levels of blocks k < n // 2
-        # downward.  Blocks k > n/2 are mirrored, not solved, and both ground
-        # levels lie in block n // 2 or its mirror, so no other eigenvectors
-        # are read
-        if n % 2 == 0:
-            expected = [("eigvalsh", comb(n, k)) for k in range(n // 2)]
-            expected += [("eigh", comb(n, n // 2) // 2)] * 2
-        else:
-            expected = [("eigh", comb(n, n // 2))]
-            expected += [("eigvalsh", comb(n, k)) for k in range(n // 2 - 1, -1, -1)]
+        # one solve per non-empty piece: two for each block 0 < k < n/2, four
+        # for block n/2 of an even ring, and one for k = 0, whose single
+        # configuration is its own mirror image.  The levels of blocks
+        # k < n // 2 upward, then block n // 2 with its eigenvectors.  Blocks
+        # k > n/2 are mirrored, not solved, and both ground levels lie in
+        # block n // 2 or its mirror, so no other eigenvectors are read
+        expected = [("eigvalsh", dim) for k in range(n // 2) for dim in piece_dimensions(n, k)]
+        expected += [("eigh", dim) for dim in piece_dimensions(n, n // 2)]
         assert block_solves(solves) == expected
-        assert solves.count(("eigh", 4)) == 2  # one pair density per call
+        counts = [1] + [2] * (n // 2 - 1) + [4 if n % 2 == 0 else 2]
+        assert [len(piece_dimensions(n, k)) for k in range(n // 2 + 1)] == counts
+        assert [sum(piece_dimensions(n, k)) for k in range(n // 2 + 1)] == [
+            comb(n, k) for k in range(n // 2 + 1)]
+        assert pair_solves(solves) == 2  # one pair density per call
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_block_is_decomposed(self, n):
-        levels, _ = _unit_spectrum(n)
+        levels, _, _ = _unit_spectrum(n)
         for k, (configs, w) in enumerate(levels):
-            expected_configs, block = _popcount_block(n, k, ANTIFERRO)
-            v = _unit_vectors(n, k)
+            expected_configs, block = popcount_block(n, k, ANTIFERRO)
+            v = all_columns(n, k)
             label = f"n={n} k={k}"
             assert np.array_equal(configs, expected_configs), label
             assert np.abs(w - np.linalg.eigvalsh(block)).max() <= 1e-12, label
             assert np.abs(block @ v - v * w).max() <= 1e-12, label
             assert np.abs(v.T @ v - np.eye(len(w))).max() <= 1e-12, label
-            if 2 * k > n:  # block n - k's levels and its rows reversed, no copy
+            # each column lies in one reflection piece: exactly even or odd
+            r = np.searchsorted(configs, [mirror_site(c, n) for c in configs.tolist()])
+            even = [np.array_equal(v[r, c], v[:, c]) for c in range(len(w))]
+            odd = [np.array_equal(v[r, c], -v[:, c]) for c in range(len(w))]
+            assert all(e != o for e, o in zip(even, odd)), label
+            assert 2 * sum(even) == len(w) + np.count_nonzero(r == np.arange(len(w))), label
+            if 2 * k > n:  # block n - k's levels, and its columns with the rows reversed
                 assert w is levels[n - k][1], label
-                assert np.shares_memory(v, _unit_vectors(n, n - k)), label
+                assert np.array_equal(v, all_columns(n, n - k)[::-1]), label
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_pieces_are_the_block_in_a_symmetric_basis(self, n):
+        # each piece's basis vectors u(i) e_a(i) are orthonormal and the block
+        # maps their span into itself; together the pieces span the block
+        _, blocks, _ = _unit_spectrum(n)
+        for k, (pieces, _, _) in blocks.items():
+            configs, rows, columns = _hops(n, k)
+            _, block = popcount_block(n, k, ANTIFERRO)
+            bases = []
+            for a, u in pieces:
+                basis = np.zeros((len(configs), a.max() + 1))
+                basis[np.arange(len(configs)), a] = u
+                piece = _piece_matrix(a, u, rows, columns)
+                label = f"n={n} k={k} dim={len(piece)}"
+                assert np.abs(basis.T @ basis - np.eye(len(piece))).max() <= 1e-12, label
+                assert np.abs(block @ basis - basis @ piece).max() <= 1e-12, label
+                bases.append(basis)
+            span = np.hstack(bases)
+            assert span.shape == block.shape
+            assert np.abs(span.T @ span - np.eye(len(span))).max() <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
-    def test_half_filled_block_from_its_two_halves(self, n):
+    def test_half_filled_block_from_its_four_pieces(self, n):
         configs, w = _unit_spectrum(n)[0][n // 2]
-        v = _unit_vectors(n, n // 2)
-        # the unsplit block, which test_popcount_block_is_the_literal_block
+        v = all_columns(n, n // 2)
+        # the dense block, which test_popcount_block_is_the_literal_block
         # pins to the literal matrix
-        _, block = _popcount_block(n, n // 2, ANTIFERRO)
+        _, block = popcount_block(n, n // 2, ANTIFERRO)
         assert np.abs(block @ v - v * w).max() <= 1e-12
         assert np.abs(v.T @ v - np.eye(len(w))).max() <= 1e-12
         assert np.all(np.diff(w) >= 0)
         assert np.abs(w - np.linalg.eigvalsh(block)).max() <= 1e-12
-        # each column is [x; +-x[::-1]] / sqrt(2), half of them of each sign
+        # spin inversion reverses the rows: each column is exactly even or odd
+        # under it, half of them of each sign
         even = [np.array_equal(v[::-1, c], v[:, c]) for c in range(len(w))]
         odd = [np.array_equal(v[::-1, c], -v[:, c]) for c in range(len(w))]
         assert all(e != o for e, o in zip(even, odd))
         assert sum(even) == sum(odd) == len(w) // 2
+
+    def test_rings_with_one_bond_or_none(self):
+        # n = 1 has no bond, so no hop; n = 2 lists its one bond twice
+        for k in (0, 1):
+            configs, rows, columns = _hops(1, k)
+            assert configs.tolist() == [k] and rows.size == columns.size == 0
+        assert [w.tolist() for _, w in _unit_spectrum(1)[0]] == [[0.0], [0.0]]
+        configs, rows, columns = _hops(2, 1)
+        assert configs.tolist() == [1, 2]
+        assert sorted(zip(rows.tolist(), columns.tolist())) == [(0, 1)] * 2 + [(1, 0)] * 2
+        levels, blocks, _ = _unit_spectrum(2)
+        np.testing.assert_allclose(levels[1][1], [-2.0, 2.0], rtol=0, atol=1e-12)
+        assert [len(pieces) for pieces, _, _ in blocks.values()] == [1, 2]
 
     @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["-1.0", "1.0"])
     def test_level_scan_solves_each_block_once(self, solves, coupling):
@@ -258,11 +359,13 @@ class TestUnitSpectrum:
         full_diagonalize(8, coupling)
         solves.clear()
         eigenvector_concurrence_scan(8, coupling)
-        # every level is read: the eigenvectors of blocks k < 4, on first read
-        assert sorted(block_solves(solves)) == [("eigh", comb(8, k)) for k in range(4)]
+        # every level is read: the pieces of blocks k < 4, on first read
+        assert sorted(block_solves(solves)) == sorted(
+            ("eigh", dim) for k in range(4) for dim in piece_dimensions(8, k))
         solves.clear()
         scan = eigenvector_concurrence_scan(8, coupling)
-        assert solves == [("eigh", 4)] * len(scan.rows)  # pair densities only
+        assert block_solves(solves) == []
+        assert pair_solves(solves) == len(solves) == len(scan.rows)  # pair densities only
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     @pytest.mark.parametrize("b", [1.0, 2.0, 5.0])
@@ -275,16 +378,22 @@ class TestUnitSpectrum:
         # the field moves the ground level out of block n // 2 and its mirror
         read = {min(k, n - k) for k in report.ground_sectors}
         assert n // 2 not in read, report.ground_sectors
-        assert sorted(block_solves(solves)) == [("eigh", comb(n, k)) for k in sorted(read)]
+        assert sorted(block_solves(solves)) == sorted(
+            ("eigh", dim) for k in read for dim in piece_dimensions(n, k))
         solves.clear()
         full_diagonalize(n, coupling, FieldSetting(b))
         assert block_solves(solves) == []
         assert compare_with_pipeline(n, coupling, FieldSetting(b)).ok
 
     def test_arrays_are_read_only(self):
-        levels, _ = _unit_spectrum(5)
+        levels, blocks, vectors = _unit_spectrum(5)
+        columns = [all_columns(5, k) for k in range(6)]  # solves every block
         arrays = [array for block in levels for array in block]
-        for array in arrays + [_unit_vectors(5, k) for k in range(6)]:
+        for pieces, piece, local in blocks.values():
+            arrays += [piece, local] + [array for pair in pieces for array in pair]
+        arrays += [x for pieces in vectors.values() for x in pieces]
+        assert sorted(vectors) == [0, 1, 2] and len(columns) == 6
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0
 
