@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from xxring import (Coupling, build_momentum_block, enumerate_sector, eigh,
-                    ground_manifold, translation_orbits)
+from xxring import Coupling, build_momentum_block, enumerate_sector, eigh, ground_manifold
+from xxring.basis import rotation_order
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -27,10 +27,11 @@ for n in (8, 12, 15):
 print()
 print("=== the 4-site ring, by hand-sized pieces ===")
 basis = enumerate_sector(4, 2)
-orbits = translation_orbits(basis)
-for orbit in orbits:
-    members = ", ".join(f"{c:04b}" for c in orbit.members)
-    print(f"orbit of {orbit.representative:04b}: period {orbit.period} ({members})")
+# rotation_order lists the orbits' members run by run, each run in rotation order
+runs = np.split(basis.bits[rotation_order(basis)], np.cumsum(basis.period)[:-1])
+for rep, members in zip(basis.reps.tolist(), runs):
+    listed = ", ".join(f"{c:04b}" for c in members.tolist())
+    print(f"orbit of {rep:04b}: period {len(members)} ({listed})")
 for m in range(4):
     block = build_momentum_block(basis, m, Coupling(-1.0))
     print(f"momentum m={m}: dimension {block.dim}, "

@@ -9,10 +9,10 @@ probability reports, a full 2^n brute-force cross-check, and size sweeps
 with a 1/n extrapolation of the nearest-pair concurrence.
 """
 
-from .basis import enumerate_sector, translation_orbits
+from .basis import enumerate_sector
 from .concurrence import (concurrence_wootters, ground_concurrence, manifold_pair_density,
                           state_concurrence)
-from .hamiltonian import Coupling, FieldSetting, build_momentum_block, hop_table
+from .hamiltonian import Coupling, FieldSetting, build_momentum_block
 from .polarization import lp_table
 from .spectra import SectorState, eigh, ground_manifold
 from .sweeps import extrapolate, sweep
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coupling", "FieldSetting", "SectorState",
-    "enumerate_sector", "translation_orbits", "build_momentum_block", "hop_table",
+    "enumerate_sector", "build_momentum_block",
     "eigh", "ground_manifold",
     "concurrence_wootters", "state_concurrence", "ground_concurrence",
     "manifold_pair_density", "lp_table",

@@ -3,8 +3,8 @@
 A configuration of n spin-1/2 sites is stored as an integer bitmask: bit i
 set means the spin at site i points up (sites 0..n-1, bits above n-1 must be
 zero).  The Hamiltonian conserves the number of up spins, so almost all work
-happens inside a fixed-magnetization sector: the list of all C(n, k) masks
-with popcount k, ordered by integer value.
+happens inside a fixed-magnetization sector: one int64 array of all C(n, k)
+masks with popcount k, ordered by integer value.
 
 Ring translations partition a sector into orbits.  T^t is the rotation
 that moves the spin at site i to site (i + t) mod n, and R the reflection
@@ -18,7 +18,9 @@ minimal rotation; per orbit, the representative, the period and the orbit
 that R maps it onto (``mirror``); and the table of bond swaps between
 representatives (``hop_table``).  Momentum blocks, lifted amplitudes and
 orbit-probability tables all read these arrays instead of rotating
-configurations again.  An orbit and its mirror form one dihedral class.
+configurations again; no orbit is kept as an object, and ``rotation_order``
+lists each orbit's members in turn.  An orbit and its mirror form one
+dihedral class.
 """
 
 from __future__ import annotations
@@ -51,11 +53,11 @@ def config_label(bits: int, n: int) -> str:
 class SectorBasis:
     """All configurations with ``k`` up spins on ``n`` sites, ascending, and their orbits.
 
-    ``configs`` holds the configurations as Python ints and ``bits`` the same
-    values as an int64 array.  ``orbit[i]`` is the translation orbit of
-    ``configs[i]``, orbits numbered by ascending representative, and
-    ``shift[i]`` the shift t with T^t(reps[orbit[i]]) == configs[i], where
-    t = n - u (mod n) for the first u at which T^u(configs[i]) is minimal.
+    ``bits`` holds the configurations as an int64 array.  ``orbit[i]`` is
+    the translation orbit of ``bits[i]``, orbits numbered by ascending
+    representative, and ``shift[i]`` the shift t with
+    T^t(reps[orbit[i]]) == bits[i], where t = n - u (mod n) for the first u
+    at which T^u(bits[i]) is minimal.
     ``reps`` and ``period`` give each orbit's representative and period,
     ``mirror[a]`` the orbit that contains the reflection R(reps[a]) (equal
     to ``a`` for an orbit that R maps onto itself), and ``hops`` is the
@@ -64,7 +66,6 @@ class SectorBasis:
 
     n: int
     k: int
-    configs: tuple[int, ...]
     bits: np.ndarray = field(repr=False)
     orbit: np.ndarray = field(repr=False)
     shift: np.ndarray = field(repr=False)
@@ -75,7 +76,7 @@ class SectorBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.configs)
+        return len(self.bits)
 
 
 def check_ring_size(n: int) -> None:
@@ -118,8 +119,8 @@ def enumerate_sector(n: int, k: int, /) -> SectorBasis:
     shift = (n - rotations.argmin(axis=1)) % n
     mirrored = sum(((reps >> i) & 1) << (-i % n) for i in range(n))
     mirror = orbit[np.searchsorted(bits, mirrored)]
-    basis = SectorBasis(n=n, k=k, configs=tuple(bits.tolist()), bits=bits, orbit=orbit,
-                        shift=shift, reps=reps, period=period, mirror=mirror, hops=None)
+    basis = SectorBasis(n=n, k=k, bits=bits, orbit=orbit, shift=shift, reps=reps,
+                        period=period, mirror=mirror, hops=None)
     basis = replace(basis, hops=hop_table(basis))
     for array in (bits, orbit, shift, reps, period, mirror, basis.hops):
         array.flags.writeable = False
@@ -150,27 +151,9 @@ def hop_table(basis: SectorBasis) -> np.ndarray:
     return np.column_stack([a, b, basis.shift[swapped], np.sqrt(period[a] / period[b])])
 
 
-@dataclass(frozen=True)
-class TranslationOrbit:
-    """One translation orbit: ``members[t]`` is T^t(representative)."""
-
-    representative: int
-    period: int
-    members: tuple[int, ...]
-
-
 def rotation_order(basis: SectorBasis) -> np.ndarray:
     """Configuration indices sorted by orbit, then by shift modulo the period.
 
     Orbit a fills the a-th run of ``period[a]`` entries, in rotation order.
     """
     return np.lexsort((basis.shift % basis.period[basis.orbit], basis.orbit))
-
-
-def translation_orbits(basis: SectorBasis) -> list[TranslationOrbit]:
-    """The sector's orbits, representatives ascending, members in ``rotation_order``."""
-    ordered = basis.bits[rotation_order(basis)].tolist()
-    starts = np.concatenate(([0], np.cumsum(basis.period))).tolist()
-    return [TranslationOrbit(representative=ordered[a], period=b - a,
-                             members=tuple(ordered[a:b]))
-            for a, b in zip(starts, starts[1:])]

@@ -113,12 +113,12 @@ def _render(document: dict, fmt: str) -> str:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """Accept '7' or '2..9'."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
+    """Accept '7' or '2..9'; refuse anything else in terms of the option."""
+    try:
+        lo, hi = text.split("..", 1) if ".." in text else (text, text)
         return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    except ValueError:
+        raise ValueError(f"--n must be N or N..M in whole numbers, got {text!r}") from None
 
 
 def _pair_arg(args, n: int) -> tuple[int, int]:

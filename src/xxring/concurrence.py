@@ -3,8 +3,10 @@
 ``pair_density`` partial-traces a mixture of sector states down to one pair
 of sites, in the basis (up-up, up-down, down-up, down-down).  States from a
 fixed-magnetization sector reduce to an X-form matrix: a diagonal
-(u+, w1, w2, u-) plus a single coherence z between up-down and down-up, for
-which the concurrence has the closed form 2*max(0, |z| - sqrt(u+ * u-)).
+(u+, w1, w2, u-) plus a single coherence z = matrix[1, 2] between up-down and
+down-up, for which the concurrence has the closed form
+2*max(0, |z| - sqrt(u+ * u-)).  ``PairDensity`` keeps only the matrix and its
+spectrum; these entries are read from ``matrix`` directly.
 Every value comes from the general Wootters route (square roots of the
 eigenvalues of rho*rho~, spin-flipped rho~); the X-form closed form is a
 test reference (``tests/reference.py``) that must agree with it.
@@ -63,13 +65,6 @@ class PairDensity:
         for array in (values, vectors):
             array.flags.writeable = False
         object.__setattr__(self, "spectrum", (values, vectors))
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().real
-
-    def coherence(self) -> complex:
-        """The up-down / down-up off-diagonal element."""
-        return complex(self.matrix[1, 2])
 
 
 def _reduce_pure(state: SectorState, p: int, q: int) -> np.ndarray:

@@ -19,10 +19,9 @@ offset -b*(k - n/2) and never as a matrix term.  A block reads its orbits
 and hops from the sector's ``SectorBasis``, which ``enumerate_sector`` builds
 once per process and shares read-only, so every block of a sector, at every
 J, uses the same orbit arrays and hop table.  ``ring_bonds`` and
-``hop_table`` live in ``basis`` (neither depends on J) and are re-exported
-here.  Only momentum blocks are built; the dense sector matrix and the
-matrix-free product that cross-check them are test references
-(``tests/reference.py``).
+``hop_table`` live in ``basis``, since neither depends on J.  Only momentum
+blocks are built; the dense sector matrix and the matrix-free product that
+cross-check them are test references (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, hop_table, ring_bonds  # noqa: F401 (both re-exported)
+from .basis import SectorBasis
 
 
 @dataclass(frozen=True)

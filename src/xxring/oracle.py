@@ -52,8 +52,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .basis import ring_bonds
 from .concurrence import PairDensity, concurrence_wootters, manifold_pair_density
-from .hamiltonian import Coupling, FieldSetting, ring_bonds, sector_energy_offset
+from .hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from .spectra import DEGENERACY_RTOL, ground_manifold
 
 FULL_DIAGONALIZE_CAP = 14
@@ -269,8 +270,6 @@ def _mixture_pair_density(vectors: np.ndarray, n: int, pair: tuple[int, int]) ->
     axes of sites p and q move to the front, reversed so that up (bit 1)
     comes first, which gives the (uu, ud, du, dd) order.
     """
-    if n < 2:
-        raise ValueError("pairwise concurrence needs at least two sites")
     p, q = pair
     d = vectors.shape[1]
     amps = np.moveaxis(vectors.T.reshape((d,) + (2,) * n), (n - p, n - q), (0, 1))
@@ -375,7 +374,7 @@ def compare_with_pipeline(n: int, coupling: Coupling,
     d = manifold.degeneracy
     pipeline_probs = np.zeros(1 << n)
     for state in manifold.states:
-        pipeline_probs[list(state.basis.configs)] += np.abs(state.amplitudes) ** 2 / d
+        pipeline_probs[state.basis.bits] += np.abs(state.amplitudes) ** 2 / d
 
     return PipelineAgreement(
         n=n,

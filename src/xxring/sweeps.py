@@ -2,9 +2,10 @@
 
 The even and odd rings behave differently (unique versus degenerate ground
 level, decreasing versus increasing concurrence), so sweeps filter by parity
-and the 1/n extrapolation never mixes parities.  The fit model is fixed to
-second order, C(n) = C_inf + a/n + b/n^2; with the five or six sizes a ring
-of 15 sites allows, higher orders would only fit noise.
+and the 1/n extrapolation never mixes parities.  Each size is solved at
+J = -1 (ferro) or J = +1 (antiferro) and zero field.  The fit model is fixed
+to second order, C(n) = C_inf + a/n + b/n^2; with the five or six sizes a
+ring of 15 sites allows, higher orders would only fit noise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import concurrence_wootters, manifold_pair_density
-from .hamiltonian import Coupling, FieldSetting
+from .hamiltonian import Coupling
 from .spectra import DEGENERACY_RTOL, ground_manifold
 
 SWEEP_CAP = 15
@@ -34,11 +35,10 @@ class SweepRow:
     seconds: float
 
 
-def _one_row(n: int, regime: str, distance: int, strength: float,
-             field: FieldSetting, tol: float) -> SweepRow:
+def _one_row(n: int, regime: str, distance: int, tol: float) -> SweepRow:
     started = time.perf_counter()
-    coupling = Coupling(j=REGIME_COUPLING[regime] * strength)
-    manifold = ground_manifold(n, coupling, field, tol=tol)
+    coupling = Coupling(j=REGIME_COUPLING[regime])
+    manifold = ground_manifold(n, coupling, tol=tol)
     pair = (0, distance % n)
     value = concurrence_wootters(manifold_pair_density(manifold, pair)).value
     return SweepRow(n=n, regime=regime, distance=distance, concurrence=value,
@@ -47,14 +47,12 @@ def _one_row(n: int, regime: str, distance: int, strength: float,
 
 
 def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
-          distance: int = 1, strength: float = 1.0,
-          field: FieldSetting = FieldSetting(),
-          tol: float = DEGENERACY_RTOL) -> list[SweepRow]:
+          distance: int = 1, tol: float = DEGENERACY_RTOL) -> list[SweepRow]:
     """One concurrence row per ring size in [n_min, n_max].
 
     Sizes of the other parity and sizes not above ``distance`` are skipped;
-    a range that keeps no size is refused.  ``strength`` scales |J| and must
-    be positive and finite: the regime alone sets the sign of J.
+    a range that keeps no size is refused.  The regime sets J = -1 or +1,
+    at zero field.
     """
     if regime not in REGIME_COUPLING:
         raise ValueError(f"regime must be one of {sorted(REGIME_COUPLING)}")
@@ -64,8 +62,6 @@ def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
         raise ValueError(f"sweep range must satisfy 2 <= n_min <= n_max <= {SWEEP_CAP}")
     if distance < 1:
         raise ValueError("pair distance must be at least 1")
-    if not (np.isfinite(strength) and strength > 0):  # its sign would flip the regime
-        raise ValueError(f"strength must be positive and finite, got {strength}")
     sizes = [n for n in range(n_min, n_max + 1)
              if parity == "all" or n % 2 == (0 if parity == "even" else 1)]
     if not sizes:
@@ -73,7 +69,7 @@ def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
     sizes = [n for n in sizes if distance < n]
     if not sizes:
         raise ValueError(f"no ring size in {n_min}..{n_max} exceeds --distance {distance}")
-    return [_one_row(n, regime, distance, strength, field, tol) for n in sizes]
+    return [_one_row(n, regime, distance, tol) for n in sizes]
 
 
 @dataclass(frozen=True)

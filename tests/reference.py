@@ -2,20 +2,22 @@
 
 Each one works on single configurations, Python loops or dense matrices
 and shares no code with the array paths it cross-checks: rotations and
-reflections of one bitmask, the dihedral classes of a sector's orbits, a
-configuration's position in its sector, the dense sector Hamiltonian with a
-matrix-free product, the dense 2^n Hamiltonian and its dense popcount
-blocks, and the X-form concurrence.
+reflections of one bitmask, a sector's translation orbits found by walking
+unseen rotations (the library keeps orbits only as arrays), the dihedral
+classes of those orbits, a configuration's position in its sector, the dense
+sector Hamiltonian with a matrix-free product, the dense 2^n Hamiltonian and
+its dense popcount blocks, and the X-form concurrence.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from xxring.basis import SectorBasis, TranslationOrbit, ring_bonds
+from xxring.basis import SectorBasis, ring_bonds
 from xxring.concurrence import PairDensity
 from xxring.hamiltonian import Coupling
 from xxring.oracle import FULL_DIAGONALIZE_CAP
@@ -55,6 +57,35 @@ def orbit_representative(bits: int, n: int) -> tuple[int, int]:
     return rep, (n - shift) % n
 
 
+class Orbit(NamedTuple):
+    """One translation orbit: ``members[t]`` is ``rotate(representative, t, n)``."""
+
+    representative: int
+    period: int
+    members: tuple[int, ...]
+
+
+def set_walk_orbits(n: int, k: int) -> list[Orbit]:
+    """Translation orbits of the k-up sector by walking unseen rotations.
+
+    Orbits come in ascending order of their least member, the representative.
+    """
+    mask = (1 << n) - 1
+    seen, orbits = set(), []
+    for c in sorted(c for c in range(1 << n) if bin(c).count("1") == k):
+        if c in seen:
+            continue
+        members = []
+        for t in range(n):
+            x = ((c << t) | (c >> (n - t))) & mask
+            if x in seen:
+                break
+            seen.add(x)
+            members.append(x)
+        orbits.append(Orbit(c, len(members), tuple(members)))
+    return orbits
+
+
 def dihedral_representative(bits: int, n: int) -> int:
     """Minimal configuration over all rotations and reflections."""
     rep, _ = orbit_representative(bits, n)
@@ -67,12 +98,12 @@ class DihedralClass:
     """Translation orbits joined by ring reflection (one or two of them)."""
 
     canonical: int
-    orbits: tuple[TranslationOrbit, ...]
+    orbits: tuple[Orbit, ...]
 
 
-def dihedral_classes(orbits: list[TranslationOrbit], n: int) -> list[DihedralClass]:
+def dihedral_classes(orbits: list[Orbit], n: int) -> list[DihedralClass]:
     """Group orbits whose members map onto each other under reflection."""
-    groups: dict[int, list[TranslationOrbit]] = {}
+    groups: dict[int, list[Orbit]] = {}
     for orb in orbits:
         key = dihedral_representative(orb.representative, n)
         groups.setdefault(key, []).append(orb)
@@ -84,9 +115,9 @@ def dihedral_classes(orbits: list[TranslationOrbit], n: int) -> list[DihedralCla
 
 
 def index_of(basis: SectorBasis, bits: int) -> int:
-    """Position of ``bits`` in ``basis.configs``; KeyError if it is not in the sector."""
-    i = bisect_left(basis.configs, bits)
-    if i == len(basis.configs) or basis.configs[i] != bits:
+    """Position of ``bits`` in ``basis.bits``; KeyError if it is not in the sector."""
+    i = bisect_left(basis.bits, bits)
+    if i == basis.dim or basis.bits[i] != bits:
         raise KeyError(bits)
     return i
 
@@ -95,7 +126,7 @@ def build_sector_hamiltonian(basis: SectorBasis, coupling: Coupling) -> np.ndarr
     """Dense real-symmetric Hamiltonian of one magnetization sector."""
     n = basis.n
     h = np.zeros((basis.dim, basis.dim))
-    for a, c in enumerate(basis.configs):
+    for a, c in enumerate(basis.bits.tolist()):
         for i, j in ring_bonds(n):
             if ((c >> i) & 1) != ((c >> j) & 1):
                 h[index_of(basis, c ^ ((1 << i) | (1 << j))), a] += coupling.j
@@ -108,7 +139,7 @@ def apply_hamiltonian(basis: SectorBasis, coupling: Coupling, v: np.ndarray) -> 
     if v.shape != (basis.dim,):
         raise ValueError(f"state has length {v.shape}, sector dimension is {basis.dim}")
     out = np.zeros(basis.dim, dtype=np.result_type(v, float))
-    for a, c in enumerate(basis.configs):
+    for a, c in enumerate(basis.bits.tolist()):
         if v[a] == 0:
             continue
         for i, j in ring_bonds(basis.n):
@@ -149,6 +180,6 @@ def concurrence_xstate(rho: PairDensity) -> float:
     off[1, 2] = off[2, 1] = 0.0
     if np.abs(off).max() > X_OFFDIAG_TOL:
         raise ValueError("pair density is not in X form (stray off-diagonals)")
-    d = rho.diagonal()
+    d = rho.matrix.diagonal().real
     u_plus, u_minus = max(d[0], 0.0), max(d[3], 0.0)
-    return 2.0 * max(0.0, abs(rho.coherence()) - np.sqrt(u_plus * u_minus))
+    return 2.0 * max(0.0, abs(rho.matrix[1, 2]) - np.sqrt(u_plus * u_minus))

@@ -21,10 +21,10 @@ import warnings
 import numpy as np
 import pytest
 
-from xxring.basis import enumerate_sector, translation_orbits
+from xxring.basis import enumerate_sector
 from xxring.concurrence import (concurrence_wootters, ground_concurrence,
                                 manifold_pair_density, pair_density, state_concurrence)
-from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block, hop_table
+from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block
 from xxring.oracle import compare_with_pipeline, eigenvector_concurrence_scan
 from xxring.polarization import lp_table
 from xxring.spectra import SectorState, ground_manifold

@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from xxring.basis import (RING_CAP, config_label, enumerate_sector, translation_orbits,
-                          up_sites)
+from xxring.basis import RING_CAP, config_label, enumerate_sector, rotation_order, up_sites
 
 from reference import (dihedral_representative, index_of, orbit_representative, reflect,
-                       rotate)
+                       rotate, set_walk_orbits)
 
 
 def bits_of(sites):
@@ -20,12 +19,12 @@ def bits_of(sites):
 class TestSectorEnumeration:
     def test_small_sector_is_ascending_and_complete(self):
         basis = enumerate_sector(4, 2)
-        assert basis.configs == (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)
-        assert [index_of(basis, c) for c in basis.configs] == list(range(6))
+        assert basis.bits.tolist() == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
+        assert [index_of(basis, c) for c in basis.bits.tolist()] == list(range(6))
 
     def test_sector_sizes_are_binomial(self):
         assert enumerate_sector(15, 7).dim == 6435
-        assert enumerate_sector(3, 0).configs == (0,)
+        assert enumerate_sector(3, 0).bits.tolist() == [0]
         for n in range(1, 9):
             for k in range(n + 1):
                 assert enumerate_sector(n, k).dim == math.comb(n, k)
@@ -46,8 +45,8 @@ class TestSectorEnumeration:
             expected = sorted(sum(1 << i for i in sites)
                               for sites in itertools.combinations(range(n), k))
             basis = enumerate_sector(n, k)
-            assert basis.configs == tuple(expected)
-            assert all(type(c) is int for c in basis.configs)
+            assert basis.bits.tolist() == expected
+            assert basis.bits.dtype == np.int64 and basis.dim == len(expected)
 
     def test_one_sector_object_per_process(self):
         assert enumerate_sector(7, 3) is enumerate_sector(7, 3)
@@ -62,7 +61,7 @@ class TestSectorEnumeration:
     def test_membership(self):
         basis = enumerate_sector(5, 2)
         assert index_of(basis, 0b00011) == 0
-        for outside in (0b00111, 0, basis.configs[-1] + 1):
+        for outside in (0b00111, 0, int(basis.bits[-1]) + 1):
             with pytest.raises(KeyError):
                 index_of(basis, outside)
 
@@ -75,28 +74,16 @@ def first_minimal_rotation(c, n):
     return rotations[first], (n - first) % n
 
 
-def set_walk_orbits(n, k):
-    """Translation orbits of the k-up sector by walking unseen rotations."""
-    mask = (1 << n) - 1
-    seen, orbits = set(), []
-    for c in sorted(c for c in range(1 << n) if bin(c).count("1") == k):
-        if c in seen:
-            continue
-        members = []
-        for t in range(n):
-            x = ((c << t) | (c >> (n - t))) & mask
-            if x in seen:
-                break
-            seen.add(x)
-            members.append(x)
-        orbits.append((c, len(members), tuple(members)))
-    return orbits
+def orbit_runs(basis):
+    """Each orbit's members as a list, read through ``rotation_order``."""
+    runs = np.split(basis.bits[rotation_order(basis)], np.cumsum(basis.period)[:-1])
+    return [run.tolist() for run in runs]
 
 
 class TestOrbitMap:
     def test_arrays_mirror_configs_and_are_read_only(self):
         basis = enumerate_sector(6, 3)
-        assert basis.bits.tolist() == list(basis.configs)
+        assert basis.dim == len(basis.bits) == 20
         for array in (basis.bits, basis.orbit, basis.shift):
             assert array.dtype == np.int64 and array.shape == (basis.dim,)
             with pytest.raises(ValueError):
@@ -109,10 +96,10 @@ class TestOrbitMap:
                 getattr(basis, name)[0] = 1
 
     @pytest.mark.parametrize("n", range(1, 15))
-    def test_reps_and_period_equal_translation_orbits(self, n):
+    def test_reps_and_period_equal_the_set_walk(self, n):
         for k in range(n + 1):
             basis = enumerate_sector(n, k)
-            orbits = translation_orbits(basis)
+            orbits = set_walk_orbits(n, k)
             assert basis.reps.tolist() == [o.representative for o in orbits]
             assert basis.period.tolist() == [o.period for o in orbits]
 
@@ -120,21 +107,20 @@ class TestOrbitMap:
         for n in range(1, 13):
             for k in range(n + 1):
                 basis = enumerate_sector(n, k)
-                firsts = [first_minimal_rotation(c, n) for c in basis.configs]
+                firsts = [first_minimal_rotation(c, n) for c in basis.bits.tolist()]
                 reps = sorted({rep for rep, _ in firsts})
                 assert basis.orbit.tolist() == [reps.index(rep) for rep, _ in firsts]
                 assert basis.shift.tolist() == [shift for _, shift in firsts]
-                for c, expected in zip(basis.configs, firsts):
+                for c, expected in zip(basis.bits.tolist(), firsts):
                     assert orbit_representative(c, n) == expected
 
-    def test_translation_orbits_equal_the_set_walk(self):
+    def test_rotation_order_equals_the_set_walk(self):
         for n in range(1, 15):
             for k in range(n + 1):
-                orbits = translation_orbits(enumerate_sector(n, k))
-                assert [(o.representative, o.period, o.members)
-                        for o in orbits] == set_walk_orbits(n, k)
-                assert all(type(c) is int for o in orbits for c in o.members)
-                assert all(type(o.representative) is int for o in orbits)
+                basis = enumerate_sector(n, k)
+                assert [(rep, len(run), tuple(run))
+                        for rep, run in zip(basis.reps.tolist(), orbit_runs(basis))
+                        ] == set_walk_orbits(n, k)
 
 
 class TestRotate:
@@ -153,8 +139,8 @@ class TestRotate:
             for k in range(n + 1):
                 basis = enumerate_sector(n, k)
                 for t in range(n):
-                    image = {rotate(c, t, n) for c in basis.configs}
-                    assert image == set(basis.configs)
+                    image = {rotate(c, t, n) for c in basis.bits.tolist()}
+                    assert image == set(basis.bits.tolist())
         assert all(rotate(c, 3, 8).bit_count() == c.bit_count() for c in range(256))
 
 
@@ -182,38 +168,36 @@ class TestReflect:
 
 class TestTranslationOrbits:
     def test_four_site_half_filling(self):
-        orbits = translation_orbits(enumerate_sector(4, 2))
-        assert sorted(o.period for o in orbits) == [2, 4]
-        assert {o.representative for o in orbits} == {0b0011, 0b0101}
+        basis = enumerate_sector(4, 2)
+        assert sorted(basis.period.tolist()) == [2, 4]
+        assert set(basis.reps.tolist()) == {0b0011, 0b0101}
 
     def test_six_site_periods(self):
-        orbits = translation_orbits(enumerate_sector(6, 3))
-        assert sorted(o.period for o in orbits) == [2, 6, 6, 6]
+        assert sorted(enumerate_sector(6, 3).period.tolist()) == [2, 6, 6, 6]
 
     def test_fifteen_site_count(self):
-        orbits = translation_orbits(enumerate_sector(15, 7))
-        assert len(orbits) == 429
-        assert all(o.period == 15 for o in orbits)
+        basis = enumerate_sector(15, 7)
+        assert len(basis.reps) == 429
+        assert (basis.period == 15).all()
 
     def test_orbits_partition_every_sector(self):
         for n in range(1, 13):
             for k in range(n + 1):
                 basis = enumerate_sector(n, k)
-                orbits = translation_orbits(basis)
-                assert sum(o.period for o in orbits) == basis.dim
-                members = [c for o in orbits for c in o.members]
-                assert sorted(members) == list(basis.configs)
-                for o in orbits:
-                    assert n % o.period == 0
-                    assert o.representative == min(o.members)
-                    assert o.members == tuple(rotate(o.representative, t, n)
-                                              for t in range(o.period))
+                assert basis.period.sum() == basis.dim
+                order = rotation_order(basis)
+                assert sorted(order.tolist()) == list(range(basis.dim))
+                assert np.all(np.diff(basis.reps) > 0)
+                for rep, period, run in zip(basis.reps.tolist(), basis.period.tolist(),
+                                            orbit_runs(basis)):
+                    assert n % period == 0 and len(run) == period
+                    assert rep == min(run)
+                    assert run == [rotate(rep, t, n) for t in range(period)]
 
     @pytest.mark.parametrize("n", [3, 5, 7, 11, 13])
     def test_prime_rings_have_full_orbits(self, n):
         for k in range(1, n):
-            assert all(o.period == n
-                       for o in translation_orbits(enumerate_sector(n, k)))
+            assert (enumerate_sector(n, k).period == n).all()
 
     def test_representative_shift_inverts(self):
         for n in (4, 6, 7):
@@ -256,7 +240,7 @@ class TestDihedralClasses:
         n = 8
         basis = enumerate_sector(n, 4)
         for a in range(len(basis.reps)):
-            members = {c for c, o in zip(basis.configs, basis.orbit)
+            members = {c for c, o in zip(basis.bits.tolist(), basis.orbit)
                        if o in (a, basis.mirror[a])}
             assert {reflect(c, n) for c in members} == members
 
@@ -268,7 +252,7 @@ class TestDihedralClasses:
         def key_of(c):
             return key[basis.orbit[index_of(basis, c)]]
 
-        for c in basis.configs:
+        for c in basis.bits.tolist():
             for t in range(n):
                 assert key_of(rotate(c, t, n)) == key_of(c)
                 assert key_of(rotate(reflect(c, n), t, n)) == key_of(c)

@@ -277,6 +277,21 @@ class TestExitCodes:
         assert cli.run(["sweep", "--n", "junk"]) == 2
         assert cli.run(["ground", "--n", "25"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "4..x"],
+        ["extrapolate", "--n", "x..9"],
+        ["verify", "--n", "3..2..5"],
+        ["verify", "--n", ".."],
+        ["sweep", "--n", "junk"],
+        ["sweep", "--n", "4.5"],
+    ])
+    def test_refuses_malformed_size_range(self, capsys, argv):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("xxring: error: --n must be N or N..M in whole numbers, "
+                                f"got {argv[2]!r}\n")
+
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
         assert "1-based" in capsys.readouterr().out

@@ -40,9 +40,9 @@ class TestPairDensity:
 
     def test_mixture_of_w3_and_flipped_w3(self):
         rho = pair_density([(0.5, w_state(3)), (0.5, flipped_w_state(3))], (0, 1))
-        diag = rho.diagonal()
+        diag = rho.matrix.diagonal()
         np.testing.assert_allclose([diag[0], diag[3]], [1 / 6, 1 / 6], atol=1e-12)
-        np.testing.assert_allclose(rho.coherence(), 1 / 3, atol=1e-12)
+        np.testing.assert_allclose(rho.matrix[1, 2], 1 / 3, atol=1e-12)
 
     def test_product_state_all_up(self):
         state = SectorState(basis=enumerate_sector(4, 4), amplitudes=np.ones(1))
@@ -95,7 +95,7 @@ class TestPairDensity:
 def reference_reduction(state, p, q):
     """Partial trace onto (p, q) as a per-group sum of outer products."""
     groups = {}
-    for c, amp in zip(state.basis.configs, state.amplitudes):
+    for c, amp in zip(state.basis.bits.tolist(), state.amplitudes):
         rest = c & ~((1 << p) | (1 << q))
         vec = groups.setdefault(rest, np.zeros(4, dtype=complex))
         vec[(1 - ((c >> p) & 1)) * 2 + (1 - ((c >> q) & 1))] += amp
@@ -138,8 +138,8 @@ class TestPairReductionReference:
     @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["ferro", "antiferro"])
     def test_border_x_states_have_zero_concurrence(self, n, distance, coherence, coupling):
         rho = manifold_pair_density(ground_manifold(n, coupling), (0, distance))
-        u_plus, u_minus = rho.diagonal()[[0, 3]]
-        np.testing.assert_allclose([abs(rho.coherence()), np.sqrt(u_plus * u_minus)],
+        u_plus, u_minus = rho.matrix.diagonal().real[[0, 3]]
+        np.testing.assert_allclose([abs(rho.matrix[1, 2]), np.sqrt(u_plus * u_minus)],
                                    [coherence, coherence], rtol=0, atol=1e-14)
         assert concurrence_wootters(rho).value < 1e-15
 

@@ -97,6 +97,16 @@ class TestFullHamiltonian:
     def test_spin_inversion_mirrors_the_popcount_blocks(self, n):
         # complementing the bits reverses the ascending configuration order,
         # so block n - k is block k with both axes reversed, entry for entry
+        if n > 12:  # dense blocks of 3432 x 3432 at n = 14: compare hop lists
+            for k in range(n // 2 + 1):
+                configs, rows, columns = _hops(n, k)
+                mirror_configs, mirror_rows, mirror_columns = _hops(n, n - k)
+                label = f"n={n} k={k}"
+                assert np.array_equal(mirror_configs, ((1 << n) - 1 - configs)[::-1]), label
+                d = len(configs)  # an entry is J times the hops (row, column), a multiset
+                assert np.array_equal(np.sort(mirror_rows * d + mirror_columns),
+                                      np.sort((d - 1 - rows) * d + (d - 1 - columns))), label
+            return
         literal = full_hamiltonian(n, ANTIFERRO) if n <= 8 else None
         for k in range(n // 2 + 1):
             configs, block = popcount_block(n, k, ANTIFERRO)
@@ -406,7 +416,7 @@ class TestPairReduction:
         amplitudes = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         amplitudes /= np.linalg.norm(amplitudes)
         column = np.zeros((1 << n, 1), dtype=complex)
-        column[list(basis.configs), 0] = amplitudes
+        column[basis.bits, 0] = amplitudes
         state = SectorState(basis=basis, amplitudes=amplitudes)
         for p in range(n):
             for q in range(p + 1, n):

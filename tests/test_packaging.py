@@ -1,4 +1,4 @@
-"""The package depends on numpy alone, at run time and in its metadata."""
+"""The package depends on numpy alone and exports only what its examples import."""
 
 import ast
 import os
@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import xxring
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "xxring"
@@ -35,3 +37,23 @@ def test_numpy_is_the_only_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [re.split(r"[\s<>=!~;\[]", dep)[0] for dep in project["dependencies"]] == ["numpy"]
+
+
+def quickstart_source():
+    """The README's quickstart: the first python block after its heading."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Library quickstart"):]
+    start = section.index("```python\n") + len("```python\n")
+    return section[start:section.index("```", start)]
+
+
+def test_top_level_exports_are_what_demos_and_quickstart_import():
+    sources = [path.read_text() for path in sorted((ROOT / "demos").glob("*.py"))]
+    sources.append(quickstart_source())
+    imported = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "xxring" and node.level == 0:
+                imported.update(alias.name for alias in node.names)
+    assert sorted(xxring.__all__) == sorted(imported | {"__version__"})
+    assert all(hasattr(xxring, name) for name in xxring.__all__)

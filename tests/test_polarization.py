@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from xxring.basis import enumerate_sector, translation_orbits
+from xxring.basis import enumerate_sector
 from xxring.hamiltonian import Coupling
 from xxring.polarization import clustering_score, lp_table, orbit_probabilities
 from xxring.spectra import ground_manifold
 
-from reference import dihedral_classes, index_of, reflect, rotate
+from reference import dihedral_classes, index_of, reflect, rotate, set_walk_orbits
 
 FERRO = Coupling(-1.0)
 
@@ -43,7 +43,7 @@ class TestClusteringScore:
 
     def test_symmetry_invariance(self):
         n = 8
-        for c in enumerate_sector(n, 3).configs:
+        for c in enumerate_sector(n, 3).bits.tolist():
             score = clustering_score(c, n)
             for t in range(n):
                 assert clustering_score(rotate(c, t, n), n) == pytest.approx(score)
@@ -115,9 +115,9 @@ class TestOrbitReports:
     @pytest.mark.parametrize("coupling", [FERRO, Coupling(1.0)], ids=["ferro", "antiferro"])
     def test_dihedral_class_ids_equal_the_scalar_classes(self, n, coupling):
         report = lp_table(n, coupling)
-        sector = enumerate_sector(n, report.k)
+        orbits = set_walk_orbits(n, report.k)
         expected = {orb.representative: cid
-                    for cid, cls in enumerate(dihedral_classes(translation_orbits(sector), n))
+                    for cid, cls in enumerate(dihedral_classes(orbits, n))
                     for orb in cls.orbits}
         assert {row.representative: row.dihedral_class for row in report.rows} == expected
         assert all(type(row.dihedral_class) is int for row in report.rows)

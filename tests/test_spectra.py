@@ -5,14 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from xxring.basis import enumerate_sector, translation_orbits
+from xxring.basis import enumerate_sector
 from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block
 import xxring.cli
 import xxring.spectra
-from xxring.spectra import (DEGENERACY_RTOL, GroundManifold, block_levels, eigh,
-                            ground_manifold, lift_block_vector)
+from xxring.spectra import DEGENERACY_RTOL, block_levels, eigh, ground_manifold, lift_block_vector
 
-from reference import apply_hamiltonian, build_sector_hamiltonian, index_of, rotate
+from reference import apply_hamiltonian, build_sector_hamiltonian, index_of, set_walk_orbits
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -68,7 +67,7 @@ class TestEigh:
 def loop_lift(block, v):
     """The lift as a literal loop over orbit members, one scalar product each."""
     basis, n = block.basis, block.basis.n
-    position = {c: i for i, c in enumerate(basis.configs)}
+    position = {c: i for i, c in enumerate(basis.bits.tolist())}
     phase = np.exp(-2j * np.pi * block.m * np.arange(n) / n)
     out = np.zeros(basis.dim, dtype=complex)
     for rep, period, amp in zip(basis.reps[block.orbits], basis.period[block.orbits], v):
@@ -99,7 +98,7 @@ class TestLiftBlockVector:
         spectrum = eigh(block.matrix)
         lifted = lift_block_vector(block, spectrum.vectors[:, 0])
         np.testing.assert_allclose(np.linalg.norm(lifted), 1.0, atol=1e-12)
-        by_config = dict(zip(basis.configs, lifted))
+        by_config = dict(zip(basis.bits.tolist(), lifted))
         for c in (0b0011, 0b0110, 0b1100, 0b1001):
             np.testing.assert_allclose(by_config[c], 1 / (2 * np.sqrt(2)), atol=1e-12)
         for c in (0b0101, 0b1010):
@@ -116,7 +115,7 @@ class TestLiftBlockVector:
     def test_orbit_constant_magnitudes(self):
         for n, k, m in [(6, 3, 0), (6, 3, 3), (8, 4, 2), (7, 3, 5)]:
             basis = enumerate_sector(n, k)
-            orbits = translation_orbits(basis)
+            orbits = set_walk_orbits(n, k)
             block = build_momentum_block(basis, m, FERRO)
             spectrum = eigh(block.matrix)
             for col in range(block.dim):
@@ -129,7 +128,7 @@ class TestLiftBlockVector:
 
     def test_six_site_orbit_weights(self):
         basis = enumerate_sector(6, 3)
-        orbits = translation_orbits(basis)
+        orbits = set_walk_orbits(6, 3)
         block = build_momentum_block(basis, 0, FERRO)
         spectrum = eigh(block.matrix)
         lifted = lift_block_vector(block, spectrum.vectors[:, 0])

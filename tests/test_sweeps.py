@@ -61,19 +61,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(4, 8, distance=0)
 
-    @pytest.mark.parametrize("strength", [-1.0, 0.0, np.nan, np.inf, -np.inf])
-    def test_refuses_strength_that_is_not_positive_and_finite(self, strength):
-        # a negative strength used to flip the sign of J: ferro rows were
-        # antiferromagnetic levels (degeneracy 4 at n = 5) labelled "ferro"
-        with pytest.raises(ValueError, match="strength"):
-            sweep(5, 5, regime="ferro", strength=strength)
-
-    def test_strength_scales_the_energy_within_the_regime(self):
-        (one,), (two,) = sweep(5, 5, regime="ferro"), sweep(5, 5, regime="ferro", strength=2.0)
-        assert one.degeneracy == two.degeneracy == 2
-        assert two.energy == pytest.approx(2 * one.energy, abs=1e-12)
-        assert one.energy == pytest.approx(-(np.sqrt(5) + 1), abs=1e-10)
-
     @pytest.mark.parametrize("kwargs, message", [
         ({"n_min": 4, "n_max": 6, "distance": 9}, "--distance 9"),
         ({"n_min": 4, "n_max": 4, "parity": "odd"}, "--parity odd"),
