@@ -14,9 +14,11 @@ every later call.  It carries everything about the sector that does not
 depend on the coupling: per configuration, the index of its orbit (orbits
 numbered by ascending representative, the minimal member) and the shift t
 with T^t(representative) == config, taken from the configuration's first
-minimal rotation; per orbit, the representative, the period and the orbit
-that R maps it onto (``mirror``); and the table of bond swaps between
-representatives (``hop_table``).  Momentum blocks, lifted amplitudes and
+minimal rotation; per orbit, the representative, the period, the orbit
+that R maps it onto (``mirror``) and the shift that R's image sits at in
+that orbit (``mirror_shift``); and the table of bond swaps between
+representatives (``hop_table``), with its integer columns kept apart
+(``hop_index``).  Momentum blocks, lifted amplitudes and
 orbit-probability tables all read these arrays instead of rotating
 configurations again; no orbit is kept as an object, and ``rotation_order``
 lists each orbit's members in turn.  An orbit and its mirror form one
@@ -31,22 +33,10 @@ from functools import lru_cache
 import numpy as np
 
 # largest ring accepted.  Sectors enumerate in well under a second up to here,
-# but dense ground solves above n = 16 take minutes to hours, and the 2^n
-# oracle stops at n = 14.
+# but dense ground solves grow fast: on one core of a 2-core x86-64 VM with
+# numpy 2.4 and OpenBLAS, n = 16 takes about 2.5 s and n = 17 about 14 s,
+# n = 18..20 minutes to hours; the 2^n oracle stops at n = 14.
 RING_CAP = 20
-
-
-def up_sites(bits: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if (bits >> i) & 1)
-
-
-def config_label(bits: int, n: int) -> str:
-    """Offset pattern of a configuration, e.g. ``|j,j+2,j+4>`` for {0,2,4}."""
-    sites = up_sites(bits, n)
-    if not sites:
-        return "|->"
-    parts = ["j"] + [f"j+{s - sites[0]}" for s in sites[1:]]
-    return "|" + ",".join(parts) + ">"
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +50,11 @@ class SectorBasis:
     at which T^u(bits[i]) is minimal.
     ``reps`` and ``period`` give each orbit's representative and period,
     ``mirror[a]`` the orbit that contains the reflection R(reps[a]) (equal
-    to ``a`` for an orbit that R maps onto itself), and ``hops`` is the
-    sector's ``hop_table``.  Every array is read-only.
+    to ``a`` for an orbit that R maps onto itself) and ``mirror_shift[a]``
+    the shift s with R(reps[a]) == T^s(reps[mirror[a]]), that is ``shift``
+    of the configuration R(reps[a]).
+    ``hops`` is the sector's ``hop_table`` and ``hop_index`` its (a, b,
+    shift) columns as int64.  Every array is read-only.
     """
 
     n: int
@@ -72,7 +65,9 @@ class SectorBasis:
     reps: np.ndarray = field(repr=False)
     period: np.ndarray = field(repr=False)
     mirror: np.ndarray = field(repr=False)
+    mirror_shift: np.ndarray = field(repr=False)
     hops: np.ndarray = field(repr=False)
+    hop_index: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -92,6 +87,34 @@ def check_sector(n: int, k: int) -> None:
         raise ValueError(f"up-spin count must be in 0..{n}, got {k}")
 
 
+@lru_cache(maxsize=1)
+def _ring_codes(n: int, /) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over all 2^n configurations of the ring, kept for the last n asked.
+
+    Returns ``(by_count, starts, least, shift, mirrored)``: every
+    configuration ordered by popcount, ascending within a popcount, with
+    popcount k at ``by_count[starts[k]:starts[k + 1]]``; and, indexed by
+    configuration, its first minimal rotation, the shift t with
+    T^t(least) == config, and its reflection R(config).  A strictly smaller
+    rotation replaces the running minimum, so ties keep the first one.
+    """
+    codes = np.arange(1 << n, dtype=np.int64)
+    mask = (1 << n) - 1
+    ones = codes & 1
+    least, first = codes, np.zeros_like(codes)
+    mirrored = codes & 1  # site 0 is the mirror axis
+    for t in range(1, n):
+        bit = (codes >> t) & 1
+        ones += bit
+        mirrored |= bit << (n - t)
+        rotated = ((codes << t) | (codes >> (n - t))) & mask
+        first = np.where(rotated < least, t, first)
+        least = np.minimum(least, rotated)
+    by_count = np.argsort(ones, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(ones, minlength=n + 1))))
+    return by_count, starts, least, (n - first) % n, mirrored
+
+
 @lru_cache(maxsize=None)
 def enumerate_sector(n: int, k: int, /) -> SectorBasis:
     """The k-up-spin sector of the n-site ring, built once per process.
@@ -99,31 +122,26 @@ def enumerate_sector(n: int, k: int, /) -> SectorBasis:
     The arguments are positional-only, so every call for a sector shares one
     cache entry and one ``SectorBasis``.
 
-    Configurations are the popcount-k entries of ``arange(2**n)``.  All n
-    rotations of every configuration form one (dim, n) array; the first
-    ``argmin`` of each row is the first minimal rotation, which gives the
-    representative (hence the orbit index) and the shift back to it.  The
-    reflected representatives come from one more bit pass over ``reps``,
-    and their orbits from the orbit map.
+    Configurations, their minimal rotations (hence representatives and
+    orbit indices), their shifts and their reflections are read from
+    ``_ring_codes(n)``, one pass over ``arange(2**n)`` shared by the sectors
+    of a ring size.  The orbits of the reflected representatives, and the
+    shifts at which they sit, come from the orbit map.
     """
     check_sector(n, k)
-    codes = np.arange(1 << n, dtype=np.int64)
-    ones = np.zeros_like(codes)
-    for i in range(n):
-        ones += (codes >> i) & 1
-    bits = codes[ones == k]
-    t = np.arange(n)
-    rotations = ((bits[:, None] << t) | (bits[:, None] >> (n - t))) & ((1 << n) - 1)
-    reps, orbit, period = np.unique(rotations.min(axis=1), return_inverse=True,
-                                    return_counts=True)
-    shift = (n - rotations.argmin(axis=1)) % n
-    mirrored = sum(((reps >> i) & 1) << (-i % n) for i in range(n))
-    mirror = orbit[np.searchsorted(bits, mirrored)]
-    basis = SectorBasis(n=n, k=k, bits=bits, orbit=orbit, shift=shift, reps=reps,
-                        period=period, mirror=mirror, hops=None)
-    basis = replace(basis, hops=hop_table(basis))
-    for array in (bits, orbit, shift, reps, period, mirror, basis.hops):
-        array.flags.writeable = False
+    by_count, starts, least, shifts, mirrored = _ring_codes(n)
+    bits = by_count[starts[k]:starts[k + 1]].copy()
+    reps, orbit, period = np.unique(least[bits], return_inverse=True, return_counts=True)
+    shift = shifts[bits]
+    image = np.searchsorted(bits, mirrored[reps])
+    basis = SectorBasis(n=n, k=k, bits=bits, orbit=orbit, shift=shift,
+                        reps=reps, period=period, mirror=orbit[image],
+                        mirror_shift=shift[image], hops=None, hop_index=None)
+    hops = hop_table(basis)
+    basis = replace(basis, hops=hops, hop_index=hops[:, :3].astype(np.int64))
+    for name in ("bits", "orbit", "shift", "reps", "period", "mirror", "mirror_shift",
+                 "hops", "hop_index"):
+        getattr(basis, name).flags.writeable = False
     return basis
 
 

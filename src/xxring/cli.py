@@ -55,19 +55,40 @@ def _json_scalar(value) -> str:
 
 @lru_cache(maxsize=64)
 def _template(keys: tuple, indent: int) -> str:
-    """The ``str.format`` template of a flat dict with these keys at this indent."""
+    """The ``%`` template of a flat dict with these keys at this indent, one %s per value."""
     if not keys:
-        return "{{}}"
+        return "{}"
     inner = "  " * (indent + 1)
-    fields = ",\n".join(inner + json.dumps(k).replace("{", "{{").replace("}", "}}") + ": {}"
-                        for k in keys)
-    return "{{\n" + fields + "\n" + "  " * indent + "}}"
+    fields = ",\n".join(inner + json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
+    return "{\n" + fields + "\n" + "  " * indent + "}"
 
 
 def _flat_json(obj: dict, indent: int) -> str:
     if not isinstance(obj, dict):
         raise TypeError(f"expected a flat dict, not {type(obj).__name__}")
-    return _template(tuple(obj), indent).format(*map(_json_scalar, obj.values()))
+    return _template(tuple(obj), indent) % tuple(map(_json_scalar, obj.values()))
+
+
+def _rows_json(rows: list) -> str:
+    """Flat dicts at indent 2, comma-joined.
+
+    Each run of consecutive rows with one key order is written with one
+    template; exact floats are formatted in place and exact ints left to
+    ``%s``, every other value goes through ``_json_scalar``.
+    """
+    texts, start = [], 0
+    while start < len(rows):
+        if not isinstance(rows[start], dict):
+            raise TypeError(f"expected a flat dict, not {type(rows[start]).__name__}")
+        keys = tuple(rows[start])
+        stop = start + 1
+        while stop < len(rows) and isinstance(rows[stop], dict) and tuple(rows[stop]) == keys:
+            stop += 1
+        values = [v if type(v) is int else f"{v + 0.0:.12g}" if type(v) is float
+                  else _json_scalar(v) for row in rows[start:stop] for v in row.values()]
+        texts.append(",\n    ".join([_template(keys, 2)] * (stop - start)) % tuple(values))
+        start = stop
+    return ",\n    ".join(texts)
 
 
 def _to_json(document: dict) -> str:
@@ -77,11 +98,10 @@ def _to_json(document: dict) -> str:
         if isinstance(value, dict):
             values.append(_flat_json(value, 1))
         elif isinstance(value, list):
-            rows = ",\n    ".join(_flat_json(row, 2) for row in value)
-            values.append(f"[\n    {rows}\n  ]" if value else "[]")
+            values.append(f"[\n    {_rows_json(value)}\n  ]" if value else "[]")
         else:
             values.append(_json_scalar(value))
-    return _template(tuple(document), 0).format(*values)
+    return _template(tuple(document), 0) % tuple(values)
 
 
 def _csv_cell(value) -> str:

@@ -231,7 +231,7 @@ def _columns(n: int, tags: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """The given levels' eigenvectors as columns over all 2^n configurations."""
     levels = _unit_spectrum(n)[0]
     out = np.zeros((1 << n, len(tags)))
-    for k in np.unique(tags).tolist():
+    for k in sorted(set(tags.tolist())):  # np.unique would import numpy.ma
         picked = np.flatnonzero(tags == k)
         out[np.ix_(levels[k][0], picked)] = _unit_columns(n, k, columns[picked])
     return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, config_label, rotation_order, up_sites
+from .basis import SectorBasis, rotation_order
 from .hamiltonian import Coupling, FieldSetting
 from .spectra import DEGENERACY_RTOL, GroundManifold, ground_manifold
 
@@ -41,15 +41,37 @@ def _rank_correlation(x, y) -> float | None:
     return float(np.corrcoef(*ranks)[1, 0])
 
 
-def clustering_score(bits: int, n: int) -> float:
-    """Sum of 1/ring-distance over all pairs of up sites."""
-    sites = up_sites(bits, n)
-    score = 0.0
-    for a in range(len(sites)):
-        for b in range(a + 1, len(sites)):
-            d = abs(sites[a] - sites[b])
-            score += 1.0 / min(d, n - d)
+def _up_matrix(configs, n: int) -> np.ndarray:
+    """Row i holds the bits of configs[i], site 0 first."""
+    return (np.asarray(configs, dtype=np.int64).reshape(-1, 1) >> np.arange(n)) & 1
+
+
+def clustering_scores(configs, n: int) -> np.ndarray:
+    """Sum of 1/ring-distance over all pairs of up sites, per configuration.
+
+    The pairs at ring distance d are the up sites that the rotation by d
+    moves onto up sites; at d = n/2 that rotation meets each pair twice.
+    """
+    up = _up_matrix(configs, n)
+    score = np.zeros(len(up))
+    for d in range(1, n // 2 + 1):
+        pairs = (up & np.roll(up, -d, axis=1)).sum(axis=1)
+        score += (pairs // 2 if 2 * d == n else pairs) / d
     return score
+
+
+def _labels(configs, n: int) -> list[str]:
+    """Offset pattern of each configuration, e.g. ``|j,j+2,j+4>`` for {0,2,4}.
+
+    The configurations must share one popcount; ``|->`` when it is 0.
+    """
+    up = _up_matrix(configs, n)
+    if not up.any():
+        return ["|->"] * len(up)
+    sites = np.nonzero(up)[1].reshape(len(up), -1)
+    parts = ["j"] + [f"j+{offset}" for offset in range(1, n)]
+    return ["|" + ",".join([parts[o] for o in row]) + ">"
+            for row in (sites - sites[:, :1]).tolist()]
 
 
 @dataclass(frozen=True)
@@ -103,12 +125,13 @@ def orbit_probabilities(manifold: GroundManifold, sector: SectorBasis) -> OrbitR
     n, reps, period = sector.n, sector.reps, sector.period
     members = np.split(raw[rotation_order(sector)] / weight, np.cumsum(period)[:-1])
     _, dihedral = np.unique(np.minimum(reps, reps[sector.mirror]), return_inverse=True)
-    rows = [OrbitRow(representative=rep, pattern=config_label(rep, n), period=p,
+    rows = [OrbitRow(representative=rep, pattern=label, period=p,
                      member_probability=float(member.mean()),
                      orbit_probability=float(member.sum()),
-                     clustering=clustering_score(rep, n), dihedral_class=cid)
-            for rep, p, member, cid in zip(reps.tolist(), period.tolist(), members,
-                                           dihedral.tolist())]
+                     clustering=score, dihedral_class=cid)
+            for rep, label, p, member, score, cid in zip(
+                reps.tolist(), _labels(reps, n), period.tolist(), members,
+                clustering_scores(reps, n).tolist(), dihedral.tolist())]
     rows.sort(key=lambda r: (r.member_probability, r.representative))
 
     return OrbitReport(n=sector.n, k=sector.k, sector_weight=weight, rows=tuple(rows),

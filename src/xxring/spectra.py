@@ -7,28 +7,44 @@ a per-process table of levels: H(J) = J * H(1), the spin flip maps sector k
 onto sector n-k at equal momentum (particle-hole symmetry), and block n-m is
 the complex conjugate of block m, so blocks (k, m), (n-k, m), (k, n-m) and
 (n-k, n-m) share the levels of one canonical block (k <= n/2, m <= n/2).
-Each canonical block is solved once per process at J = 1, after the
-Hermiticity check, and every other request scales those levels by J.
+The canonical blocks of a sector are solved together, once per process, at
+J = 1 and in real arithmetic: ``real_block_pieces`` gives each block in the
+basis that K R fixes (real, and split in two by R at m = 0 and n/2), each
+piece is checked to be symmetric, and the block's levels are the sorted
+union of its pieces' ``eigvalsh``.  Every other request scales those levels
+by J.
 
 ``ground_manifold`` solves in two phases.  It scans the levels of the
-canonical blocks, each standing for up to four blocks with their own field
-offsets -b*(k - n/2).  The ground energy and tolerance window come from that
-full multiset; then only blocks reaching the window are fully solved at the
-given J and lifted.  Exact ground-level degeneracies are symmetry-protected,
-so the default tolerance of 1e-9 times the spectral range separates them
-cleanly from solver noise.  Blocks are built on ``enumerate_sector``'s
-sectors, which each process builds once and shares read-only, so the scan
-and the ground solve read the same orbit arrays and hop table.
+canonical blocks, each with the field offsets -b*(k - n/2) of its sector k
+and of n-k.  The ground energy and tolerance window come from that scan;
+then only blocks reaching the window are solved with eigenvectors, at the
+given J, as complex blocks, and lifted.  One ``eigh`` serves both sectors of
+a spin-flip pair: the spin flip commutes with H and with the translations,
+and lists sector n-k as sector k's complements in reverse order, so a state
+of block (n-k, m) is the lifted state of block (k, m) reversed, at the same
+level and momentum.  The lower sector of the pair is the one solved.  Exact
+ground-level degeneracies are symmetry-protected, so the default tolerance
+of 1e-9 times the spectral range separates them cleanly from solver noise.
+Blocks are built on ``enumerate_sector``'s sectors, which each process builds
+once and shares read-only, so the scan and the ground solve read the same
+orbit arrays and hop table.
+
+The lowest ground sector, which the orbit tables read, is always solved
+directly: its states are the lifted columns of ``np.linalg.eigh`` on
+``build_momentum_block`` at J, bit for bit.  Orbit-table rows tied by
+reflection are ordered by last-bit differences of those amplitudes, so
+neither a real ground solve nor a momentum-reversal image (block n-m from
+block m, in the same sector) is used for them.
 
 Ground solves are reused within a process: ``ground_manifold`` keeps the
 results of its last ``GROUND_CACHE_SIZE`` distinct inputs and returns the
 same object when an input repeats.  Its amplitude arrays are read-only, so
 one caller cannot change what the next one reads.  Code that monkeypatches
-the solver internals (``eigh``, ``build_momentum_block``, ...) must call
-``_ground_manifold.cache_clear()`` and ``_unit_levels.cache_clear()`` first,
-or it may be handed results solved before the patch; code that patches how
-sectors are built (``hop_table``, ...) must call
-``enumerate_sector.cache_clear()`` as well.
+the solver internals (``eigh``, ``build_momentum_block``,
+``real_block_pieces``, ...) must call ``_ground_manifold.cache_clear()`` and
+``_unit_levels.cache_clear()`` first, or it may be handed results solved
+before the patch; code that patches how sectors are built (``hop_table``,
+...) must call ``enumerate_sector.cache_clear()`` as well.
 """
 
 from __future__ import annotations
@@ -40,7 +56,7 @@ import numpy as np
 
 from .basis import SectorBasis, check_sector, enumerate_sector
 from .hamiltonian import (Coupling, FieldSetting, MomentumBlock, build_momentum_block,
-                          check_momentum, sector_energy_offset)
+                          check_momentum, real_block_pieces, sector_energy_offset)
 
 HERMITICITY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-9
@@ -55,14 +71,21 @@ class Spectrum:
     vectors: np.ndarray
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+def _fix_phases(vectors: np.ndarray, count: int | None = None) -> np.ndarray:
+    """The first ``count`` columns (all by default), each rotated so its
+    largest-magnitude entry is real positive.
+
+    The columns are rotated in a copy of the whole matrix, so each one is
+    multiplied with the same memory layout whatever ``count`` is: numpy's
+    complex multiply may take a fused multiply-add loop on contiguous data,
+    which can differ in the last bit.
+    """
     out = vectors.copy()
-    for col in range(out.shape[1]):
+    for col in range(out.shape[1] if count is None else count):
         lead = out[np.argmax(np.abs(out[:, col])), col]
         if lead != 0:
             out[:, col] *= np.conj(lead) / abs(lead)
-    return out
+    return out[:, :count]
 
 
 def _hermitian(matrix: np.ndarray) -> np.ndarray:
@@ -73,10 +96,14 @@ def _hermitian(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def eigh(matrix: np.ndarray) -> Spectrum:
-    """Full decomposition of a Hermitian matrix with fixed phases."""
+def eigh(matrix: np.ndarray, count: int | None = None) -> Spectrum:
+    """Decomposition of a Hermitian matrix with fixed phases.
+
+    All eigenvalues, and the eigenvectors of the lowest ``count`` of them
+    (all by default); the phases are fixed only on the columns returned.
+    """
     values, vectors = np.linalg.eigh(_hermitian(np.asarray(matrix)))
-    return Spectrum(values=values, vectors=_fix_phases(vectors))
+    return Spectrum(values=values, vectors=_fix_phases(vectors, count))
 
 
 def _block(n: int, k: int, m: int, coupling: Coupling) -> MomentumBlock:
@@ -84,11 +111,22 @@ def _block(n: int, k: int, m: int, coupling: Coupling) -> MomentumBlock:
 
 
 @lru_cache(maxsize=None)
-def _unit_levels(n: int, k: int, m: int, /) -> np.ndarray:
-    """Read-only ascending eigenvalues of block (k, m) at J = 1, solved once per process."""
-    levels = np.linalg.eigvalsh(_hermitian(_block(n, k, m, Coupling(1.0)).matrix))
-    levels.flags.writeable = False
-    return levels
+def _unit_levels(n: int, k: int, /) -> tuple[np.ndarray, np.ndarray]:
+    """J = 1 eigenvalues of blocks (k, m), m = 0..n//2, solved once per process.
+
+    Returns ``(levels, bounds)``, both read-only: block m's levels ascend in
+    ``levels[bounds[m]:bounds[m + 1]]``.  Each block's levels are the sorted
+    union of its real pieces' levels, every piece checked to be symmetric
+    first.
+    """
+    blocks = []
+    for pieces in real_block_pieces(enumerate_sector(n, k)):
+        parts = [np.linalg.eigvalsh(_hermitian(piece)) for piece in pieces]
+        blocks.append(np.sort(np.concatenate(parts)) if parts else np.empty(0))
+    levels = np.concatenate(blocks)
+    bounds = np.cumsum([0] + [len(block) for block in blocks])
+    levels.flags.writeable = bounds.flags.writeable = False
+    return levels, bounds
 
 
 def block_levels(n: int, k: int, m: int, coupling: Coupling) -> np.ndarray:
@@ -99,7 +137,9 @@ def block_levels(n: int, k: int, m: int, coupling: Coupling) -> np.ndarray:
     """
     check_sector(n, k)
     check_momentum(m, n)
-    levels = coupling.j * _unit_levels(n, min(k, n - k), min(m, -m % n))
+    levels, bounds = _unit_levels(n, min(k, n - k))
+    m = min(m, -m % n)
+    levels = coupling.j * levels[bounds[m]:bounds[m + 1]]
     return levels[::-1] if coupling.j < 0 else levels
 
 
@@ -133,8 +173,7 @@ def lift_block_vector(block: MomentumBlock, v: np.ndarray) -> np.ndarray:
     The orbit representative ``a`` with period p contributes amplitude
     v_a * exp(-2*pi*i*m*t/n) / sqrt(p) on each member T^t(a).  The
     sector's orbit map gives every configuration's orbit, hence its block
-    column (``block.orbits`` is ascending), and its shift t, so the lift is
-    array indexing.
+    column, and its shift t, so the lift is array indexing.
     """
     v = np.asarray(v)
     if v.shape != (block.dim,):
@@ -142,8 +181,11 @@ def lift_block_vector(block: MomentumBlock, v: np.ndarray) -> np.ndarray:
     basis = block.basis
     phase = np.exp(-2j * np.pi * block.m * np.arange(basis.n) / basis.n)
     periods = basis.period[block.orbits]
-    members = np.isin(basis.orbit, block.orbits)
-    column = np.searchsorted(block.orbits, basis.orbit[members])
+    column_of_orbit = np.full(len(basis.reps), -1)
+    column_of_orbit[block.orbits] = np.arange(block.dim)
+    column = column_of_orbit[basis.orbit]
+    members = column >= 0
+    column = column[members]
     w = (v / np.sqrt(periods))[column]
     # index by the shift modulo the period: phase[t] and phase[t + p] are the
     # same number mathematically but not always in the last bit
@@ -193,30 +235,45 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
 @lru_cache(maxsize=GROUND_CACHE_SIZE)
 def _ground_manifold(n: int, coupling: Coupling, field: FieldSetting,
                      tol: float) -> GroundManifold:
-    levels = {}  # (k, m) -> levels plus the field offset of k, for every block
+    offsets = [sector_energy_offset(k, n, field) for k in range(n + 1)]
+    scan, lows, highs = [], [], []  # J-scaled levels of each canonical sector; their range
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for k in range(n // 2 + 1):
-            for m in range(n // 2 + 1):
-                values = block_levels(n, k, m, coupling)
-                for image in {(k, m), (n - k, m), (k, -m % n), (n - k, -m % n)}:
-                    levels[image] = values + sector_energy_offset(image[0], n, field)
-    all_values = np.concatenate(list(levels.values()))
-    check_finite_energies(all_values, coupling, field)
-    e0 = float(all_values.min())
-    window = tol * max(float(all_values.max()) - e0, np.finfo(float).tiny)
+            levels, bounds = _unit_levels(n, k)
+            values = coupling.j * levels
+            scan.append((k, values, bounds))
+            for sector in {k, n - k}:
+                lows.append(values.min() + offsets[sector])
+                highs.append(values.max() + offsets[sector])
+    check_finite_energies(lows + highs, coupling, field)
+    e0 = float(min(lows))
+    window = tol * max(float(max(highs)) - e0, np.finfo(float).tiny)
 
-    states, energies = [], []
-    for k, m in sorted(levels):
-        count = int(np.count_nonzero(levels[k, m] - e0 <= window))
-        if count == 0:
-            continue
-        block = _block(n, k, m, coupling)
-        spectrum = eigh(block.matrix)
-        energies.append(spectrum.values[0] + sector_energy_offset(k, n, field))
-        for col in range(count):
-            amplitudes = lift_block_vector(block, spectrum.vectors[:, col])
+    counts = {}  # (k, m) -> levels in the window, for every block that holds one
+    for k, values, bounds in scan:
+        for sector in {k, n - k}:
+            inside = np.concatenate(([0], np.cumsum(values + offsets[sector] - e0 <= window)))
+            for m in np.flatnonzero(np.diff(inside[bounds])).tolist():
+                for momentum in {m, -m % n}:
+                    counts[sector, momentum] = int(inside[bounds[m + 1]] - inside[bounds[m]])
+
+    solved, states, energies = {}, [], []
+    for k, m in sorted(counts):
+        image = (n - k, m) in solved  # the spin flip of a lower sector's solve
+        if image:
+            spectrum, lifted = solved[n - k, m]
+        else:
+            block = _block(n, k, m, coupling)
+            spectrum = eigh(block.matrix, max(counts[k, m], counts.get((n - k, m), 0)))
+            lifted = [lift_block_vector(block, v) for v in spectrum.vectors.T]
+            solved[k, m] = spectrum, lifted
+        energies.append(spectrum.values[0] + offsets[k])
+        for amplitudes in lifted[:counts[k, m]]:
+            if image:  # sector n - k lists sector k's complements in reverse
+                amplitudes = amplitudes[::-1].copy()
             amplitudes.flags.writeable = False
-            states.append(SectorState(basis=block.basis, amplitudes=amplitudes, momentum=m))
+            states.append(SectorState(basis=enumerate_sector(n, k), amplitudes=amplitudes,
+                                      momentum=m))
     # the energy of the decompositions the states come from (the scan's
     # eigenvalue-only minimum can differ from it in the last bits)
     return GroundManifold(energy=float(min(energies)), states=tuple(states), tolerance=tol)

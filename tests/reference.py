@@ -2,11 +2,12 @@
 
 Each one works on single configurations, Python loops or dense matrices
 and shares no code with the array paths it cross-checks: rotations and
-reflections of one bitmask, a sector's translation orbits found by walking
-unseen rotations (the library keeps orbits only as arrays), the dihedral
-classes of those orbits, a configuration's position in its sector, the dense
-sector Hamiltonian with a matrix-free product, the dense 2^n Hamiltonian and
-its dense popcount blocks, and the X-form concurrence.
+reflections of one bitmask, its offset label and clustering score, a
+sector's translation orbits found by walking unseen rotations (the library
+keeps orbits only as arrays), the dihedral classes of those orbits, a
+configuration's position in its sector, the dense sector Hamiltonian with a
+matrix-free product, the basis that makes a momentum block real, the dense
+2^n Hamiltonian and its dense popcount blocks, and the X-form concurrence.
 """
 
 from __future__ import annotations
@@ -41,6 +42,30 @@ def reflect(bits: int, n: int) -> int:
         if (bits >> i) & 1:
             out |= 1 << (n - i)
     return out
+
+
+def up_sites(bits: int, n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if (bits >> i) & 1)
+
+
+def config_label(bits: int, n: int) -> str:
+    """Offset pattern of a configuration, e.g. ``|j,j+2,j+4>`` for {0,2,4}."""
+    sites = up_sites(bits, n)
+    if not sites:
+        return "|->"
+    parts = ["j"] + [f"j+{s - sites[0]}" for s in sites[1:]]
+    return "|" + ",".join(parts) + ">"
+
+
+def clustering_score(bits: int, n: int) -> float:
+    """Sum of 1/ring-distance over all pairs of up sites, one pair at a time."""
+    sites = up_sites(bits, n)
+    score = 0.0
+    for a in range(len(sites)):
+        for b in range(a + 1, len(sites)):
+            d = abs(sites[a] - sites[b])
+            score += 1.0 / min(d, n - d)
+    return score
 
 
 def orbit_representative(bits: int, n: int) -> tuple[int, int]:
@@ -146,6 +171,46 @@ def apply_hamiltonian(basis: SectorBasis, coupling: Coupling, v: np.ndarray) -> 
             if ((c >> i) & 1) != ((c >> j) & 1):
                 out[index_of(basis, c ^ ((1 << i) | (1 << j)))] += coupling.j * v[a]
     return out
+
+
+def kr_basis(basis: SectorBasis, m: int) -> tuple[np.ndarray, list[int]]:
+    """The basis of momentum block m that K R fixes, and each column's R parity.
+
+    K is complex conjugation and R the reflection; K R maps the momentum
+    state of orbit a to exp(i*phi) times that of the orbit b holding
+    R(rep_a) = T^s(rep_b), phi = 2*pi*m*s/n.  Returns U, whose column c
+    holds the coefficients over the block's admissible orbits (ascending):
+    exp(i*phi/2) on a self-mirrored orbit a (column a); for a mirror pair
+    a < b, (1, exp(i*phi))/sqrt(2) in column a and i(1, -exp(i*phi))/sqrt(2)
+    in column b.  ``parity[c]`` is the R eigenvalue of column c (+1 or -1)
+    at m = 0 and m = n/2, where R keeps the block, and 0 elsewhere.  Each
+    reflected representative is found with ``reflect`` and
+    ``orbit_representative``, one orbit at a time.
+    """
+    n = basis.n
+    reps, periods = basis.reps.tolist(), basis.period.tolist()
+    admissible = [a for a, p in enumerate(periods) if m * p % n == 0]
+    row = {a: i for i, a in enumerate(admissible)}
+    orbit_of = {rep: a for a, rep in enumerate(reps)}
+    u = np.zeros((len(admissible), len(admissible)), dtype=complex)
+    parity = [0] * len(admissible)
+    split = 2 * m % n == 0
+    for a in admissible:
+        rep, s = orbit_representative(reflect(reps[a], n), n)
+        b = orbit_of[rep]
+        phi = 2 * np.pi * m * s / n
+        if b == a:
+            u[row[a], row[a]] = np.exp(0.5j * phi)
+            if split:  # R multiplies the momentum state of a by exp(-i*phi) = +-1
+                parity[row[a]] = round(np.cos(phi))
+        elif a < b:
+            u[row[a], row[a]] = 1 / np.sqrt(2)
+            u[row[a], row[b]] = 1j / np.sqrt(2)
+            u[row[b], row[a]] = np.exp(1j * phi) / np.sqrt(2)
+            u[row[b], row[b]] = -1j * np.exp(1j * phi) / np.sqrt(2)
+            if split:
+                parity[row[a]], parity[row[b]] = 1, -1
+    return u, parity
 
 
 def full_hamiltonian(n: int, coupling: Coupling) -> np.ndarray:

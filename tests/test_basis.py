@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from xxring.basis import RING_CAP, config_label, enumerate_sector, rotation_order, up_sites
+import xxring.basis
+from xxring.basis import RING_CAP, enumerate_sector, rotation_order
 
 from reference import (dihedral_representative, index_of, orbit_representative, reflect,
                        rotate, set_walk_orbits)
@@ -65,6 +66,13 @@ class TestSectorEnumeration:
             with pytest.raises(KeyError):
                 index_of(basis, outside)
 
+    def test_one_pass_over_the_configurations_per_ring_size(self):
+        xxring.basis._ring_codes.cache_clear()
+        build = enumerate_sector.__wrapped__  # uncached: every sector is built here
+        for k in range(10):
+            build(9, k)
+        assert xxring.basis._ring_codes.cache_info().misses == 1
+
 
 def first_minimal_rotation(c, n):
     """Smallest rotation of c, and the shift t with rotation-by-t(it) == c."""
@@ -91,7 +99,8 @@ class TestOrbitMap:
 
     def test_every_sector_array_is_read_only(self):
         basis = enumerate_sector(6, 3)
-        for name in ("bits", "orbit", "shift", "reps", "period", "mirror", "hops"):
+        for name in ("bits", "orbit", "shift", "reps", "period", "mirror", "mirror_shift",
+                     "hops", "hop_index"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(basis, name)[0] = 1
 
@@ -266,12 +275,13 @@ class TestDihedralClasses:
                 image, _ = orbit_representative(reflect(rep, n), n)
                 assert image == basis.reps[mirror]
 
-
-class TestLabels:
-    def test_offset_patterns(self):
-        assert config_label(bits_of({0, 2, 4}), 6) == "|j,j+2,j+4>"
-        assert config_label(bits_of({1, 2}), 5) == "|j,j+1>"
-        assert config_label(0, 4) == "|->"
-
-    def test_up_sites(self):
-        assert up_sites(0b10110, 5) == (1, 2, 4)
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_mirror_shift_places_the_reflection(self, n):
+        for k in range(n + 1):
+            basis = enumerate_sector(n, k)
+            assert basis.mirror_shift.dtype == np.int64
+            for rep, mirror, s in zip(basis.reps.tolist(), basis.mirror.tolist(),
+                                      basis.mirror_shift.tolist()):
+                assert rotate(int(basis.reps[mirror]), s, n) == reflect(rep, n)
+                # the shift back from the first minimal rotation, as in ``shift``
+                assert s == orbit_representative(reflect(rep, n), n)[1]

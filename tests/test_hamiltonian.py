@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from xxring.basis import enumerate_sector, hop_table, ring_bonds
-from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block, sector_energy_offset
+from xxring.hamiltonian import (Coupling, FieldSetting, build_momentum_block, real_block_pieces,
+                                sector_energy_offset)
 
-from reference import (apply_hamiltonian, build_sector_hamiltonian, orbit_representative,
-                       set_walk_orbits)
+from reference import (apply_hamiltonian, build_sector_hamiltonian, kr_basis,
+                       orbit_representative, set_walk_orbits)
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -163,9 +164,59 @@ class TestHopTable:
             for m in range(n):
                 for coupling in (FERRO, ANTIFERRO):
                     block = build_momentum_block(basis, m, coupling)
-                    expected = build_momentum_block(replace(basis, hops=reference), m, coupling)
+                    expected = build_momentum_block(
+                        replace(basis, hops=reference,
+                                hop_index=reference[:, :3].astype(np.int64)), m, coupling)
                     assert np.array_equal(block.orbits, expected.orbits)
                     assert np.array_equal(block.matrix, expected.matrix)
+
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_hop_index_holds_the_integer_columns(self, n):
+        for k in range(n + 1):
+            basis = enumerate_sector(n, k)
+            assert basis.hop_index.dtype == np.int64
+            assert np.array_equal(basis.hop_index, basis.hops[:, :3])
+
+
+class TestRealPieces:
+    """The K R basis makes every canonical block real and splits m = 0, n/2 by R."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_pieces_are_the_block_in_the_kr_basis(self, n):
+        for k in range(n // 2 + 1):
+            basis = enumerate_sector(n, k)
+            all_pieces = list(real_block_pieces(basis))
+            assert len(all_pieces) == n // 2 + 1
+            for m, pieces in enumerate(all_pieces):
+                u, parity = kr_basis(basis, m)
+                np.testing.assert_allclose(u.conj().T @ u, np.eye(len(u)), atol=1e-14)
+                columns = [[c for c, p in enumerate(parity) if p >= 0],
+                           [c for c, p in enumerate(parity) if p < 0]]
+                columns = [c for c in columns if c]
+                assert [len(piece) for piece in pieces] == [len(c) for c in columns]
+                for coupling in (FERRO, ANTIFERRO):
+                    h = build_momentum_block(basis, m, coupling).matrix
+                    real = u.conj().T @ h @ u
+                    label = (n, k, m, coupling.j)
+                    assert np.abs(real.imag).max(initial=0.0) <= 1e-12, label
+                    for piece, c in zip(pieces, columns):
+                        assert np.abs(piece - piece.T).max() <= 1e-12, label
+                        np.testing.assert_allclose(coupling.j * piece,
+                                                   real.real[np.ix_(c, c)], rtol=0,
+                                                   atol=1e-12, err_msg=str(label))
+                    levels = np.sort(np.concatenate(
+                        [np.linalg.eigvalsh(coupling.j * piece) for piece in pieces]
+                        or [np.empty(0)]))
+                    np.testing.assert_allclose(levels, np.linalg.eigvalsh(h), rtol=0,
+                                               atol=1e-12, err_msg=str(label))
+
+    def test_reflection_splits_only_the_real_momenta(self):
+        basis = enumerate_sector(8, 4)
+        counts = [len(pieces) for pieces in real_block_pieces(basis)]
+        assert counts == [2, 1, 1, 1, 2]
+        assert [sum(len(p) for p in pieces) for pieces in real_block_pieces(basis)] == [
+            build_momentum_block(basis, m, FERRO).dim for m in range(5)]
 
 
 class TestMomentumBlocks:

@@ -24,6 +24,21 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_commands_load_no_numpy_ma():
+    # np.unique without return_* options imports numpy.ma on numpy 2
+    code = ("import contextlib, io, sys\n"
+            "from xxring import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['verify', '--n', '2..8'], ['lp', '--n', '7', '--j', '1'],\n"
+            "                 ['concurrence', '--n', '9'], ['spectrum', '--n', '6']):\n"
+            "        assert cli.run(argv) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_numpy_is_the_only_dependency():
     imported = set()
     for path in PACKAGE.glob("*.py"):

@@ -7,10 +7,11 @@ import pytest
 
 from xxring.basis import enumerate_sector
 from xxring.hamiltonian import Coupling
-from xxring.polarization import clustering_score, lp_table, orbit_probabilities
+from xxring.polarization import _labels, clustering_scores, lp_table, orbit_probabilities
 from xxring.spectra import ground_manifold
 
-from reference import dihedral_classes, index_of, reflect, rotate, set_walk_orbits
+from reference import (clustering_score, config_label, dihedral_classes, index_of, reflect,
+                       rotate, set_walk_orbits)
 
 FERRO = Coupling(-1.0)
 
@@ -34,24 +35,49 @@ def spearman_by_hand(xs, ys):
     return cov / math.sqrt(sum((a - mx) ** 2 for a in rx) * sum((b - my) ** 2 for b in ry))
 
 
+def score(bits, n):
+    return float(clustering_scores([bits], n)[0])
+
+
 class TestClusteringScore:
     def test_hand_computed_values(self):
-        assert clustering_score(bits_of({0, 1, 2}), 6) == pytest.approx(2.5)
-        assert clustering_score(bits_of({0, 2, 4}), 6) == pytest.approx(1.5)
-        assert clustering_score(bits_of({0, 1, 2, 5}), 8) == pytest.approx(41 / 12)
-        assert clustering_score(bits_of({0, 1, 3, 4}), 8) == pytest.approx(41 / 12)
+        assert score(bits_of({0, 1, 2}), 6) == pytest.approx(2.5)
+        assert score(bits_of({0, 2, 4}), 6) == pytest.approx(1.5)
+        assert score(bits_of({0, 1, 2, 5}), 8) == pytest.approx(41 / 12)
+        assert score(bits_of({0, 1, 3, 4}), 8) == pytest.approx(41 / 12)
 
     def test_symmetry_invariance(self):
         n = 8
         for c in enumerate_sector(n, 3).bits.tolist():
-            score = clustering_score(c, n)
+            expected = score(c, n)
             for t in range(n):
-                assert clustering_score(rotate(c, t, n), n) == pytest.approx(score)
-            assert clustering_score(reflect(c, n), n) == pytest.approx(score)
+                assert score(rotate(c, t, n), n) == pytest.approx(expected)
+            assert score(reflect(c, n), n) == pytest.approx(expected)
 
     def test_trivial_configurations(self):
-        assert clustering_score(0, 6) == 0.0
-        assert clustering_score(1, 6) == 0.0
+        assert score(0, 6) == 0.0
+        assert score(1, 6) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_scores_equal_the_pair_loop(self, n):
+        for k in range(n + 1):
+            reps = enumerate_sector(n, k).reps
+            np.testing.assert_allclose(clustering_scores(reps, n),
+                                       [clustering_score(c, n) for c in reps.tolist()],
+                                       rtol=1e-14, atol=0)
+
+
+class TestLabels:
+    def test_offset_patterns(self):
+        assert _labels([bits_of({0, 2, 4})], 6) == ["|j,j+2,j+4>"]
+        assert _labels([bits_of({1, 2}), bits_of({0, 4})], 5) == ["|j,j+1>", "|j,j+4>"]
+        assert _labels([0], 4) == ["|->"]
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_labels_equal_the_scalar_labels(self, n):
+        for k in range(n + 1):
+            reps = enumerate_sector(n, k).reps
+            assert _labels(reps, n) == [config_label(c, n) for c in reps.tolist()]
 
 
 class TestOrbitReports:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from xxring.basis import enumerate_sector
-from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block
+from xxring.concurrence import concurrence_wootters, manifold_pair_density
+from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block, real_block_pieces
 import xxring.cli
 import xxring.spectra
+from xxring.oracle import full_diagonalize
 from xxring.spectra import DEGENERACY_RTOL, block_levels, eigh, ground_manifold, lift_block_vector
 
 from reference import apply_hamiltonian, build_sector_hamiltonian, index_of, set_walk_orbits
@@ -219,33 +221,92 @@ class TestGroundManifold:
         assert manifold.states[0].k == 2
         np.testing.assert_allclose(manifold.energy, -2.05, atol=1e-12)
 
-    @pytest.mark.parametrize("n, coupling, blocks", [(7, ANTIFERRO, 4), (8, FERRO, 1)])
-    def test_eigenvectors_only_for_ground_blocks(self, monkeypatch, n, coupling, blocks):
+    @pytest.mark.parametrize("n, coupling, degeneracy, solves",
+                             [(7, ANTIFERRO, 4, 2), (8, FERRO, 1, 1)])
+    def test_eigenvectors_only_for_ground_blocks(self, monkeypatch, n, coupling, degeneracy,
+                                                 solves):
+        # one solve per spin-flip pair: block (n - k, m) is block (k, m) flipped
         calls = []
 
-        def counted(matrix):
+        def counted(matrix, *args):
             calls.append(matrix.shape)
-            return eigh(matrix)
+            return eigh(matrix, *args)
 
         monkeypatch.setattr(xxring.spectra, "eigh", counted)
         xxring.spectra._ground_manifold.cache_clear()  # solve under the patch
         manifold = ground_manifold(n, coupling)
-        assert len(calls) == blocks == manifold.degeneracy
+        assert manifold.degeneracy == degeneracy
+        assert len(calls) == solves
 
     def test_scan_checks_hermiticity(self, monkeypatch):
-        def skewed(*args, **kwargs):
-            block = build_momentum_block(*args, **kwargs)
-            if block.dim > 1:
-                block.matrix[0, 1] += 1e-6
-            return block
+        def skewed(basis):
+            for pieces in real_block_pieces(basis):
+                for piece in pieces:
+                    if len(piece) > 1:
+                        piece[0, 1] += 1e-6
+                yield pieces
 
-        monkeypatch.setattr(xxring.spectra, "build_momentum_block", skewed)
+        monkeypatch.setattr(xxring.spectra, "real_block_pieces", skewed)
         xxring.spectra._unit_levels.cache_clear()  # solve under the patch
         with pytest.raises(ValueError, match="not Hermitian"):
             block_levels(6, 3, 0, FERRO)
         xxring.spectra._ground_manifold.cache_clear()  # solve under the patch
         with pytest.raises(ValueError, match="not Hermitian"):
             ground_manifold(6, FERRO)
+        xxring.spectra._unit_levels.cache_clear()  # keep no level solved under the patch
+
+
+def direct_ground_columns(block, count):
+    """Lifts of the lowest ``count`` columns of a direct ``np.linalg.eigh`` of the block.
+
+    Each column's largest entry is made real positive in a copy of the
+    whole eigenvector matrix, as ``spectra.eigh`` does.
+    """
+    _, vectors = np.linalg.eigh(block.matrix)
+    fixed = vectors.copy()
+    for col in range(count):
+        lead = fixed[np.argmax(np.abs(fixed[:, col])), col]
+        fixed[:, col] *= np.conj(lead) / abs(lead)
+    return [lift_block_vector(block, fixed[:, col]) for col in range(count)]
+
+
+class TestGroundSolves:
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["ferro", "antiferro"])
+    @pytest.mark.parametrize("b", [0.0, 0.3])
+    def test_lowest_sector_is_the_direct_complex_solve(self, n, coupling, b):
+        # orbit tables read the lowest ground sector, so its states must stay
+        # bit for bit the lifted eigh of the complex block at J
+        manifold = ground_manifold(n, coupling, FieldSetting(b))
+        low = manifold.states[0].k
+        by_momentum = {}
+        for state in manifold.states:
+            if state.k == low:
+                by_momentum.setdefault(state.momentum, []).append(state.amplitudes)
+        for m, states in by_momentum.items():
+            block = build_momentum_block(enumerate_sector(n, low), m, coupling)
+            for got, expected in zip(states, direct_ground_columns(block, len(states)),
+                                     strict=True):
+                assert np.array_equal(got, expected), (n, coupling.j, b, m)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+    @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["ferro", "antiferro"])
+    def test_spin_flip_images_are_ground_states(self, n, coupling):
+        manifold = ground_manifold(n, coupling)
+        upper = [s for s in manifold.states if 2 * s.k > n]
+        assert len(upper) == manifold.degeneracy // 2
+        h = build_sector_hamiltonian(upper[0].basis, coupling)
+        for state in upper:
+            residual = h @ state.amplitudes - manifold.energy * state.amplitudes
+            assert np.linalg.norm(residual) <= 1e-12
+            assert not state.amplitudes.flags.writeable
+        vectors = np.zeros((1 << n, manifold.degeneracy), dtype=complex)
+        for col, state in enumerate(manifold.states):
+            vectors[state.basis.bits, col] = state.amplitudes
+        np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(manifold.degeneracy),
+                                   rtol=0, atol=1e-12)
+        concurrence = concurrence_wootters(manifold_pair_density(manifold, (0, 1))).value
+        assert abs(concurrence - full_diagonalize(n, coupling).ground_concurrence) <= 1e-12
 
 
 @pytest.fixture
@@ -333,12 +394,16 @@ class TestLevelTable:
                     np.testing.assert_allclose(block_levels(n, k, m, coupling), direct,
                                                rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [6, 9, 12])
+    @pytest.mark.parametrize("n, pieces", [(6, 16), (9, 23), (12, 52)])
     def test_each_block_solved_once_for_both_signs_and_spectrum(self, solver_calls,
-                                                                capsys, n):
+                                                                capsys, n, pieces):
         xxring.spectra._ground_manifold.cache_clear()
         xxring.spectra._unit_levels.cache_clear()
         ground_manifold(n, FERRO)
+        # one eigvalsh per real piece of the canonical blocks (k, m <= n/2),
+        # one eigh for the ground block and its spin flip
+        assert solver_calls.count("eigvalsh") == pieces
+        assert solver_calls.count("eigh") == 1
         solver_calls.clear()
         ground_manifold(n, ANTIFERRO)
         assert "eigvalsh" not in solver_calls
