@@ -16,9 +16,9 @@ numbered by ascending representative, the minimal member) and the shift t
 with T^t(representative) == config, taken from the configuration's first
 minimal rotation; per orbit, the representative, the period, the orbit
 that R maps it onto (``mirror``) and the shift that R's image sits at in
-that orbit (``mirror_shift``); and the table of bond swaps between
-representatives (``hop_table``), with its integer columns kept apart
-(``hop_index``).  Momentum blocks, lifted amplitudes and
+that orbit (``mirror_shift``); and the bond swaps between representatives
+(``hop_table``), as integer columns (``hop_index``) and amplitude ratios
+(``hop_weight``).  Momentum blocks, lifted amplitudes and
 orbit-probability tables all read these arrays instead of rotating
 configurations again; no orbit is kept as an object, and ``rotation_order``
 lists each orbit's members in turn.  An orbit and its mirror form one
@@ -53,8 +53,9 @@ class SectorBasis:
     to ``a`` for an orbit that R maps onto itself) and ``mirror_shift[a]``
     the shift s with R(reps[a]) == T^s(reps[mirror[a]]), that is ``shift``
     of the configuration R(reps[a]).
-    ``hops`` is the sector's ``hop_table`` and ``hop_index`` its (a, b,
-    shift) columns as int64.  Every array is read-only.
+    ``hop_index`` and ``hop_weight`` are the sector's ``hop_table``: the
+    (a, b, shift) columns of its hops as int64, and their float weights.
+    Every array is read-only.
     """
 
     n: int
@@ -66,8 +67,8 @@ class SectorBasis:
     period: np.ndarray = field(repr=False)
     mirror: np.ndarray = field(repr=False)
     mirror_shift: np.ndarray = field(repr=False)
-    hops: np.ndarray = field(repr=False)
     hop_index: np.ndarray = field(repr=False)
+    hop_weight: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -136,11 +137,11 @@ def enumerate_sector(n: int, k: int, /) -> SectorBasis:
     image = np.searchsorted(bits, mirrored[reps])
     basis = SectorBasis(n=n, k=k, bits=bits, orbit=orbit, shift=shift,
                         reps=reps, period=period, mirror=orbit[image],
-                        mirror_shift=shift[image], hops=None, hop_index=None)
-    hops = hop_table(basis)
-    basis = replace(basis, hops=hops, hop_index=hops[:, :3].astype(np.int64))
+                        mirror_shift=shift[image], hop_index=None, hop_weight=None)
+    hop_index, hop_weight = hop_table(basis)
+    basis = replace(basis, hop_index=hop_index, hop_weight=hop_weight)
     for name in ("bits", "orbit", "shift", "reps", "period", "mirror", "mirror_shift",
-                 "hops", "hop_index"):
+                 "hop_index", "hop_weight"):
         getattr(basis, name).flags.writeable = False
     return basis
 
@@ -150,23 +151,25 @@ def ring_bonds(n: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n) for i in range(n) if i != (i + 1) % n]
 
 
-def hop_table(basis: SectorBasis) -> np.ndarray:
+def hop_table(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
     """All bond swaps between orbit representatives of a sector.
 
-    One row (a, b, shift, weight) per hop, indices as exact floats: the swap
-    takes representative ``a`` (by orbit index) to
-    T^shift(basis.reps[b]) and carries the amplitude ratio
+    Returns ``(index, weight)``: one int64 row (a, b, shift) per hop, whose
+    swap takes representative ``a`` (by orbit index) to
+    T^shift(basis.reps[b]), and the hop's amplitude ratio
     sqrt(period_a / period_b).  Rows run a-major and bond-minor.  Each
     swapped configuration is found in the sector with one ``searchsorted``;
     its orbit ``b`` and ``shift`` are read from the sector's orbit map.
-    ``enumerate_sector`` keeps the result as ``basis.hops``.
+    ``enumerate_sector`` keeps the two as ``basis.hop_index`` and
+    ``basis.hop_weight``.
     """
     reps, period = basis.reps, basis.period
     i, j = np.array(ring_bonds(basis.n), dtype=np.int64).reshape(-1, 2).T
     a, bond = np.nonzero(((reps[:, None] >> i) & 1) != ((reps[:, None] >> j) & 1))
     swapped = np.searchsorted(basis.bits, reps[a] ^ ((1 << i[bond]) | (1 << j[bond])))
     b = basis.orbit[swapped]
-    return np.column_stack([a, b, basis.shift[swapped], np.sqrt(period[a] / period[b])])
+    index = np.column_stack([a, b, basis.shift[swapped]]).astype(np.int64, copy=False)
+    return index, np.sqrt(period[a] / period[b])
 
 
 def rotation_order(basis: SectorBasis) -> np.ndarray:

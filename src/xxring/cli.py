@@ -1,16 +1,24 @@
 """Command-line front end: batch computations serialized as JSON, CSV or text.
 
 Sites are 1-based on this surface (internally 0-based).  Every command
-returns its ``config`` and ``rows``, and ``run`` writes one payload: the
-``command`` name, a flat ``config`` dict, ``rows`` as a list of flat dicts and
-a flat ``meta`` dict.  Floats are printed with 12 significant digits and a
-fixed field order, so identical invocations produce identical payloads apart
-from two timing fields: ``runtime_ms`` in ``meta`` and the ``seconds`` of
-each sweep row.  Ground solves are reused within a process, so a sweep row
-whose solve was already done reads near zero seconds.  ``run`` builds its
-argument parser on the first call and reuses it.  Exit status: 0 on success,
-1 when a row reports ``ok`` false (a ``verify`` mismatch), 2 for a usage
-error, a refused input or an ``--out`` that cannot be written.
+returns its ``config`` and its ``Rows``, and ``run`` writes one payload: the
+``command`` name, a flat ``config`` dict, the rows and a flat ``meta`` dict.
+Every command's rows have one shape, never a dict per row: a tuple of keys
+and one column per key, each a list of scalars or a one-dimensional numpy
+array.  ``spectrum`` builds its columns as arrays: each block's levels
+come as one array, shifted by the sector offset, and the exact-zero snap
+and the overflow check read the joined array; the other commands
+transpose one value tuple per row.  The JSON writer prints each row as a
+flat object, all rows from one template filled by a single ``%``; the CSV
+and table writers print one line per row under a header of the keys.
+Floats are printed with 12 significant digits and a fixed field order, so
+identical invocations produce identical payloads apart from two timing
+fields: ``runtime_ms`` in ``meta`` and the ``seconds`` of each sweep row.
+Ground solves are reused within a process, so a sweep row whose solve was
+already done reads near zero seconds.  ``run`` builds its argument parser
+on the first call and reuses it.  Exit status: 0 on success, 1 when a row
+reports ``ok`` false (a ``verify`` mismatch), 2 for a usage error, a
+refused input or an ``--out`` that cannot be written.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ import math
 import sys
 import time
 from functools import lru_cache
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +44,22 @@ from .oracle import FULL_DIAGONALIZE_CAP, compare_with_pipeline
 from .polarization import lp_table
 from .spectra import DEGENERACY_RTOL, block_levels, check_finite_energies, ground_manifold
 from .sweeps import extrapolate, sweep
+
+
+class Rows(NamedTuple):
+    """A payload's rows: the ``keys`` of every row and one column per key.
+
+    A column is a list of scalars or a one-dimensional numpy array, and all
+    columns have one length, the number of rows.
+    """
+
+    keys: tuple
+    columns: tuple
+
+
+def _table(keys: tuple, records) -> Rows:
+    """Rows from one value tuple per row."""
+    return Rows(keys, tuple(map(list, zip(*records))) or ([],) * len(keys))
 
 
 def _json_scalar(value) -> str:
@@ -54,12 +80,16 @@ def _json_scalar(value) -> str:
 
 
 @lru_cache(maxsize=64)
-def _template(keys: tuple, indent: int) -> str:
-    """The ``%`` template of a flat dict with these keys at this indent, one %s per value."""
+def _template(keys: tuple, indent: int, conversions: tuple | None = None) -> str:
+    """The ``%`` template of a flat dict with these keys at this indent.
+
+    One conversion per value, ``%s`` unless ``conversions`` names them.
+    """
     if not keys:
         return "{}"
     inner = "  " * (indent + 1)
-    fields = ",\n".join(inner + json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
+    fields = ",\n".join(inner + json.dumps(k).replace("%", "%%") + ": " + c
+                        for k, c in zip(keys, conversions or ("%s",) * len(keys)))
     return "{\n" + fields + "\n" + "  " * indent + "}"
 
 
@@ -69,36 +99,56 @@ def _flat_json(obj: dict, indent: int) -> str:
     return _template(tuple(obj), indent) % tuple(map(_json_scalar, obj.values()))
 
 
-def _rows_json(rows: list) -> str:
-    """Flat dicts at indent 2, comma-joined.
+def _columns(rows: Rows, scalar) -> list[tuple[str, list]]:
+    """Each column of ``rows`` as a ``%`` conversion and the values it converts.
 
-    Each run of consecutive rows with one key order is written with one
-    template; exact floats are formatted in place and exact ints left to
-    ``%s``, every other value goes through ``_json_scalar``.
+    A float array keeps its values for ``%.12g``, negative zero made
+    positive by adding 0.0, and an integer array for ``%d``: the text
+    ``_json_scalar`` writes for them.  Any other column is written with
+    ``%s`` from ``scalar`` of each value.
     """
-    texts, start = [], 0
-    while start < len(rows):
-        if not isinstance(rows[start], dict):
-            raise TypeError(f"expected a flat dict, not {type(rows[start]).__name__}")
-        keys = tuple(rows[start])
-        stop = start + 1
-        while stop < len(rows) and isinstance(rows[stop], dict) and tuple(rows[stop]) == keys:
-            stop += 1
-        values = [v if type(v) is int else f"{v + 0.0:.12g}" if type(v) is float
-                  else _json_scalar(v) for row in rows[start:stop] for v in row.values()]
-        texts.append(",\n    ".join([_template(keys, 2)] * (stop - start)) % tuple(values))
-        start = stop
-    return ",\n    ".join(texts)
+    if not isinstance(rows, Rows):
+        raise TypeError(f"expected Rows, not {type(rows).__name__}")
+    keys, columns = rows
+    if (len(columns) != len(keys)
+            or not all(isinstance(c, list) or isinstance(c, np.ndarray) and c.ndim == 1
+                       for c in columns)
+            or len(set(map(len, columns))) > 1):
+        raise TypeError("rows need one list or 1-d array per key, all of one length")
+    converted = []
+    for column in columns:
+        kind = column.dtype.kind if isinstance(column, np.ndarray) else ""
+        if kind == "f":
+            converted.append(("%.12g", (column + 0.0).tolist()))
+        elif kind in ("i", "u"):
+            converted.append(("%d", column.tolist()))
+        else:
+            values = column.tolist() if kind else column
+            converted.append(("%s", list(map(scalar, values))))
+    return converted
+
+
+def _rows_json(rows: Rows) -> str:
+    """The rows as flat JSON objects at indent 2, comma-joined ("" for no rows).
+
+    One template per row, all joined and filled by a single ``%``.
+    """
+    columns = _columns(rows, _json_scalar)
+    count = len(columns[0][1]) if columns else 0
+    template = _template(rows.keys, 2, tuple(c for c, _ in columns))
+    return ",\n    ".join([template] * count) % tuple(
+        chain.from_iterable(zip(*(values for _, values in columns))))
 
 
 def _to_json(document: dict) -> str:
-    """The payload as JSON: scalars, flat dicts and lists of flat dicts under one dict."""
+    """The payload as JSON: scalars, flat dicts and ``Rows`` under one dict."""
     values = []
     for value in document.values():
         if isinstance(value, dict):
             values.append(_flat_json(value, 1))
-        elif isinstance(value, list):
-            values.append(f"[\n    {_rows_json(value)}\n  ]" if value else "[]")
+        elif isinstance(value, Rows):
+            text = _rows_json(value)
+            values.append(f"[\n    {text}\n  ]" if text else "[]")
         else:
             values.append(_json_scalar(value))
     return _template(tuple(document), 0) % tuple(values)
@@ -112,22 +162,21 @@ def _render(document: dict, fmt: str) -> str:
     if fmt == "json":
         return _to_json(document) + "\n"
     rows = document["rows"]
+    cells = [values if conversion == "%s" else map(conversion.__mod__, values)
+             for conversion, values in _columns(rows, _csv_cell)]
+    if not (rows.columns and len(rows.columns[0])):
+        return "" if fmt == "csv" else "(no rows)\n"
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        if rows:
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow([_csv_cell(v) for v in row.values()])
+        writer.writerow(rows.keys)
+        writer.writerows(zip(*cells))
         return out.getvalue()
     # plain text table
-    if not rows:
-        return "(no rows)\n"
-    headers = list(rows[0].keys())
-    cells = [[_csv_cell(v) for v in row.values()] for row in rows]
-    widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in cells:
+    cells = [list(column) for column in cells]
+    widths = [max(len(key), *map(len, column)) for key, column in zip(rows.keys, cells)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(rows.keys, widths)).rstrip()]
+    for row in zip(*cells):
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
 
@@ -222,59 +271,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_spectrum(args) -> tuple[dict, list[dict]]:
+def _cmd_spectrum(args) -> tuple[dict, Rows]:
     check_ring_size(args.n)
     _check_tol(args.tol)
     field = FieldSetting(b=args.b)
     coupling = Coupling(j=args.j)
-    ks = range(args.n + 1) if args.k is None else [args.k]
-    rows = []
-    ms = range(args.n) if args.m is None else [args.m]
-    zero = args.tol * args.n * abs(args.j)  # exact zero levels come out as LAPACK noise
-    with np.errstate(over="ignore"):  # refused below
-        for k in ks:
-            offset = sector_energy_offset(k, args.n, field)
-            for m in ms:
-                for level, energy in enumerate(block_levels(args.n, k, m, coupling)):
-                    energy = float(energy) + offset
-                    rows.append({"k": k, "m": m, "level": level,
-                                 "energy": 0.0 if abs(energy) <= zero else energy})
-    check_finite_energies([row["energy"] for row in rows], coupling, field)
+    blocks = [(k, m) for k in (range(args.n + 1) if args.k is None else [args.k])
+              for m in (range(args.n) if args.m is None else [args.m])]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        levels = [block_levels(args.n, k, m, coupling) + sector_energy_offset(k, args.n, field)
+                  for k, m in blocks]
+        energy = np.concatenate(levels)
+        # exact zero levels come out as LAPACK noise
+        energy[np.abs(energy) <= args.tol * args.n * abs(args.j)] = 0.0
+    check_finite_energies(energy, coupling, field)
+    sizes = [len(block) for block in levels]
+    k, m = np.repeat(np.array(blocks, dtype=np.int64), sizes, axis=0).T
+    level = np.arange(len(energy)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return {"n": args.n, "j": args.j, "b": args.b, "k": args.k, "m": args.m,
-            "tol": args.tol}, rows
+            "tol": args.tol}, Rows(("k", "m", "level", "energy"), (k, m, level, energy))
 
 
-def _cmd_ground(args) -> tuple[dict, list[dict]]:
+def _cmd_ground(args) -> tuple[dict, Rows]:
     manifold = ground_manifold(args.n, Coupling(j=args.j), FieldSetting(b=args.b),
                                tol=args.tol)
-    rows = [{"energy": manifold.energy, "degeneracy": manifold.degeneracy,
-             "k": state.k, "m": state.momentum}
-            for state in manifold.states]
+    rows = _table(("energy", "degeneracy", "k", "m"),
+                  [(manifold.energy, manifold.degeneracy, state.k, state.momentum)
+                   for state in manifold.states])
     return {"n": args.n, "j": args.j, "b": args.b, "tol": args.tol}, rows
 
 
-def _cmd_concurrence(args) -> tuple[dict, list[dict]]:
+def _cmd_concurrence(args) -> tuple[dict, Rows]:
     pair = _pair_arg(args, args.n)
     manifold = ground_manifold(args.n, Coupling(j=args.j), FieldSetting(b=args.b),
                                tol=args.tol)
     value = concurrence_wootters(manifold_pair_density(manifold, pair)).value
     d = abs(pair[0] - pair[1])
-    rows = [{"n": args.n, "p": pair[0] + 1, "q": pair[1] + 1,
-             "distance": min(d, args.n - d),
-             "concurrence": value, "degeneracy": manifold.degeneracy,
-             "energy": manifold.energy}]
+    rows = _table(("n", "p", "q", "distance", "concurrence", "degeneracy", "energy"),
+                  [(args.n, pair[0] + 1, pair[1] + 1, min(d, args.n - d), value,
+                    manifold.degeneracy, manifold.energy)])
     return {"n": args.n, "j": args.j, "b": args.b, "tol": args.tol}, rows
 
 
-def _cmd_lp(args) -> tuple[dict, list[dict]]:
+def _cmd_lp(args) -> tuple[dict, Rows]:
     report = lp_table(args.n, Coupling(j=args.j), FieldSetting(b=args.b), tol=args.tol)
     corr = report.rank_correlation
-    rows = [{"orbit": row.pattern, "period": row.period,
-             "member_probability": row.member_probability,
-             "orbit_probability": row.orbit_probability,
-             "clustering": row.clustering, "dihedral_class": row.dihedral_class,
-             "rank_correlation": corr}
-            for row in report.rows]
+    rows = _table(("orbit", "period", "member_probability", "orbit_probability",
+                   "clustering", "dihedral_class", "rank_correlation"),
+                  [(row.pattern, row.period, row.member_probability, row.orbit_probability,
+                    row.clustering, row.dihedral_class, corr)
+                   for row in report.rows])
     return {"n": args.n, "j": args.j, "b": args.b, "tol": args.tol,
             "k": report.k, "sector_weight": report.sector_weight}, rows
 
@@ -288,40 +334,39 @@ def _sweep(args) -> tuple[dict, list]:
             "regime": args.regime, "distance": args.distance, "tol": args.tol}, rows
 
 
-def _cmd_sweep(args) -> tuple[dict, list[dict]]:
+def _cmd_sweep(args) -> tuple[dict, Rows]:
     config, rows = _sweep(args)
-    return config, [{"n": row.n, "regime": row.regime, "distance": row.distance,
-                     "concurrence": row.concurrence, "degeneracy": row.degeneracy,
-                     "energy": row.energy, "seconds": row.seconds}
-                    for row in rows]
+    return config, _table(("n", "regime", "distance", "concurrence", "degeneracy",
+                           "energy", "seconds"),
+                          [(row.n, row.regime, row.distance, row.concurrence,
+                            row.degeneracy, row.energy, row.seconds) for row in rows])
 
 
-def _cmd_extrapolate(args) -> tuple[dict, list[dict]]:
+def _cmd_extrapolate(args) -> tuple[dict, Rows]:
     config, rows = _sweep(args)
     fit = extrapolate(rows)
-    return config, [{"c_infinity": fit.c_infinity, "a": fit.a, "b": fit.b,
-                     "residual": fit.residual,
-                     "points": " ".join(str(n) for n in fit.points)}]
+    return config, _table(("c_infinity", "a", "b", "residual", "points"),
+                          [(fit.c_infinity, fit.a, fit.b, fit.residual,
+                            " ".join(str(n) for n in fit.points))])
 
 
-def _cmd_verify(args) -> tuple[dict, list[dict]]:
+def _cmd_verify(args) -> tuple[dict, Rows]:
     n_min, n_max = _parse_range(args.n)
     if n_min > n_max:
         raise ValueError(f"verify range {n_min}..{n_max} is empty")
     if n_max > FULL_DIAGONALIZE_CAP:  # refuse before any row is solved
         raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
     _check_tol(args.tol)  # the oracle runs before the pipeline would refuse it
-    rows = []
+    records = []
     for n in range(n_min, n_max + 1):
         for j in (-1.0, 1.0):
             result = compare_with_pipeline(n, Coupling(j=j), tol=args.tol)
-            rows.append({"n": n, "j": j, "energy_delta": result.energy_delta,
-                         "oracle_degeneracy": result.oracle_degeneracy,
-                         "pipeline_degeneracy": result.pipeline_degeneracy,
-                         "concurrence_delta": result.concurrence_delta,
-                         "probability_delta": result.probability_delta,
-                         "ok": result.ok})
-    return {"n_min": n_min, "n_max": n_max, "tol": args.tol}, rows
+            records.append((n, j, result.energy_delta, result.oracle_degeneracy,
+                            result.pipeline_degeneracy, result.concurrence_delta,
+                            result.probability_delta, result.ok))
+    return {"n_min": n_min, "n_max": n_max, "tol": args.tol}, _table(
+        ("n", "j", "energy_delta", "oracle_degeneracy", "pipeline_degeneracy",
+         "concurrence_delta", "probability_delta", "ok"), records)
 
 
 _COMMANDS = {
@@ -383,7 +428,8 @@ def run(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"xxring: error: {exc}", file=sys.stderr)
         return 2
-    return int(any(row.get("ok") is False for row in rows))
+    keys, columns = rows
+    return int("ok" in keys and any(ok is False for ok in columns[keys.index("ok")]))
 
 
 def main() -> None:

@@ -74,11 +74,20 @@ def _reduce_pure(state: SectorState, p: int, q: int) -> np.ndarray:
     configurations whose pattern away from (p, q) is the g-th one, in the
     column of their pair bits (uu, ud, du, dd); then rho = A^T A*.  Each
     configuration fills its own cell, so one plain assignment builds A.
+    Patterns are numbered in ascending order without a sort: squeezing bits
+    p and q out of a configuration gives an order-preserving (n-2)-bit
+    index, and a cumulative sum over the occupied indices numbers them.
     """
     configs = state.basis.bits
     pair_index = (1 - ((configs >> p) & 1)) * 2 + (1 - ((configs >> q) & 1))
-    rests, group = np.unique(configs & ~((1 << p) | (1 << q)), return_inverse=True)
-    a = np.zeros((len(rests), 4), dtype=complex)
+    squeezed = (configs & ((1 << p) - 1)
+                | (configs >> 1) & ((1 << (q - 1)) - (1 << p))
+                | (configs >> 2) & -(1 << (q - 1)))
+    occupied = np.zeros(1 << (state.basis.n - 2), dtype=bool)
+    occupied[squeezed] = True
+    number = np.cumsum(occupied)
+    group = number[squeezed] - 1
+    a = np.zeros((number[-1], 4), dtype=complex)
     a[group, pair_index] = state.amplitudes
     return a.T @ a.conj()
 

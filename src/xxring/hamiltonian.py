@@ -114,7 +114,7 @@ def build_momentum_block(basis: SectorBasis, m: int, coupling: Coupling) -> Mome
     matrix = np.zeros((len(orbits),) * 2, dtype=complex)
     phase = np.exp(2j * np.pi * m * np.arange(n) / n)
     np.add.at(matrix, (col[b[keep]], col[a[keep]]),
-              coupling.j * phase[shift[keep]] * basis.hops[keep, 3])
+              coupling.j * phase[shift[keep]] * basis.hop_weight[keep])
     return MomentumBlock(basis=basis, m=m, orbits=orbits, matrix=matrix)
 
 
@@ -159,7 +159,7 @@ def real_block_pieces(basis: SectorBasis):
     a, b, shift = basis.hop_index.T
     from_slot = a + count * np.array([[0], [0], [1], [1]])  # the four terms of each hop
     to_slot = b + count * np.array([[0], [1], [0], [1]])
-    weight = basis.hops[:, 3] * amp[from_slot] * amp[to_slot]
+    weight = basis.hop_weight * amp[from_slot] * amp[to_slot]
     kept = weight != 0
     from_slot, to_slot, weight = from_slot[kept], to_slot[kept], weight[kept]
     cell = column[to_slot] * count + column[from_slot]  # entry in an orbit-by-orbit matrix

@@ -7,7 +7,8 @@ sector's translation orbits found by walking unseen rotations (the library
 keeps orbits only as arrays), the dihedral classes of those orbits, a
 configuration's position in its sector, the dense sector Hamiltonian with a
 matrix-free product, the basis that makes a momentum block real, the dense
-2^n Hamiltonian and its dense popcount blocks, and the X-form concurrence.
+2^n Hamiltonian and its dense popcount blocks, the pair reduction that
+numbers configuration groups with ``np.unique``, and the X-form concurrence.
 """
 
 from __future__ import annotations
@@ -236,6 +237,16 @@ def popcount_block(n: int, k: int, coupling: Coupling) -> tuple[np.ndarray, np.n
         rows = np.searchsorted(configs, configs[hop] ^ ((1 << i) | (1 << j)))
         block[rows, hop] += coupling.j  # one entry per hop; n = 2 lists its bond twice
     return configs, block
+
+
+def reduce_pure_by_unique(amplitudes: np.ndarray, configs: np.ndarray,
+                          p: int, q: int) -> np.ndarray:
+    """Pair reduction of one state, its groups numbered by ``np.unique`` of the rest bits."""
+    pair_index = (1 - ((configs >> p) & 1)) * 2 + (1 - ((configs >> q) & 1))
+    rests, group = np.unique(configs & ~((1 << p) | (1 << q)), return_inverse=True)
+    a = np.zeros((len(rests), 4), dtype=complex)
+    a[group, pair_index] = amplitudes
+    return a.T @ a.conj()
 
 
 def concurrence_xstate(rho: PairDensity) -> float:

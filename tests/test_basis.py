@@ -100,7 +100,7 @@ class TestOrbitMap:
     def test_every_sector_array_is_read_only(self):
         basis = enumerate_sector(6, 3)
         for name in ("bits", "orbit", "shift", "reps", "period", "mirror", "mirror_shift",
-                     "hops", "hop_index"):
+                     "hop_index", "hop_weight"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(basis, name)[0] = 1
 

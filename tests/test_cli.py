@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import xxring.cli as cli
-from xxring.hamiltonian import Coupling
+from xxring import __version__
+from xxring.hamiltonian import Coupling, FieldSetting, sector_energy_offset
+from xxring.spectra import DEGENERACY_RTOL, block_levels
 
 from reference import full_hamiltonian
 
@@ -24,8 +26,16 @@ def strip_runtime(text):
     return "\n".join(line for line in text.splitlines() if "runtime_ms" not in line)
 
 
+def as_dicts(rows):
+    """A payload's ``Rows`` as one dict per row, array values as Python scalars."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in rows.columns]
+    return [dict(zip(rows.keys, values)) for values in zip(*columns)]
+
+
 def reference_to_json(obj, indent=0):
     """The recursive JSON writer, one call per value: the reference for ``cli._to_json``."""
+    if isinstance(obj, cli.Rows):
+        obj = as_dicts(obj)
     pad, inner = "  " * indent, "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
@@ -39,6 +49,47 @@ def reference_to_json(obj, indent=0):
         items = ",\n".join(f"{inner}{reference_to_json(v, indent + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
     return cli._json_scalar(obj)
+
+
+def reference_render(document, fmt):
+    """A payload written from one dict per row: the reference for ``cli._render``."""
+    if fmt == "json":
+        return reference_to_json(document) + "\n"
+    rows = document["rows"]
+    if isinstance(rows, cli.Rows):
+        rows = as_dicts(rows)
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        if rows:
+            writer.writerow(rows[0].keys())
+            for row in rows:
+                writer.writerow([cli._csv_cell(v) for v in row.values()])
+        return out.getvalue()
+    if not rows:
+        return "(no rows)\n"
+    headers = list(rows[0].keys())
+    cells = [[cli._csv_cell(v) for v in row.values()] for row in rows]
+    widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(headers)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+    for row in cells:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def reference_spectrum_rows(n, j=-1.0, b=0.0, k=None, m=None, tol=DEGENERACY_RTOL):
+    """``spectrum`` rows built level by level, one float and one dict per level."""
+    field, coupling = FieldSetting(b=b), Coupling(j=j)
+    zero = tol * n * abs(j)
+    rows = []
+    for kk in range(n + 1) if k is None else [k]:
+        offset = sector_energy_offset(kk, n, field)
+        for mm in range(n) if m is None else [m]:
+            for level, energy in enumerate(block_levels(n, kk, mm, coupling)):
+                energy = float(energy) + offset
+                rows.append({"k": kk, "m": mm, "level": level,
+                             "energy": 0.0 if abs(energy) <= zero else energy})
+    return rows
 
 
 class TestPayloads:
@@ -108,6 +159,27 @@ class TestPayloads:
                 # spin flip k -> n-k and momentum reversal m -> n-m
                 for image in ((n - k, m), (k, -m % n), (n - k, -m % n)):
                     assert levels.get(image) == levels.get((k, m))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("options", [
+        {}, {"k": 2}, {"m": 1}, {"k": 2, "m": 1}, {"b": 0.3}, {"j": 0.5},
+        {"j": 1.0, "b": -1e-3}, {"k": 0, "m": 1}, {"tol": 0.0}, {"j": -2.5, "b": 0.7, "k": 1},
+    ], ids=lambda options: "-".join(f"{key}{value}" for key, value in options.items()))
+    def test_spectrum_matches_the_per_level_reference(self, capsys, n, options):
+        """Byte for byte, in every format, the rows built one level at a time."""
+        options = {key: min(value, n) if key == "k" else min(value, n - 1) if key == "m"
+                   else value for key, value in options.items()}
+        argv = ["spectrum", "--n", str(n)] + [f"--{key}={value}"
+                                              for key, value in options.items()]
+        config = {"n": n, "j": -1.0, "b": 0.0, "k": None, "m": None, "tol": DEGENERACY_RTOL}
+        config.update(options)
+        rows = reference_spectrum_rows(**config)
+        document = {"command": "spectrum", "config": config, "rows": rows,
+                    "meta": {"version": __version__, "runtime_ms": 0.0}}
+        for fmt in ("json", "csv", "table"):
+            assert cli.run(argv + ["--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert strip_runtime(out) == strip_runtime(reference_render(document, fmt))
 
     def test_lp_csv(self, capsys):
         code = cli.run(["lp", "--n", "6", "--j", "-1", "--format", "csv"])
@@ -189,6 +261,9 @@ COMMAND_SHAPES = [
 ]
 
 
+Rows = cli.Rows
+
+
 class TestJsonWriter:
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     @pytest.mark.parametrize("argv", COMMAND_SHAPES, ids=lambda argv: "-".join(argv[:3]))
@@ -210,28 +285,45 @@ class TestJsonWriter:
         out = capsys.readouterr().out
         monkeypatch.undo()
         [document] = documents
+        assert isinstance(document["rows"], Rows)
         assert cli._to_json(document) == reference_to_json(document)
-        if fmt == "json":
-            assert out == reference_to_json(document) + "\n"
+        assert out == reference_render(document, fmt)
 
     @pytest.mark.parametrize("document", [
-        {"rows": []},
-        {"rows": [{}]},
-        {"rows": [{"a": 1}, {}]},
-        {"rows": [{"x": 1.0}, {"x": -0.0}]},
-        {"rows": [{"{k}": 1, "}{": True, "a\"b": "{0}"},
-                  {"{k}": None, "}{": False, "a\"b": "é"}]},
-        {"rows": [{"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}, {"a": 1}]},
-        {"rows": [{"f": np.float64(0.1) * 3, "i": 7, "g": 1e-300, "h": float("nan"),
-                   "big": 2 ** 70}]},
-        {"rows": [{"n": 4, "e": -2.82842712475}], "meta": {"v": "0"}, "empty": []},
+        {"rows": Rows((), ())},
+        {"rows": Rows(("k", "e"), (np.array([0, -3, 2 ** 62]),
+                                   np.array([-0.0, np.float64(0.1) * 3, 1e-300])))},
+        {"rows": Rows(("%d", "f", "ok"), (np.array([7], dtype=np.uint8),
+                                          np.array([np.nan]), np.array([True])))},
+        {"rows": Rows(("x",), ([1.0, -0.0],))},
+        {"rows": Rows(("{k}", "}{", "a\"b"), ([1, None], [True, False], ["{0}", "é"]))},
+        {"rows": Rows(("level", "pattern", "weight"),
+                      (np.arange(3), ["|j>", None, "é"], [0.5, 2 ** 70, -0.0]))},
+        {"rows": Rows(("f", "i", "g", "h", "big"),
+                      ([np.float64(0.1) * 3], [7], [1e-300], [float("nan")], [2 ** 70]))},
+        {"rows": Rows(("n", "e"), ([4], [-2.82842712475])), "meta": {"v": "0"},
+         "empty": Rows(("a",), ([],))},
         {"command": "{x}", "config": {"{k}": -0.0, "}{": None, "a\"b": "é", "n": 2 ** 70},
-         "rows": [], "meta": {}},
-        {"command": "c", "config": {}, "rows": [{"a": 1}],
+         "rows": Rows((), ()), "meta": {}},
+        {"command": "c", "config": {}, "rows": Rows(("a",), ([1],)),
          "meta": {"}}": np.float64(1e-300), "ü": True}},
     ])
     def test_documents_match_the_reference(self, document):
         assert cli._to_json(document) == reference_to_json(document)
+        for fmt in ("csv", "table"):
+            assert cli._render(document, fmt) == reference_render(document, fmt)
+
+    def test_array_columns_print_as_their_scalars(self):
+        """``%.12g`` of an array's floats and ``%d`` of its ints, as ``_json_scalar`` writes them."""
+        rng = np.random.default_rng(5)
+        floats = np.concatenate([rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200),
+                                 [0.0, -0.0, 1e16, 1e-5, 123456789012.5, 0.1 * 3, np.inf,
+                                  -np.inf, np.nan, 5e-324, 1.7976931348623157e308]])
+        ints = rng.integers(-2 ** 62, 2 ** 62, len(floats))
+        rows = Rows(("x", "i"), (floats, ints))
+        assert cli._to_json({"rows": rows}) == reference_to_json({"rows": rows})
+        assert cli._render({"rows": rows}, "csv").splitlines()[1:] == [
+            f"{cli._json_scalar(x)},{i}" for x, i in zip(floats.tolist(), ints.tolist())]
 
     @pytest.mark.parametrize("value, text", [
         (-0.0, "0"), (np.float64(-0.0), "0"), (np.float64(0.1) * 3, "0.3"),
@@ -245,21 +337,30 @@ class TestJsonWriter:
                                         "" if value is None else text)
 
     @pytest.mark.parametrize("document", [
-        {"rows": [{"a": np.int64(3)}]},
-        {"rows": [{"a": object()}]},
-        {"rows": [{"a": [1, 2.5]}]},
-        {"rows": [{"a": {"b": None}}]},
-        {"rows": [{"a": ()}]},
-        {"rows": [{"a": 1}, 2]},
+        {"rows": Rows(("a",), ([np.int64(3)],))},
+        {"rows": Rows(("a",), ([object()],))},
+        {"rows": Rows(("a",), ([[1, 2.5]],))},
+        {"rows": Rows(("a",), ([{"b": None}],))},
+        {"rows": Rows(("a",), ([()],))},
+        {"rows": Rows(("a", "b"), ([1], [1, 2]))},
         {"rows": [["a", 1]]},
         {"rows": ({"x": 1.0},)},
         {"config": {"a": [1]}},
         {"meta": {"a": {"b": 1}}},
+        {"rows": [{"a": 1}]},
+        {"rows": Rows(("a", "b"), ([1],))},
+        {"rows": Rows(("a",), (np.zeros((1, 2)),))},
+        {"rows": Rows(("a",), (np.array([1j]),))},
+        {"rows": Rows(("a",), ((1,),))},
     ])
     def test_unprintable_values_still_raise(self, document):
-        """Nested values and non-dict rows are outside the payload shape and raise."""
+        """Nested values and rows outside the one row shape raise, in every format."""
         with pytest.raises(TypeError):
             cli._to_json(document)
+        if "rows" in document:
+            for fmt in ("csv", "table"):
+                with pytest.raises(TypeError):
+                    cli._render(document, fmt)
 
 
 class TestExitCodes:

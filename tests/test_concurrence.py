@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from xxring.basis import enumerate_sector
-from xxring.concurrence import (PairDensity, concurrence_wootters, ground_concurrence,
-                                manifold_pair_density, pair_density, state_concurrence)
+from xxring.concurrence import (PairDensity, _reduce_pure, concurrence_wootters,
+                                ground_concurrence, manifold_pair_density, pair_density,
+                                state_concurrence)
 from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.spectra import SectorState, ground_manifold
 
-from reference import concurrence_xstate
+from reference import concurrence_xstate, reduce_pure_by_unique
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -122,6 +123,28 @@ class TestPairReductionReference:
                     np.testing.assert_allclose(pair_density([(1.0, state)], (p, q)).matrix,
                                                reference_reduction(state, p, q),
                                                rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_groups_numbered_as_np_unique_numbers_them(self, n):
+        """Bit for bit the reduction whose groups ``np.unique`` numbers."""
+        rng = np.random.default_rng(200 + n)
+        for k in range(n + 1):
+            state = random_state(rng, n, k)
+            for p in range(n):
+                for q in range(p + 1, n):
+                    assert np.array_equal(
+                        _reduce_pure(state, p, q),
+                        reduce_pure_by_unique(state.amplitudes, state.basis.bits, p, q))
+
+    def test_reduction_sorts_nothing(self, monkeypatch):
+        states = [random_state(np.random.default_rng(3), 9, k) for k in (4, 5)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pair reduction must not sort configurations")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        for p, q in [(0, 1), (0, 8), (3, 5), (7, 8)]:
+            assert pair_density([(0.5, states[0]), (0.5, states[1])], (p, q))
 
     def test_mixture_across_two_sectors(self):
         rng = np.random.default_rng(7)

@@ -139,21 +139,26 @@ def reference_hop_table(basis, orbits):
 
 
 class TestHopTable:
-    # n = 1 has no bond (shape (0, 4)); n = 2 lists its one bond twice
+    # n = 1 has no bond (shape (0, 3)); n = 2 lists its one bond twice
     @pytest.mark.parametrize("n", range(1, 15))
     def test_equals_the_loop(self, n):
         for k in range(n + 1):
             basis = enumerate_sector(n, k)
-            orbits = set_walk_orbits(n, k)
-            hops = hop_table(basis)
-            assert hops.dtype == float
-            assert np.array_equal(hops, reference_hop_table(basis, orbits))
+            reference = reference_hop_table(basis, set_walk_orbits(n, k))
+            index, weight = hop_table(basis)
+            assert index.dtype == np.int64 and weight.dtype == float
+            assert index.shape == (len(reference), 3) and weight.shape == (len(reference),)
+            assert np.array_equal(index, reference[:, :3])
+            assert np.array_equal(weight, reference[:, 3])
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_sector_carries_the_loop_table(self, n):
         for k in range(n + 1):
             basis = enumerate_sector(n, k)
-            assert np.array_equal(basis.hops, reference_hop_table(basis, set_walk_orbits(n, k)))
+            reference = reference_hop_table(basis, set_walk_orbits(n, k))
+            assert basis.hop_index.dtype == np.int64
+            assert np.array_equal(basis.hop_index, reference[:, :3])
+            assert np.array_equal(basis.hop_weight, reference[:, 3])
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_blocks_are_bit_identical(self, n):
@@ -165,18 +170,20 @@ class TestHopTable:
                 for coupling in (FERRO, ANTIFERRO):
                     block = build_momentum_block(basis, m, coupling)
                     expected = build_momentum_block(
-                        replace(basis, hops=reference,
-                                hop_index=reference[:, :3].astype(np.int64)), m, coupling)
+                        replace(basis, hop_index=reference[:, :3].astype(np.int64),
+                                hop_weight=reference[:, 3]), m, coupling)
                     assert np.array_equal(block.orbits, expected.orbits)
                     assert np.array_equal(block.matrix, expected.matrix)
-
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_hop_index_holds_the_integer_columns(self, n):
         for k in range(n + 1):
             basis = enumerate_sector(n, k)
-            assert basis.hop_index.dtype == np.int64
-            assert np.array_equal(basis.hop_index, basis.hops[:, :3])
+            index, weight = hop_table(basis)
+            assert basis.hop_index.dtype == np.int64 and basis.hop_index.shape[1:] == (3,)
+            assert np.array_equal(basis.hop_index, index)
+            assert basis.hop_weight.shape == (len(basis.hop_index),)
+            assert np.array_equal(basis.hop_weight, weight)
 
 
 class TestRealPieces:
