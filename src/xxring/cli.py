@@ -205,12 +205,6 @@ def _pair_arg(args, n: int) -> tuple[int, int]:
     return 0, args.distance
 
 
-def _check_tol(tol: float) -> None:
-    """Refuse a --tol that is negative or not finite."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"--tol must be finite and nonnegative, got {tol}")
-
-
 def _add_common(parser: argparse.ArgumentParser, *, coupling: bool = True) -> None:
     if coupling:
         parser.add_argument("--j", type=float, default=-1.0,
@@ -273,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_spectrum(args) -> tuple[dict, Rows]:
     check_ring_size(args.n)
-    _check_tol(args.tol)
     field = FieldSetting(b=args.b)
     coupling = Coupling(j=args.j)
     blocks = [(k, m) for k in (range(args.n + 1) if args.k is None else [args.k])
@@ -356,7 +349,6 @@ def _cmd_verify(args) -> tuple[dict, Rows]:
         raise ValueError(f"verify range {n_min}..{n_max} is empty")
     if n_max > FULL_DIAGONALIZE_CAP:  # refuse before any row is solved
         raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
-    _check_tol(args.tol)  # the oracle runs before the pipeline would refuse it
     records = []
     for n in range(n_min, n_max + 1):
         for j in (-1.0, 1.0):
@@ -415,6 +407,8 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):  # every command has --tol
+            raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
         config, rows = _COMMANDS[args.command](args)
         meta = {"version": __version__,
                 "runtime_ms": round((time.perf_counter() - started) * 1000.0, 3)}

@@ -9,10 +9,11 @@ per-configuration probabilities and mixture concurrence agree to 1e-10.
 
 H(J) = J * H(1), so each popcount block is decomposed once, at J = 1, and
 both signs of J, any field and the level scan read that one decomposition.
-Spin inversion C complements the bits, which maps the k-up configurations
-onto the (n - k)-up ones in reversed order, so block n - k is block k with
-both axes reversed: blocks k <= n/2 are solved, and block n - k reuses block
-k's levels and its eigenvectors with the rows reversed.
+Spin inversion C complements the bits and commutes with H, so it maps the
+k-up configurations c onto the (n - k)-up ones 2^n - 1 - c with the same
+matrix entries: block n - k is block k's complement.  Blocks k <= n/2 are
+solved, and block n - k reads block k's levels and its eigenvectors, placed
+at the complemented configurations.
 
 No block is solved whole.  Each canonical block is listed as its
 configurations and the (row, column) pairs of its unit hops, and split by
@@ -30,8 +31,8 @@ level's eigenvector is gathered from its piece as v[i] = u(i) x[a(i)], a(i)
 being the orbit's column in the piece.
 
 Eigenvectors are solved only for the blocks a caller reads.  At zero field
-the ground level lies in block n // 2 (or its mirror) for both signs of J,
-so ``_unit_spectrum(n)`` takes every other block's levels from
+the ground level lies in block n // 2 (or its complement) for both signs
+of J, so ``_unit_spectrum(n)`` takes every other block's levels from
 ``np.linalg.eigvalsh`` of its pieces and runs ``np.linalg.eigh`` on the
 pieces of block n // 2 alone.  ``_unit_columns(n, k, columns)`` solves any
 other block's pieces on first read (a field that moves the ground level, or
@@ -137,21 +138,20 @@ def _eigh_pieces(pieces, rows: np.ndarray, columns: np.ndarray) -> tuple[tuple, 
 
 
 @lru_cache(maxsize=1)
-def _unit_spectrum(n: int, /) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...],
-                                       dict[int, tuple], dict[int, tuple[np.ndarray, ...]]]:
-    """Read-only J = 1 levels of each popcount block, its pieces and their eigenvectors.
+def _unit_spectrum(n: int, /) -> tuple[tuple[tuple, ...], dict[int, tuple[np.ndarray, ...]]]:
+    """Read-only J = 1 decomposition of each canonical popcount block k <= n/2.
 
-    Returns ``(levels, blocks, vectors)``.  ``levels[k]`` is
-    ``(configs, w)``, w ascending.  ``blocks`` maps each k <= n/2 to
-    ``(pieces, piece, local)``: the ``_pieces`` pairs, and for each
-    ascending level the piece it came from and its column there (ties keep
-    piece order).  ``vectors`` maps each k <= n/2 solved so far to its
-    pieces' eigenvectors; ``_unit_columns`` fills it on first read.
+    Returns ``(blocks, vectors)``.  ``blocks[k]`` is ``(configs, w, pieces,
+    piece, local)``: the ascending k-up configurations, the levels w
+    ascending, the ``_pieces`` pairs, and for each level the piece it came
+    from and its column there (ties keep piece order).  ``vectors`` maps each
+    k solved so far to its pieces' eigenvectors; ``_unit_columns`` fills it
+    on first read.  Block n - k has no record: it is block k's complement.
 
     Block n // 2 is solved last, so its eigenvectors are not held while the
     other blocks' levels are solved.
     """
-    levels, blocks, vectors = {}, {}, {}
+    blocks, vectors = [], {}
     for k in range(n // 2 + 1):
         configs, rows, columns = _hops(n, k)
         pieces = _pieces(n, k, configs)
@@ -167,34 +167,27 @@ def _unit_spectrum(n: int, /) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...]
         w = w[order]
         for array in (configs, w, piece, local):
             array.flags.writeable = False
-        levels[k] = (configs, w)
-        blocks[k] = (pieces, piece, local)
-        if 2 * k < n:
-            mirror = ((1 << n) - 1 - configs)[::-1]
-            mirror.flags.writeable = False
-            levels[n - k] = (mirror, w)
-    return tuple(levels[k] for k in range(n + 1)), blocks, vectors
+        blocks.append((configs, w, pieces, piece, local))
+    return tuple(blocks), vectors
 
 
 def _unit_columns(n: int, k: int, columns: np.ndarray) -> np.ndarray:
-    """J = 1 eigenvectors of popcount block k at the given ascending-level columns.
+    """J = 1 eigenvectors of canonical block k <= n/2 at the given ascending-level columns.
 
     Each column is gathered from its piece, v[i] = u(i) x[a(i), c], so no
     d x d array is built.  A block's piece eigenvectors are solved on first
-    read and kept; block n - k > n/2 gives block k's columns with the rows
-    reversed.
+    read and kept.
     """
-    _, blocks, vectors = _unit_spectrum(n)
-    canonical = min(k, n - k)
-    pieces, piece, local = blocks[canonical]
-    if canonical not in vectors:
-        vectors[canonical] = _eigh_pieces(pieces, *_hops(n, canonical)[1:])[1]
+    blocks, vectors = _unit_spectrum(n)
+    _, _, pieces, piece, local = blocks[k]
+    if k not in vectors:
+        vectors[k] = _eigh_pieces(pieces, *_hops(n, k)[1:])[1]
     out = np.zeros((len(piece), len(columns)))
     piece, local = piece[columns], local[columns]
-    for p, ((a, u), x) in enumerate(zip(pieces, vectors[canonical])):
+    for p, ((a, u), x) in enumerate(zip(pieces, vectors[k])):
         picked = np.flatnonzero(piece == p)
         out[:, picked] = u[:, None] * x[np.ix_(a, local[picked])]
-    return out if k == canonical else out[::-1]
+    return out
 
 
 def _full_spectrum(n, coupling, field):
@@ -202,23 +195,25 @@ def _full_spectrum(n, coupling, field):
 
     Magnetization is conserved, so the full matrix is block diagonal by
     popcount; diagonalizing block-wise keeps every eigenvector exactly
-    inside one sector and gives it an unambiguous k tag.  Each block's J = 1
-    levels are scaled by J, their column order reversed for J < 0.  Levels
-    or a spectral range that overflow are refused: every level would fall
-    inside an infinite tolerance window.
+    inside one sector and gives it an unambiguous k tag.  Block k reads
+    block min(k, n - k)'s J = 1 levels, scaled by J, their column order
+    reversed for J < 0.  Levels or a spectral range that overflow are
+    refused: every level would fall inside an infinite tolerance window.
     """
     if n > FULL_DIAGONALIZE_CAP:
         raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
     if n < 2:
         raise ValueError("pairwise concurrence needs at least two sites")
+    blocks = _unit_spectrum(n)[0]
     values, tags, columns = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for k, (configs, w) in enumerate(_unit_spectrum(n)[0]):
-            column = np.arange(len(configs))
+        for k in range(n + 1):
+            w = blocks[min(k, n - k)][1]
+            column = np.arange(len(w))
             if coupling.j < 0:
                 w, column = w[::-1], column[::-1]
             values.append(coupling.j * w + sector_energy_offset(k, n, field))
-            tags.append(np.full(len(configs), k))
+            tags.append(np.full(len(w), k))
             columns.append(column)
     values = np.concatenate(values)
     if not np.isfinite(float(values.max()) - float(values.min())):
@@ -229,38 +224,32 @@ def _full_spectrum(n, coupling, field):
 
 def _columns(n: int, tags: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """The given levels' eigenvectors as columns over all 2^n configurations."""
-    levels = _unit_spectrum(n)[0]
+    blocks = _unit_spectrum(n)[0]
     out = np.zeros((1 << n, len(tags)))
     for k in sorted(set(tags.tolist())):  # np.unique would import numpy.ma
         picked = np.flatnonzero(tags == k)
-        out[np.ix_(levels[k][0], picked)] = _unit_columns(n, k, columns[picked])
+        configs = blocks[min(k, n - k)][0]
+        rows = configs if 2 * k <= n else (1 << n) - 1 - configs
+        out[np.ix_(rows, picked)] = _unit_columns(n, min(k, n - k), columns[picked])
     return out
 
 
-def _window(values: np.ndarray, tol: float) -> float:
-    """Width of a level group: tol times the spectral range."""
-    return tol * max(float(values[-1] - values[0]), np.finfo(float).tiny)
+def _degenerate_groups(values: np.ndarray, tol: float):
+    """Half-open index ranges of levels within tol * spectral range of their group's first.
 
-
-def _first_group_end(values: np.ndarray, tol: float) -> int:
-    """End of the ground group, without scanning the levels above it.
-
-    ``values - values[0]`` is ascending, so the levels within the window
-    are exactly the first ones.
+    Subtracting a constant keeps ascending floats ascending, so the levels of
+    ``values[start:] - values[start]`` within the window are exactly the
+    first ones: one count ends the group, and a caller that stops early
+    compares no level above it.
     """
-    return int(np.count_nonzero(values - values[0] <= _window(values, tol)))
-
-
-def _degenerate_groups(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """Half-open index ranges of levels equal within tol * spectral range."""
-    window = _window(values, tol)
-    groups = []
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    window = tol * max(float(values[-1] - values[0]), np.finfo(float).tiny)
     start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[start] > window:
-            groups.append((start, i))
-            start = i
-    return groups
+    while start < len(values):
+        stop = start + int(np.count_nonzero(values[start:] - values[start] <= window))
+        yield start, stop
+        start = stop
 
 
 def _mixture_pair_density(vectors: np.ndarray, n: int, pair: tuple[int, int]) -> PairDensity:
@@ -291,7 +280,7 @@ def full_diagonalize(n: int, coupling: Coupling, field: FieldSetting = FieldSett
                      tol: float = DEGENERACY_RTOL) -> FullSpectrumReport:
     """Ground-level structure from the popcount-blocked full spectrum."""
     values, tags, columns = _full_spectrum(n, coupling, field)
-    d = _first_group_end(values, tol)
+    _, d = next(_degenerate_groups(values, tol))
     ground = _columns(n, tags[:d], columns[:d])
     probs = (np.abs(ground) ** 2).sum(axis=1) / d
     ground_c = concurrence_wootters(_mixture_pair_density(ground, n, (0, 1))).value

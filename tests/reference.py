@@ -7,8 +7,9 @@ sector's translation orbits found by walking unseen rotations (the library
 keeps orbits only as arrays), the dihedral classes of those orbits, a
 configuration's position in its sector, the dense sector Hamiltonian with a
 matrix-free product, the basis that makes a momentum block real, the dense
-2^n Hamiltonian and its dense popcount blocks, the pair reduction that
-numbers configuration groups with ``np.unique``, and the X-form concurrence.
+2^n Hamiltonian and its dense popcount blocks, the grouping of ascending
+levels one level at a time, the pair reduction that numbers configuration
+groups with ``np.unique``, and the X-form concurrence.
 """
 
 from __future__ import annotations
@@ -237,6 +238,22 @@ def popcount_block(n: int, k: int, coupling: Coupling) -> tuple[np.ndarray, np.n
         rows = np.searchsorted(configs, configs[hop] ^ ((1 << i) | (1 << j)))
         block[rows, hop] += coupling.j  # one entry per hop; n = 2 lists its bond twice
     return configs, block
+
+
+def anchored_groups(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """Half-open index ranges of ascending levels, one level at a time.
+
+    A group is anchored at its first level and ends at the first level more
+    than tol times the spectral range above it.
+    """
+    window = tol * max(float(values[-1] - values[0]), np.finfo(float).tiny)
+    groups = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[start] > window:
+            groups.append((start, i))
+            start = i
+    return groups
 
 
 def reduce_pure_by_unique(amplitudes: np.ndarray, configs: np.ndarray,

@@ -465,6 +465,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "4"], ["ground", "--n", "4"], ["concurrence", "--n", "4"],
+        ["lp", "--n", "4"], ["sweep", "--n", "4..6"], ["extrapolate", "--n", "4..8"],
+        ["verify", "--n", "2..3"],
+    ], ids=lambda argv: argv[0])
+    def test_every_command_refuses_a_bad_tol_alike(self, capsys, monkeypatch, argv, tol):
+        # checked once, before the command runs
+        monkeypatch.setitem(cli._COMMANDS, argv[0], pytest.fail)
+        assert cli.run(argv + ["--tol", tol]) == 2
+        captured = capsys.readouterr()
+        message = f"--tol must be finite and nonnegative, got {float(tol)}"
+        assert captured.out == "" and captured.err == f"xxring: error: {message}\n"
+
     @pytest.mark.filterwarnings("error")  # overflow is refused, not warned about
     @pytest.mark.parametrize("argv, message", [
         (["ground", "--n", "2", "--b", "1e308"], "J=-1, b=1e+308"),

@@ -12,13 +12,13 @@ import xxring.oracle
 from xxring.basis import enumerate_sector
 from xxring.concurrence import PairDensity, concurrence_wootters, pair_density
 from xxring.hamiltonian import Coupling, FieldSetting
-from xxring.oracle import (_degenerate_groups, _first_group_end, _full_spectrum, _hops,
+from xxring.oracle import (_columns, _degenerate_groups, _full_spectrum, _hops,
                            _mixture_pair_density, _piece_matrix, _unit_columns,
                            _unit_spectrum, compare_with_pipeline,
                            eigenvector_concurrence_scan, full_diagonalize)
 from xxring.spectra import DEGENERACY_RTOL, SectorState
 
-from reference import full_hamiltonian, popcount_block, reflect, rotate
+from reference import anchored_groups, full_hamiltonian, popcount_block, reflect, rotate
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -179,8 +179,24 @@ class TestFullDiagonalize:
         for j in (-1.0, 1.0):
             for b in (0.0, 0.3):
                 values, _, _ = _full_spectrum(n, Coupling(j), FieldSetting(b))
-                assert ((0, _first_group_end(values, DEGENERACY_RTOL))
-                        == _degenerate_groups(values, DEGENERACY_RTOL)[0]), (j, b)
+                first = anchored_groups(values, DEGENERACY_RTOL)[0]
+                assert next(_degenerate_groups(values, DEGENERACY_RTOL)) == first, (j, b)
+                report = full_diagonalize(n, Coupling(j), FieldSetting(b))
+                assert (0, report.ground_degeneracy) == first, (j, b)
+
+    @pytest.mark.parametrize("tol", [-1, -1e-12, float("nan"), float("inf")])
+    def test_refuses_a_tolerance_that_groups_nothing_or_everything(self, monkeypatch, tol):
+        # a negative window gave an empty ground group (degeneracy 0), an
+        # infinite one took all 16 states into it, and nan did both; the
+        # oracle refuses before its own pair reduction and before the pipeline
+        message = re.escape(f"tol must be finite and nonnegative, got {tol}")
+        calls = []
+        monkeypatch.setattr(xxring.oracle, "ground_manifold",
+                            lambda *args, **kwargs: calls.append(args))
+        for check in (full_diagonalize, eigenvector_concurrence_scan, compare_with_pipeline):
+            with pytest.raises(ValueError, match=message):
+                check(4, FERRO, tol=tol)
+        assert calls == []
 
     @pytest.mark.filterwarnings("error")  # overflow is refused, not warned about
     @pytest.mark.parametrize("n, j, b", [(2, 1.0, 1e308), (4, 1e308, 0.0), (4, 1e308, -1e308)])
@@ -265,7 +281,7 @@ def piece_dimensions(n, k):
 
 
 def all_columns(n, k):
-    """Every eigenvector of block k, read through the column accessor."""
+    """Every eigenvector of block k <= n/2, read through the column accessor."""
     return _unit_columns(n, k, np.arange(comb(n, k)))
 
 
@@ -279,8 +295,8 @@ class TestUnitSpectrum:
         # for block n/2 of an even ring, and one for k = 0, whose single
         # configuration is its own mirror image.  The levels of blocks
         # k < n // 2 upward, then block n // 2 with its eigenvectors.  Blocks
-        # k > n/2 are mirrored, not solved, and both ground levels lie in
-        # block n // 2 or its mirror, so no other eigenvectors are read
+        # k > n/2 are complements, not solved, and both ground levels lie in
+        # block n // 2 or its complement, so no other eigenvectors are read
         expected = [("eigvalsh", dim) for k in range(n // 2) for dim in piece_dimensions(n, k)]
         expected += [("eigh", dim) for dim in piece_dimensions(n, n // 2)]
         assert block_solves(solves) == expected
@@ -292,12 +308,22 @@ class TestUnitSpectrum:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_block_is_decomposed(self, n):
-        levels, _, _ = _unit_spectrum(n)
-        for k, (configs, w) in enumerate(levels):
-            expected_configs, block = popcount_block(n, k, ANTIFERRO)
-            v = all_columns(n, k)
+        blocks, _ = _unit_spectrum(n)
+        assert len(blocks) == n // 2 + 1  # one record per block k <= n/2
+        for k in range(n + 1):
+            configs, block = popcount_block(n, k, ANTIFERRO)
+            canonical, w = blocks[min(k, n - k)][:2]
             label = f"n={n} k={k}"
-            assert np.array_equal(configs, expected_configs), label
+            if 2 * k <= n:
+                assert np.array_equal(canonical, configs), label
+                placed = canonical
+            else:  # block n - k's levels, its columns at the complemented configurations
+                placed = (1 << n) - 1 - canonical
+                assert np.array_equal(np.sort(placed), configs), label
+            full = _columns(n, np.full(len(w), k), np.arange(len(w)))
+            assert np.array_equal(full[placed], all_columns(n, min(k, n - k))), label
+            assert not np.delete(full, placed, axis=0).any(), label
+            v = full[configs]
             assert np.abs(w - np.linalg.eigvalsh(block)).max() <= 1e-12, label
             assert np.abs(block @ v - v * w).max() <= 1e-12, label
             assert np.abs(v.T @ v - np.eye(len(w))).max() <= 1e-12, label
@@ -307,16 +333,13 @@ class TestUnitSpectrum:
             odd = [np.array_equal(v[r, c], -v[:, c]) for c in range(len(w))]
             assert all(e != o for e, o in zip(even, odd)), label
             assert 2 * sum(even) == len(w) + np.count_nonzero(r == np.arange(len(w))), label
-            if 2 * k > n:  # block n - k's levels, and its columns with the rows reversed
-                assert w is levels[n - k][1], label
-                assert np.array_equal(v, all_columns(n, n - k)[::-1]), label
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_pieces_are_the_block_in_a_symmetric_basis(self, n):
         # each piece's basis vectors u(i) e_a(i) are orthonormal and the block
         # maps their span into itself; together the pieces span the block
-        _, blocks, _ = _unit_spectrum(n)
-        for k, (pieces, _, _) in blocks.items():
+        blocks, _ = _unit_spectrum(n)
+        for k, (_, _, pieces, _, _) in enumerate(blocks):
             configs, rows, columns = _hops(n, k)
             _, block = popcount_block(n, k, ANTIFERRO)
             bases = []
@@ -334,7 +357,7 @@ class TestUnitSpectrum:
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_half_filled_block_from_its_four_pieces(self, n):
-        configs, w = _unit_spectrum(n)[0][n // 2]
+        w = _unit_spectrum(n)[0][n // 2][1]
         v = all_columns(n, n // 2)
         # the dense block, which test_popcount_block_is_the_literal_block
         # pins to the literal matrix
@@ -355,13 +378,17 @@ class TestUnitSpectrum:
         for k in (0, 1):
             configs, rows, columns = _hops(1, k)
             assert configs.tolist() == [k] and rows.size == columns.size == 0
-        assert [w.tolist() for _, w in _unit_spectrum(1)[0]] == [[0.0], [0.0]]
+        # block 1 is block 0's complement: its one level, at configuration 1
+        blocks, _ = _unit_spectrum(1)
+        assert len(blocks) == 1 and blocks[0][1].tolist() == [0.0]
+        assert _columns(1, np.array([0, 1]), np.array([0, 0])).tolist() == [[1.0, 0.0],
+                                                                             [0.0, 1.0]]
         configs, rows, columns = _hops(2, 1)
         assert configs.tolist() == [1, 2]
         assert sorted(zip(rows.tolist(), columns.tolist())) == [(0, 1)] * 2 + [(1, 0)] * 2
-        levels, blocks, _ = _unit_spectrum(2)
-        np.testing.assert_allclose(levels[1][1], [-2.0, 2.0], rtol=0, atol=1e-12)
-        assert [len(pieces) for pieces, _, _ in blocks.values()] == [1, 2]
+        blocks, _ = _unit_spectrum(2)
+        np.testing.assert_allclose(blocks[1][1], [-2.0, 2.0], rtol=0, atol=1e-12)
+        assert [len(pieces) for _, _, pieces, _, _ in blocks] == [1, 2]
 
     @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["-1.0", "1.0"])
     def test_level_scan_solves_each_block_once(self, solves, coupling):
@@ -396,13 +423,13 @@ class TestUnitSpectrum:
         assert compare_with_pipeline(n, coupling, FieldSetting(b)).ok
 
     def test_arrays_are_read_only(self):
-        levels, blocks, vectors = _unit_spectrum(5)
-        columns = [all_columns(5, k) for k in range(6)]  # solves every block
-        arrays = [array for block in levels for array in block]
-        for pieces, piece, local in blocks.values():
-            arrays += [piece, local] + [array for pair in pieces for array in pair]
+        blocks, vectors = _unit_spectrum(5)
+        columns = [all_columns(5, k) for k in range(3)]  # solves every block
+        arrays = []
+        for configs, w, pieces, piece, local in blocks:
+            arrays += [configs, w, piece, local] + [array for pair in pieces for array in pair]
         arrays += [x for pieces in vectors.values() for x in pieces]
-        assert sorted(vectors) == [0, 1, 2] and len(columns) == 6
+        assert sorted(vectors) == [0, 1, 2] and len(columns) == len(blocks) == 3
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -424,6 +451,33 @@ class TestPairReduction:
                     _mixture_pair_density(column, n, (p, q)).matrix,
                     pair_density([(1.0, state)], (p, q)).matrix, rtol=0, atol=1e-12,
                     err_msg=f"pair {(p, q)}")
+
+
+class TestDegenerateGroups:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_the_level_by_level_loop(self, n):
+        for j in (-1.0, 1.0):
+            for b in (0.0, 0.3):
+                values, _, _ = _full_spectrum(n, Coupling(j), FieldSetting(b))
+                for tol in (0.0, 1e-9, 1e-3):
+                    assert (list(_degenerate_groups(values, tol))
+                            == anchored_groups(values, tol)), (j, b, tol)
+
+    @pytest.mark.parametrize("values, tol, expected", [
+        ([0.0, 0.0, 1.0, 1.0, 1.0, 2.0], 0.0, [(0, 2), (2, 5), (5, 6)]),  # exact ties
+        ([0.0, 0.0, 1.0, 1.0, 1.0, 2.0], 1e-9, [(0, 2), (2, 5), (5, 6)]),
+        ([-3.5], 0.0, [(0, 1)]),  # one level
+        ([-3.5], 1e-3, [(0, 1)]),
+        ([1.5] * 5, 0.0, [(0, 5)]),  # all levels equal: a zero range
+        ([1.5] * 5, 1e-3, [(0, 5)]),
+        # anchored at each group's first level, not chained across small gaps
+        ([0.0, 6e-4, 1.2e-3, 1.8e-3, 1.0], 1e-3, [(0, 2), (2, 4), (4, 5)]),
+        ([0.0, 1.0 - 1e-12, 1.0], 1e-9, [(0, 1), (1, 3)]),
+    ])
+    def test_hand_made_levels(self, values, tol, expected):
+        values = np.array(values)
+        assert list(_degenerate_groups(values, tol)) == expected
+        assert anchored_groups(values, tol) == expected
 
 
 class TestLevelScan:
