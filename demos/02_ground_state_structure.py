@@ -3,8 +3,12 @@
 Every member of a translation orbit appears in the ground state with the
 same probability, so the state is summarized by a handful of orbit rows.
 A clear pattern emerges: the more bunched the up spins (higher clustering
-score), the smaller the weight; reflection partners tie exactly.  The
-alternating pattern always dominates, the contiguous block is rarest.
+score), the smaller the weight.  Reflection partners tie only up to
+rounding: their probabilities can differ in the last bits, and those bits
+decide which of a tied pair is listed first.  (That is why the benchmark
+gate must compare tied rows as a set, ROADMAP item 2, before a change that
+moves those bits, such as item 3's real ground solve.)  The alternating
+pattern always dominates, the contiguous block is rarest.
 """
 
 from xxring import Coupling, lp_table

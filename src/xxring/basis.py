@@ -8,26 +8,27 @@ masks with popcount k, ordered by integer value.
 
 Ring translations partition a sector into orbits.  T^t is the rotation
 that moves the spin at site i to site (i + t) mod n, and R the reflection
-that maps site i to site (n - i) mod n.  ``enumerate_sector`` builds each
-sector once per process and hands out the same read-only ``SectorBasis`` on
-every later call.  It carries everything about the sector that does not
-depend on the coupling: per configuration, the index of its orbit (orbits
-numbered by ascending representative, the minimal member) and the shift t
-with T^t(representative) == config, taken from the configuration's first
+that maps site i to site (n - i) mod n.  The first ``enumerate_sector`` call
+for a ring size builds all n + 1 of its sectors from one array pass over the
+2^n configurations, and every later call hands out the same read-only
+``SectorBasis``; one cache, ``_ring_sectors``, holds them.  A sector carries
+everything about itself that does not depend on the coupling: per
+configuration, the index of its orbit (orbits numbered by ascending
+representative, the minimal member) and the shift t with
+T^t(representative) == config, taken from the configuration's first
 minimal rotation; per orbit, the representative, the period, the orbit
 that R maps it onto (``mirror``) and the shift that R's image sits at in
-that orbit (``mirror_shift``); and the bond swaps between representatives
-(``hop_table``), as integer columns (``hop_index``) and amplitude ratios
-(``hop_weight``).  Momentum blocks, lifted amplitudes and
-orbit-probability tables all read these arrays instead of rotating
-configurations again; no orbit is kept as an object, and ``rotation_order``
-lists each orbit's members in turn.  An orbit and its mirror form one
-dihedral class.
+that orbit (``mirror_shift``); and the bond swaps between representatives,
+as integer columns (``hop_index``) and amplitude ratios (``hop_weight``).
+Momentum blocks, lifted amplitudes and orbit-probability tables all read
+these arrays instead of rotating configurations again; no orbit is kept as
+an object, and ``rotation_order`` lists each orbit's members in turn.  An
+orbit and its mirror form one dihedral class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,9 +54,10 @@ class SectorBasis:
     to ``a`` for an orbit that R maps onto itself) and ``mirror_shift[a]``
     the shift s with R(reps[a]) == T^s(reps[mirror[a]]), that is ``shift``
     of the configuration R(reps[a]).
-    ``hop_index`` and ``hop_weight`` are the sector's ``hop_table``: the
-    (a, b, shift) columns of its hops as int64, and their float weights.
-    Every array is read-only.
+    ``hop_index`` holds one int64 row (a, b, shift) per bond swap of a
+    representative: the swap takes ``reps[a]`` to T^shift(reps[b]).  Rows
+    run a-major and bond-minor, and ``hop_weight`` gives each hop's
+    amplitude ratio sqrt(period[a] / period[b]).  Every array is read-only.
     """
 
     n: int
@@ -88,88 +90,83 @@ def check_sector(n: int, k: int) -> None:
         raise ValueError(f"up-spin count must be in 0..{n}, got {k}")
 
 
-@lru_cache(maxsize=1)
-def _ring_codes(n: int, /) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over all 2^n configurations of the ring, kept for the last n asked.
+def ring_bonds(n: int) -> list[tuple[int, int]]:
+    """Bond list (i, i+1 mod n); a one-site ring has no bond to swap."""
+    return [(i, (i + 1) % n) for i in range(n) if i != (i + 1) % n]
 
-    Returns ``(by_count, starts, least, shift, mirrored)``: every
-    configuration ordered by popcount, ascending within a popcount, with
-    popcount k at ``by_count[starts[k]:starts[k + 1]]``; and, indexed by
-    configuration, its first minimal rotation, the shift t with
-    T^t(least) == config, and its reflection R(config).  A strictly smaller
-    rotation replaces the running minimum, so ties keep the first one.
+
+def _ring_pass(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One array pass over the 2^n configurations of the ring, indexed by configuration.
+
+    Returns each configuration's popcount, its first minimal rotation (a
+    strictly smaller rotation replaces the running minimum, so ties keep the
+    first), the shift t with T^t(least) == config, and its reflection.  The
+    pass's temporaries are freed when it returns.
     """
-    codes = np.arange(1 << n, dtype=np.int64)
-    mask = (1 << n) - 1
-    ones = codes & 1
-    least, first = codes, np.zeros_like(codes)
+    codes, mask = np.arange(1 << n, dtype=np.int64), (1 << n) - 1
+    ones, least, first = codes & 1, codes.copy(), np.zeros_like(codes)
     mirrored = codes & 1  # site 0 is the mirror axis
     for t in range(1, n):
         bit = (codes >> t) & 1
         ones += bit
         mirrored |= bit << (n - t)
         rotated = ((codes << t) | (codes >> (n - t))) & mask
-        first = np.where(rotated < least, t, first)
-        least = np.minimum(least, rotated)
-    by_count = np.argsort(ones, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(ones, minlength=n + 1))))
-    return by_count, starts, least, (n - first) % n, mirrored
+        first[rotated < least] = t
+        np.minimum(least, rotated, out=least)
+    return ones, least, (n - first) % n, mirrored
 
 
 @lru_cache(maxsize=None)
+def _ring_sectors(n: int, /) -> tuple[SectorBasis, ...]:
+    """Every sector k = 0..n of the n-site ring, cut from one ``_ring_pass``.
+
+    A configuration is its orbit's representative exactly when it is its own
+    least rotation, so the representatives in popcount order, ascending
+    within a popcount, list every sector's orbits with no sort.  Orbit
+    numbers, periods, mirrors and hop targets are then lookups by
+    configuration, made once for the ring, and each sector is a read-only
+    slice of the ring's arrays.  No 2^n lookup table is kept.
+    """
+    ones, least, shift, mirrored = _ring_pass(n)
+    by_count = np.argsort(ones, kind="stable")
+    reps = by_count[least[by_count] == by_count]
+    starts, orbit_starts = (np.concatenate(([0], np.cumsum(np.bincount(x, minlength=n + 1))))
+                            for x in (ones, ones[reps]))
+    base = orbit_starts[ones[reps]]  # the first orbit of each orbit's sector
+    number = np.empty_like(least)
+    number[reps] = np.arange(len(reps)) - base  # each representative's orbit in its sector
+    orbit, period, mirrored = number[least], np.bincount(least)[reps], mirrored[reps]
+    del ones, least, number
+    i, j = np.array(ring_bonds(n), dtype=np.int64).reshape(-1, 2).T
+    a, bond = np.nonzero(((reps[:, None] >> i) & 1) != ((reps[:, None] >> j) & 1))
+    target = reps[a] ^ ((1 << i[bond]) | (1 << j[bond]))
+    hop_index = np.column_stack([a - base[a], orbit[target], shift[target]])
+    hop_weight = np.sqrt(period[a] / period[hop_index[:, 1] + base[a]])  # period_a / period_b
+    hop_starts = np.searchsorted(a, orbit_starts)
+    mirror, mirror_shift = orbit[mirrored], shift[mirrored]
+    orbit, shift = orbit[by_count], shift[by_count]
+    for array in (by_count, orbit, shift, reps, period, mirror, mirror_shift, hop_index,
+                  hop_weight):
+        array.flags.writeable = False
+    sectors = []
+    for k in range(n + 1):
+        c, o, h = (slice(*bounds[k:k + 2]) for bounds in (starts, orbit_starts, hop_starts))
+        sectors.append(SectorBasis(n=n, k=k, bits=by_count[c], orbit=orbit[c], shift=shift[c],
+                                   reps=reps[o], period=period[o], mirror=mirror[o],
+                                   mirror_shift=mirror_shift[o], hop_index=hop_index[h],
+                                   hop_weight=hop_weight[h]))
+    return tuple(sectors)
+
+
 def enumerate_sector(n: int, k: int, /) -> SectorBasis:
     """The k-up-spin sector of the n-site ring, built once per process.
 
-    The arguments are positional-only, so every call for a sector shares one
-    cache entry and one ``SectorBasis``.
-
-    Configurations, their minimal rotations (hence representatives and
-    orbit indices), their shifts and their reflections are read from
-    ``_ring_codes(n)``, one pass over ``arange(2**n)`` shared by the sectors
-    of a ring size.  The orbits of the reflected representatives, and the
-    shifts at which they sit, come from the orbit map.
+    The first call for a ring size builds all n + 1 of its sectors in one
+    pass (``_ring_sectors``); every call for a sector returns the same
+    ``SectorBasis``.
     """
     check_sector(n, k)
-    by_count, starts, least, shifts, mirrored = _ring_codes(n)
-    bits = by_count[starts[k]:starts[k + 1]].copy()
-    reps, orbit, period = np.unique(least[bits], return_inverse=True, return_counts=True)
-    shift = shifts[bits]
-    image = np.searchsorted(bits, mirrored[reps])
-    basis = SectorBasis(n=n, k=k, bits=bits, orbit=orbit, shift=shift,
-                        reps=reps, period=period, mirror=orbit[image],
-                        mirror_shift=shift[image], hop_index=None, hop_weight=None)
-    hop_index, hop_weight = hop_table(basis)
-    basis = replace(basis, hop_index=hop_index, hop_weight=hop_weight)
-    for name in ("bits", "orbit", "shift", "reps", "period", "mirror", "mirror_shift",
-                 "hop_index", "hop_weight"):
-        getattr(basis, name).flags.writeable = False
-    return basis
-
-
-def ring_bonds(n: int) -> list[tuple[int, int]]:
-    """Bond list (i, i+1 mod n); a one-site ring has no bond to swap."""
-    return [(i, (i + 1) % n) for i in range(n) if i != (i + 1) % n]
-
-
-def hop_table(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
-    """All bond swaps between orbit representatives of a sector.
-
-    Returns ``(index, weight)``: one int64 row (a, b, shift) per hop, whose
-    swap takes representative ``a`` (by orbit index) to
-    T^shift(basis.reps[b]), and the hop's amplitude ratio
-    sqrt(period_a / period_b).  Rows run a-major and bond-minor.  Each
-    swapped configuration is found in the sector with one ``searchsorted``;
-    its orbit ``b`` and ``shift`` are read from the sector's orbit map.
-    ``enumerate_sector`` keeps the two as ``basis.hop_index`` and
-    ``basis.hop_weight``.
-    """
-    reps, period = basis.reps, basis.period
-    i, j = np.array(ring_bonds(basis.n), dtype=np.int64).reshape(-1, 2).T
-    a, bond = np.nonzero(((reps[:, None] >> i) & 1) != ((reps[:, None] >> j) & 1))
-    swapped = np.searchsorted(basis.bits, reps[a] ^ ((1 << i[bond]) | (1 << j[bond])))
-    b = basis.orbit[swapped]
-    index = np.column_stack([a, b, basis.shift[swapped]]).astype(np.int64, copy=False)
-    return index, np.sqrt(period[a] / period[b])
+    return _ring_sectors(n)[k]
 
 
 def rotation_order(basis: SectorBasis) -> np.ndarray:

@@ -17,9 +17,10 @@ which is nonzero iff m*p = 0 (mod n).  A uniform field b couples only to
 the conserved total magnetization, so it enters as the per-sector scalar
 offset -b*(k - n/2) and never as a matrix term.  A block reads its orbits
 and hops from the sector's ``SectorBasis``, which ``enumerate_sector`` builds
-once per process and shares read-only, so every block of a sector, at every
-J, uses the same orbit arrays and hop table.  ``ring_bonds`` and
-``hop_table`` live in ``basis``, since neither depends on J.  Only momentum
+once per process, with every other sector of the ring in the same pass, and
+shares read-only, so every block of a sector, at every J, uses the same
+orbit arrays and hop rows.  ``ring_bonds`` and the hop rows live in
+``basis``, since neither depends on J.  Only momentum
 blocks are built; the dense sector matrix and the matrix-free product that
 cross-check them are test references (``tests/reference.py``).
 

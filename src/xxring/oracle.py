@@ -234,6 +234,15 @@ def _columns(n: int, tags: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that would group nothing (negative) or everything (inf, nan).
+
+    The public entry points call it first, so a bad tol costs no decomposition.
+    """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def _degenerate_groups(values: np.ndarray, tol: float):
     """Half-open index ranges of levels within tol * spectral range of their group's first.
 
@@ -242,8 +251,6 @@ def _degenerate_groups(values: np.ndarray, tol: float):
     first ones: one count ends the group, and a caller that stops early
     compares no level above it.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     window = tol * max(float(values[-1] - values[0]), np.finfo(float).tiny)
     start = 0
     while start < len(values):
@@ -279,6 +286,7 @@ class FullSpectrumReport:
 def full_diagonalize(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
                      tol: float = DEGENERACY_RTOL) -> FullSpectrumReport:
     """Ground-level structure from the popcount-blocked full spectrum."""
+    _check_tol(tol)
     values, tags, columns = _full_spectrum(n, coupling, field)
     _, d = next(_degenerate_groups(values, tol))
     ground = _columns(n, tags[:d], columns[:d])
@@ -320,6 +328,7 @@ def eigenvector_concurrence_scan(n: int, coupling: Coupling,
     """
     if n > SCAN_CAP:
         raise ValueError(f"level scan is capped at n={SCAN_CAP}")
+    _check_tol(tol)
     values, tags, columns = _full_spectrum(n, coupling, field)
     rows = []
     for start, stop in _degenerate_groups(values, tol):

@@ -7,8 +7,8 @@ is the sum of inverse ring distances over all pairs of up sites; it is a
 diagnostic for how bunched the up spins are (the contiguous block scores
 highest, the maximally spread pattern lowest) and tracks the probabilities
 only qualitatively, so the report includes a rank correlation rather than
-asserting monotonicity.  Orbits related by reflection always share both the
-score and the probability.
+asserting monotonicity.  Orbits related by reflection always share the
+score, and the probability up to rounding.
 """
 
 from __future__ import annotations
@@ -110,7 +110,10 @@ def orbit_probabilities(manifold: GroundManifold, sector: SectorBasis) -> OrbitR
     Rows are sorted by ascending per-member probability, mirroring the
     strongest-clustering-first narrative of the ground-state structure.
     An orbit and its reflection (``sector.mirror``) share a ``dihedral_class``,
-    numbered by ascending smaller representative.
+    numbered by ascending smaller representative.  The orbits of each period
+    p are summed as the rows of one (orbits x p) array, which numpy sums row
+    by row in the order it sums a single orbit's slice; a member's
+    probability is its orbit's over p.
     """
     in_sector = [s for s in manifold.states if s.basis.k == sector.k
                  and s.basis.n == sector.n]
@@ -123,15 +126,18 @@ def orbit_probabilities(manifold: GroundManifold, sector: SectorBasis) -> OrbitR
     weight = float(raw.sum())
 
     n, reps, period = sector.n, sector.reps, sector.period
-    members = np.split(raw[rotation_order(sector)] / weight, np.cumsum(period)[:-1])
+    members = raw[rotation_order(sector)] / weight
+    # orbit a's members start at first[a]; each period's orbits are summed as rows
+    total, first = np.empty(len(reps)), np.cumsum(period) - period
+    for p in set(period.tolist()):  # np.unique would import numpy.ma
+        orbits = np.flatnonzero(period == p)
+        total[orbits] = members[first[orbits, None] + np.arange(p)].sum(axis=1)
     _, dihedral = np.unique(np.minimum(reps, reps[sector.mirror]), return_inverse=True)
-    rows = [OrbitRow(representative=rep, pattern=label, period=p,
-                     member_probability=float(member.mean()),
-                     orbit_probability=float(member.sum()),
-                     clustering=score, dihedral_class=cid)
-            for rep, label, p, member, score, cid in zip(
-                reps.tolist(), _labels(reps, n), period.tolist(), members,
-                clustering_scores(reps, n).tolist(), dihedral.tolist())]
+    rows = [OrbitRow(representative=rep, pattern=label, period=p, member_probability=mean,
+                     orbit_probability=sum_, clustering=score, dihedral_class=cid)
+            for rep, label, p, mean, sum_, score, cid in zip(
+                reps.tolist(), _labels(reps, n), period.tolist(), (total / period).tolist(),
+                total.tolist(), clustering_scores(reps, n).tolist(), dihedral.tolist())]
     rows.sort(key=lambda r: (r.member_probability, r.representative))
 
     return OrbitReport(n=sector.n, k=sector.k, sector_weight=weight, rows=tuple(rows),

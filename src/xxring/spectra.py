@@ -16,18 +16,21 @@ by J.
 
 ``ground_manifold`` solves in two phases.  It scans the levels of the
 canonical blocks, each with the field offsets -b*(k - n/2) of its sector k
-and of n-k.  The ground energy and tolerance window come from that scan;
-then only blocks reaching the window are solved with eigenvectors, at the
-given J, as complex blocks, and lifted.  One ``eigh`` serves both sectors of
-a spin-flip pair: the spin flip commutes with H and with the translations,
-and lists sector n-k as sector k's complements in reverse order, so a state
-of block (n-k, m) is the lifted state of block (k, m) reversed, at the same
-level and momentum.  The lower sector of the pair is the one solved.  Exact
+and of n-k.  The ground energy and tolerance window come from that scan,
+and the window levels of every block are counted over the joined levels,
+with one ``np.bincount`` at the offsets of the sectors k and one at those
+of n-k.  Then only blocks reaching the window are solved with eigenvectors,
+at the given J, as complex blocks, and lifted.  One ``eigh`` serves both
+sectors of a spin-flip pair: the spin flip commutes with H and with the
+translations, and lists sector n-k as sector k's complements in reverse
+order, so a state of block (n-k, m) is the lifted state of block (k, m)
+reversed, at the same level and momentum.  The lower sector of the pair is
+the one solved.  Exact
 ground-level degeneracies are symmetry-protected, so the default tolerance
 of 1e-9 times the spectral range separates them cleanly from solver noise.
 Blocks are built on ``enumerate_sector``'s sectors, which each process builds
-once and shares read-only, so the scan and the ground solve read the same
-orbit arrays and hop table.
+once per ring size, all n + 1 in one pass, and shares read-only, so the scan
+and the ground solve read the same orbit arrays and hop rows.
 
 The lowest ground sector, which the orbit tables read, is always solved
 directly: its states are the lifted columns of ``np.linalg.eigh`` on
@@ -43,8 +46,9 @@ one caller cannot change what the next one reads.  Code that monkeypatches
 the solver internals (``eigh``, ``build_momentum_block``,
 ``real_block_pieces``, ...) must call ``_ground_manifold.cache_clear()`` and
 ``_unit_levels.cache_clear()`` first, or it may be handed results solved
-before the patch; code that patches how sectors are built (``hop_table``,
-...) must call ``enumerate_sector.cache_clear()`` as well.
+before the patch; code that patches how sectors are built (``ring_bonds``,
+...) must call ``basis._ring_sectors.cache_clear()`` as well, the one cache
+that holds every sector.
 """
 
 from __future__ import annotations
@@ -236,26 +240,29 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
 def _ground_manifold(n: int, coupling: Coupling, field: FieldSetting,
                      tol: float) -> GroundManifold:
     offsets = [sector_energy_offset(k, n, field) for k in range(n + 1)]
-    scan, lows, highs = [], [], []  # J-scaled levels of each canonical sector; their range
+    width = n // 2 + 1  # canonical sectors, and canonical blocks per sector
+    unit = [_unit_levels(n, k) for k in range(width)]
+    sizes = [len(levels) for levels, _ in unit]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for k in range(n // 2 + 1):
-            levels, bounds = _unit_levels(n, k)
-            values = coupling.j * levels
-            scan.append((k, values, bounds))
-            for sector in {k, n - k}:
-                lows.append(values.min() + offsets[sector])
-                highs.append(values.max() + offsets[sector])
-    check_finite_energies(lows + highs, coupling, field)
-    e0 = float(min(lows))
-    window = tol * max(float(max(highs)) - e0, np.finfo(float).tiny)
+        values = coupling.j * np.concatenate([levels for levels, _ in unit])
+        ends = [end + offsets[sector]  # each sector's lowest and highest level
+                for k, part in enumerate(np.split(values, np.cumsum(sizes)[:-1]))
+                for end in (part.min(), part.max()) for sector in {k, n - k}]
+    check_finite_energies(ends, coupling, field)
+    e0 = float(min(ends))
+    window = tol * max(float(max(ends)) - e0, np.finfo(float).tiny)
 
+    # every level's block k * width + m; one count of window levels per block,
+    # with the offsets of sector k, then with those of sector n - k
+    tag = np.repeat(np.arange(width * width), np.concatenate([np.diff(b) for _, b in unit]))
     counts = {}  # (k, m) -> levels in the window, for every block that holds one
-    for k, values, bounds in scan:
-        for sector in {k, n - k}:
-            inside = np.concatenate(([0], np.cumsum(values + offsets[sector] - e0 <= window)))
-            for m in np.flatnonzero(np.diff(inside[bounds])).tolist():
-                for momentum in {m, -m % n}:
-                    counts[sector, momentum] = int(inside[bounds[m + 1]] - inside[bounds[m]])
+    for flip in (False, True):
+        offset = np.repeat([offsets[n - k if flip else k] for k in range(width)], sizes)
+        inside = np.bincount(tag[values + offset - e0 <= window], minlength=width * width)
+        for b in np.flatnonzero(inside).tolist():
+            k, m = divmod(b, width)
+            for momentum in {m, -m % n}:
+                counts[n - k if flip else k, momentum] = int(inside[b])
 
     solved, states, energies = {}, [], []
     for k, m in sorted(counts):

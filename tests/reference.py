@@ -10,20 +10,30 @@ matrix-free product, the basis that makes a momentum block real, the dense
 2^n Hamiltonian and its dense popcount blocks, the grouping of ascending
 levels one level at a time, the pair reduction that numbers configuration
 groups with ``np.unique``, and the X-form concurrence.
+
+Three more keep an earlier array form of a library path, so the tests can
+pin the library's arrays and payloads to it bit for bit: a sector built on
+its own (orbits numbered by ``np.unique``, reflections and hop targets found
+with ``searchsorted``), orbit reports summed one orbit at a time, and the
+ground window counted one sector at a time with ``cumsum``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from xxring.basis import SectorBasis, ring_bonds
+from xxring.basis import SectorBasis, rotation_order, ring_bonds
 from xxring.concurrence import PairDensity
-from xxring.hamiltonian import Coupling
+from xxring.hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from xxring.oracle import FULL_DIAGONALIZE_CAP
+from xxring.polarization import (OrbitReport, OrbitRow, _labels, _rank_correlation,
+                                 clustering_scores)
+from xxring.spectra import GroundManifold, _unit_levels
 
 X_OFFDIAG_TOL = 1e-10
 
@@ -276,3 +286,108 @@ def concurrence_xstate(rho: PairDensity) -> float:
     d = rho.matrix.diagonal().real
     u_plus, u_minus = max(d[0], 0.0), max(d[3], 0.0)
     return 2.0 * max(0.0, abs(rho.matrix[1, 2]) - np.sqrt(u_plus * u_minus))
+
+
+@lru_cache(maxsize=1)
+def _ring_codes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(by_count, starts, least, shift, mirrored)`` of all 2^n configurations.
+
+    Every configuration ordered by popcount, ascending within a popcount,
+    with popcount k at ``by_count[starts[k]:starts[k + 1]]``; and, indexed by
+    configuration, its first minimal rotation, the shift t with
+    T^t(least) == config, and its reflection R(config).
+    """
+    codes = np.arange(1 << n, dtype=np.int64)
+    mask = (1 << n) - 1
+    ones = codes & 1
+    least, first = codes, np.zeros_like(codes)
+    mirrored = codes & 1
+    for t in range(1, n):
+        bit = (codes >> t) & 1
+        ones += bit
+        mirrored |= bit << (n - t)
+        rotated = ((codes << t) | (codes >> (n - t))) & mask
+        first = np.where(rotated < least, t, first)
+        least = np.minimum(least, rotated)
+    by_count = np.argsort(ones, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(ones, minlength=n + 1))))
+    return by_count, starts, least, (n - first) % n, mirrored
+
+
+def sector_by_unique(n: int, k: int) -> SectorBasis:
+    """The k-up sector built on its own, every array read-only.
+
+    Representatives, orbit indices and periods come from ``np.unique`` of
+    the sector's minimal rotations; each reflected representative and each
+    bond swap of a representative is found in the sector with
+    ``searchsorted``.
+    """
+    by_count, starts, least, shifts, mirrored = _ring_codes(n)
+    bits = by_count[starts[k]:starts[k + 1]].copy()
+    reps, orbit, period = np.unique(least[bits], return_inverse=True, return_counts=True)
+    shift = shifts[bits]
+    image = np.searchsorted(bits, mirrored[reps])
+    i, j = np.array(ring_bonds(n), dtype=np.int64).reshape(-1, 2).T
+    a, bond = np.nonzero(((reps[:, None] >> i) & 1) != ((reps[:, None] >> j) & 1))
+    swapped = np.searchsorted(bits, reps[a] ^ ((1 << i[bond]) | (1 << j[bond])))
+    b = orbit[swapped]
+    hop_index = np.column_stack([a, b, shift[swapped]]).astype(np.int64, copy=False)
+    basis = SectorBasis(n=n, k=k, bits=bits, orbit=orbit, shift=shift, reps=reps,
+                        period=period, mirror=orbit[image], mirror_shift=shift[image],
+                        hop_index=hop_index, hop_weight=np.sqrt(period[a] / period[b]))
+    for name in ("bits", "orbit", "shift", "reps", "period", "mirror", "mirror_shift",
+                 "hop_index", "hop_weight"):
+        getattr(basis, name).flags.writeable = False
+    return basis
+
+
+def orbit_report_by_split(manifold: GroundManifold, sector: SectorBasis) -> OrbitReport:
+    """``orbit_probabilities`` with one ``mean`` and one ``sum`` per orbit's slice."""
+    in_sector = [s for s in manifold.states if s.basis.k == sector.k
+                 and s.basis.n == sector.n]
+    d = manifold.degeneracy
+    raw = np.zeros(sector.dim)
+    for state in in_sector:
+        raw += np.abs(state.amplitudes) ** 2 / d
+    weight = float(raw.sum())
+    n, reps, period = sector.n, sector.reps, sector.period
+    members = np.split(raw[rotation_order(sector)] / weight, np.cumsum(period)[:-1])
+    _, dihedral = np.unique(np.minimum(reps, reps[sector.mirror]), return_inverse=True)
+    rows = [OrbitRow(representative=rep, pattern=label, period=p,
+                     member_probability=float(member.mean()),
+                     orbit_probability=float(member.sum()),
+                     clustering=score, dihedral_class=cid)
+            for rep, label, p, member, score, cid in zip(
+                reps.tolist(), _labels(reps, n), period.tolist(), members,
+                clustering_scores(reps, n).tolist(), dihedral.tolist())]
+    rows.sort(key=lambda r: (r.member_probability, r.representative))
+    return OrbitReport(n=sector.n, k=sector.k, sector_weight=weight, rows=tuple(rows),
+                       rank_correlation=_rank_correlation([r.clustering for r in rows],
+                                                          [r.member_probability for r in rows]))
+
+
+def window_counts_by_cumsum(n: int, coupling: Coupling, field: FieldSetting,
+                            tol: float) -> dict[tuple[int, int], int]:
+    """Levels of each block (k, m) in the ground window, one sector at a time.
+
+    Blocks that hold no window level are left out.
+    """
+    offsets = [sector_energy_offset(k, n, field) for k in range(n + 1)]
+    scan, lows, highs = [], [], []
+    for k in range(n // 2 + 1):
+        levels, bounds = _unit_levels(n, k)
+        values = coupling.j * levels
+        scan.append((k, values, bounds))
+        for sector in {k, n - k}:
+            lows.append(values.min() + offsets[sector])
+            highs.append(values.max() + offsets[sector])
+    e0 = float(min(lows))
+    window = tol * max(float(max(highs)) - e0, np.finfo(float).tiny)
+    counts = {}
+    for k, values, bounds in scan:
+        for sector in {k, n - k}:
+            inside = np.concatenate(([0], np.cumsum(values + offsets[sector] - e0 <= window)))
+            for m in np.flatnonzero(np.diff(inside[bounds])).tolist():
+                for momentum in {m, -m % n}:
+                    counts[sector, momentum] = int(inside[bounds[m + 1]] - inside[bounds[m]])
+    return counts

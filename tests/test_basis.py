@@ -10,7 +10,7 @@ import xxring.basis
 from xxring.basis import RING_CAP, enumerate_sector, rotation_order
 
 from reference import (dihedral_representative, index_of, orbit_representative, reflect,
-                       rotate, set_walk_orbits)
+                       rotate, sector_by_unique, set_walk_orbits)
 
 
 def bits_of(sites):
@@ -67,11 +67,24 @@ class TestSectorEnumeration:
                 index_of(basis, outside)
 
     def test_one_pass_over_the_configurations_per_ring_size(self):
-        xxring.basis._ring_codes.cache_clear()
-        build = enumerate_sector.__wrapped__  # uncached: every sector is built here
-        for k in range(10):
-            build(9, k)
-        assert xxring.basis._ring_codes.cache_info().misses == 1
+        xxring.basis._ring_sectors.cache_clear()  # build every sector of n = 9 here
+        sectors = [enumerate_sector(9, k) for k in range(10)]
+        info = xxring.basis._ring_sectors.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+        assert [basis.k for basis in sectors] == list(range(10))
+        assert all(basis is enumerate_sector(9, basis.k) for basis in sectors)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_arrays_equal_the_sector_at_a_time_build(self, n):
+        for k in range(n + 1):
+            basis, expected = enumerate_sector(n, k), sector_by_unique(n, k)
+            for name in ("bits", "orbit", "shift", "reps", "period", "mirror",
+                         "mirror_shift", "hop_index", "hop_weight"):
+                array, reference = getattr(basis, name), getattr(expected, name)
+                label = (n, k, name)
+                assert array.dtype == reference.dtype and array.shape == reference.shape, label
+                assert array.tobytes() == reference.tobytes(), label
+                assert not array.flags.writeable, label
 
 
 def first_minimal_rotation(c, n):

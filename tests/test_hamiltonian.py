@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xxring.basis import enumerate_sector, hop_table, ring_bonds
+from xxring.basis import enumerate_sector, ring_bonds
 from xxring.hamiltonian import (Coupling, FieldSetting, build_momentum_block, real_block_pieces,
                                 sector_energy_offset)
 
 from reference import (apply_hamiltonian, build_sector_hamiltonian, kr_basis,
-                       orbit_representative, set_walk_orbits)
+                       orbit_representative, rotate, set_walk_orbits)
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -145,7 +145,7 @@ class TestHopTable:
         for k in range(n + 1):
             basis = enumerate_sector(n, k)
             reference = reference_hop_table(basis, set_walk_orbits(n, k))
-            index, weight = hop_table(basis)
+            index, weight = basis.hop_index, basis.hop_weight
             assert index.dtype == np.int64 and weight.dtype == float
             assert index.shape == (len(reference), 3) and weight.shape == (len(reference),)
             assert np.array_equal(index, reference[:, :3])
@@ -153,12 +153,18 @@ class TestHopTable:
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_sector_carries_the_loop_table(self, n):
-        for k in range(n + 1):
+        # the scan's real pieces read the sector's table; built on the loop's
+        # table instead, every canonical sector's pieces come out bit for bit
+        for k in range(n // 2 + 1):
             basis = enumerate_sector(n, k)
             reference = reference_hop_table(basis, set_walk_orbits(n, k))
-            assert basis.hop_index.dtype == np.int64
-            assert np.array_equal(basis.hop_index, reference[:, :3])
-            assert np.array_equal(basis.hop_weight, reference[:, 3])
+            looped = replace(basis, hop_index=reference[:, :3].astype(np.int64),
+                             hop_weight=reference[:, 3])
+            for pieces, expected in zip(real_block_pieces(basis), real_block_pieces(looped),
+                                        strict=True):
+                assert len(pieces) == len(expected), (n, k)
+                for piece, want in zip(pieces, expected):
+                    assert np.array_equal(piece, want), (n, k)
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_blocks_are_bit_identical(self, n):
@@ -177,13 +183,17 @@ class TestHopTable:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_hop_index_holds_the_integer_columns(self, n):
+        # every row names two orbits of its own sector, rows run a-major, and
+        # T^shift(reps[b]) is reps[a] with the spins of one bond swapped
         for k in range(n + 1):
             basis = enumerate_sector(n, k)
-            index, weight = hop_table(basis)
-            assert basis.hop_index.dtype == np.int64 and basis.hop_index.shape[1:] == (3,)
-            assert np.array_equal(basis.hop_index, index)
-            assert basis.hop_weight.shape == (len(basis.hop_index),)
-            assert np.array_equal(basis.hop_weight, weight)
+            reps = basis.reps.tolist()
+            assert basis.hop_index.flags.c_contiguous
+            assert (np.diff(basis.hop_index[:, 0]) >= 0).all()
+            for a, b, shift in basis.hop_index.tolist():
+                assert 0 <= a < len(reps) and 0 <= b < len(reps) and 0 <= shift < n
+                swapped = reps[a] ^ rotate(reps[b], shift, n)
+                assert bin(swapped).count("1") == 2 and swapped & rotate(swapped, 1, n)
 
 
 class TestRealPieces:

@@ -198,6 +198,18 @@ class TestFullDiagonalize:
                 check(4, FERRO, tol=tol)
         assert calls == []
 
+    @pytest.mark.parametrize("tol", [-1, float("nan"), float("inf")])
+    def test_refuses_a_tolerance_before_any_decomposition(self, monkeypatch, tol):
+        # the refusal came after a full decomposition (about 2 s at n = 14, cold)
+        def decompose(n):
+            raise AssertionError(f"decomposed n={n} before checking tol")
+
+        monkeypatch.setattr(xxring.oracle, "_unit_spectrum", decompose)
+        message = re.escape(f"tol must be finite and nonnegative, got {tol}")
+        for check in (full_diagonalize, eigenvector_concurrence_scan, compare_with_pipeline):
+            with pytest.raises(ValueError, match=message):
+                check(10, FERRO, tol=tol)  # the level scan's cap
+
     @pytest.mark.filterwarnings("error")  # overflow is refused, not warned about
     @pytest.mark.parametrize("n, j, b", [(2, 1.0, 1e308), (4, 1e308, 0.0), (4, 1e308, -1e308)])
     def test_refuses_energies_that_overflow(self, n, j, b):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from xxring.basis import enumerate_sector
-from xxring.hamiltonian import Coupling
+from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.polarization import _labels, clustering_scores, lp_table, orbit_probabilities
 from xxring.spectra import ground_manifold
 
-from reference import (clustering_score, config_label, dihedral_classes, index_of, reflect,
-                       rotate, set_walk_orbits)
+from reference import (clustering_score, config_label, dihedral_classes, index_of,
+                       orbit_report_by_split, reflect, rotate, set_walk_orbits)
 
 FERRO = Coupling(-1.0)
 
@@ -124,6 +124,19 @@ class TestOrbitReports:
                 member = [raw[index_of(sector, rotate(row.representative, t, n))]
                           for t in range(row.period)]
                 assert max(member) - min(member) <= 1e-10
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_reports_equal_the_orbit_at_a_time_sums(self, n):
+        # summing each period's orbits as the rows of one array keeps numpy's
+        # summation order per orbit, so every field of every row is unchanged
+        for j in (-1.0, 1.0, 0.5):
+            for b in (0.0, 0.3, -0.7):
+                for tol in (0.0, 1e-9, 1e-3):
+                    manifold = ground_manifold(n, Coupling(j), FieldSetting(b), tol=tol)
+                    for k in manifold.sectors():
+                        sector = enumerate_sector(n, k)
+                        assert (orbit_probabilities(manifold, sector)
+                                == orbit_report_by_split(manifold, sector)), (j, b, tol, k)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_dihedral_partners_share_probability_and_score(self, n):

@@ -13,7 +13,8 @@ import xxring.spectra
 from xxring.oracle import full_diagonalize
 from xxring.spectra import DEGENERACY_RTOL, block_levels, eigh, ground_manifold, lift_block_vector
 
-from reference import apply_hamiltonian, build_sector_hamiltonian, index_of, set_walk_orbits
+from reference import (apply_hamiltonian, build_sector_hamiltonian, index_of, set_walk_orbits,
+                       window_counts_by_cumsum)
 
 FERRO = Coupling(-1.0)
 ANTIFERRO = Coupling(1.0)
@@ -214,6 +215,19 @@ class TestGroundManifold:
                 if other.basis.k == state.basis.k:
                     overlap = abs(np.vdot(state.amplitudes, other.amplitudes))
                     assert overlap <= 1e-10
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_window_counts_equal_the_sector_at_a_time_scan(self, n):
+        for j in (-1.0, 1.0, 0.5):
+            for b in (0.0, 0.3, -0.7):
+                for tol in (0.0, 1e-9, 1e-3):
+                    coupling, field = Coupling(j), FieldSetting(b)
+                    manifold = ground_manifold(n, coupling, field, tol=tol)
+                    counts = {}
+                    for state in manifold.states:
+                        key = state.k, state.momentum
+                        counts[key] = counts.get(key, 0) + 1
+                    assert counts == window_counts_by_cumsum(n, coupling, field, tol), (j, b, tol)
 
     def test_field_selects_single_sector(self):
         manifold = ground_manifold(3, FERRO, FieldSetting(b=0.1))
