@@ -7,6 +7,11 @@ top of that sit the ground-manifold extraction with degeneracy detection,
 two-qubit reduced density matrices with Wootters concurrence, orbit-resolved
 probability reports, a full 2^n brute-force cross-check, and size sweeps
 with a 1/n extrapolation of the nearest-pair concurrence.
+
+Values and results (``Coupling``, ``FieldSetting``, ``SectorState``, the
+ground manifold, the reports and rows) are immutable named tuples: their
+fields read by name, ``_replace`` makes a changed copy, and a type that
+checks its inputs checks them on that path too.
 """
 
 from .basis import enumerate_sector

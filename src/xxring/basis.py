@@ -11,8 +11,9 @@ that moves the spin at site i to site (i + t) mod n, and R the reflection
 that maps site i to site (n - i) mod n.  The first ``enumerate_sector`` call
 for a ring size builds all n + 1 of its sectors from one array pass over the
 2^n configurations, and every later call hands out the same read-only
-``SectorBasis``; one cache, ``_ring_sectors``, holds them.  A sector carries
-everything about itself that does not depend on the coupling: per
+``SectorBasis``, a named tuple that compares and hashes by identity; one
+cache, ``_ring_sectors``, holds them.  A sector carries everything about
+itself that does not depend on the coupling: per
 configuration, the index of its orbit (orbits numbered by ascending
 representative, the minimal member) and the shift t with
 T^t(representative) == config, taken from the configuration's first
@@ -28,8 +29,8 @@ orbit and its mirror form one dihedral class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ import numpy as np
 RING_CAP = 20
 
 
-@dataclass(frozen=True, eq=False)
-class SectorBasis:
+class SectorBasis(NamedTuple):
     """All configurations with ``k`` up spins on ``n`` sites, ascending, and their orbits.
 
     ``bits`` holds the configurations as an int64 array.  ``orbit[i]`` is
@@ -58,19 +58,25 @@ class SectorBasis:
     representative: the swap takes ``reps[a]`` to T^shift(reps[b]).  Rows
     run a-major and bond-minor, and ``hop_weight`` gives each hop's
     amplitude ratio sqrt(period[a] / period[b]).  Every array is read-only.
+    A basis compares and hashes by identity, and its repr shows n and k only.
     """
 
     n: int
     k: int
-    bits: np.ndarray = field(repr=False)
-    orbit: np.ndarray = field(repr=False)
-    shift: np.ndarray = field(repr=False)
-    reps: np.ndarray = field(repr=False)
-    period: np.ndarray = field(repr=False)
-    mirror: np.ndarray = field(repr=False)
-    mirror_shift: np.ndarray = field(repr=False)
-    hop_index: np.ndarray = field(repr=False)
-    hop_weight: np.ndarray = field(repr=False)
+    bits: np.ndarray
+    orbit: np.ndarray
+    shift: np.ndarray
+    reps: np.ndarray
+    period: np.ndarray
+    mirror: np.ndarray
+    mirror_shift: np.ndarray
+    hop_index: np.ndarray
+    hop_weight: np.ndarray
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __repr__(self) -> str:
+        return f"SectorBasis(n={self.n!r}, k={self.k!r})"
 
     @property
     def dim(self) -> int:

@@ -9,8 +9,9 @@ array.  ``spectrum`` builds its columns as arrays: each block's levels
 come as one array, shifted by the sector offset, and the exact-zero snap
 and the overflow check read the joined array; the other commands
 transpose one value tuple per row.  The JSON writer prints each row as a
-flat object, all rows from one template filled by a single ``%``; the CSV
-and table writers print one line per row under a header of the keys.
+flat object, from one template per row filled ``_JSON_SLICE`` rows at a time
+by a single ``%`` each; the CSV and table writers print one line per row
+under a header of the keys.
 Floats are printed with 12 significant digits and a fixed field order, so
 identical invocations produce identical payloads apart from two timing
 fields: ``runtime_ms`` in ``meta`` and the ``seconds`` of each sweep row.
@@ -44,6 +45,8 @@ from .oracle import FULL_DIAGONALIZE_CAP, compare_with_pipeline
 from .polarization import lp_table
 from .spectra import DEGENERACY_RTOL, block_levels, check_finite_energies, ground_manifold
 from .sweeps import extrapolate, sweep
+
+_JSON_SLICE = 4096  # rows the JSON writer converts and fills at a time
 
 
 class Rows(NamedTuple):
@@ -99,14 +102,8 @@ def _flat_json(obj: dict, indent: int) -> str:
     return _template(tuple(obj), indent) % tuple(map(_json_scalar, obj.values()))
 
 
-def _columns(rows: Rows, scalar) -> list[tuple[str, list]]:
-    """Each column of ``rows`` as a ``%`` conversion and the values it converts.
-
-    A float array keeps its values for ``%.12g``, negative zero made
-    positive by adding 0.0, and an integer array for ``%d``: the text
-    ``_json_scalar`` writes for them.  Any other column is written with
-    ``%s`` from ``scalar`` of each value.
-    """
+def _row_count(rows: Rows) -> int:
+    """The number of rows, once ``rows`` is checked to be one column per key, all one length."""
     if not isinstance(rows, Rows):
         raise TypeError(f"expected Rows, not {type(rows).__name__}")
     keys, columns = rows
@@ -115,8 +112,23 @@ def _columns(rows: Rows, scalar) -> list[tuple[str, list]]:
                        for c in columns)
             or len(set(map(len, columns))) > 1):
         raise TypeError("rows need one list or 1-d array per key, all of one length")
+    return len(columns[0]) if columns else 0
+
+
+def _columns(rows: Rows, scalar, start: int = 0,
+             stop: int | None = None) -> list[tuple[str, list]]:
+    """Each column of ``rows[start:stop]`` as a ``%`` conversion and the values it converts.
+
+    The shape of the whole of ``rows`` is checked first.  A float array
+    keeps its values for ``%.12g``, negative zero made positive by adding
+    0.0, and an integer array for ``%d``: the text ``_json_scalar`` writes
+    for them.  Any other column is written with ``%s`` from ``scalar`` of
+    each value.
+    """
+    _row_count(rows)
     converted = []
-    for column in columns:
+    for column in rows.columns:
+        column = column[start:stop]
         kind = column.dtype.kind if isinstance(column, np.ndarray) else ""
         if kind == "f":
             converted.append(("%.12g", (column + 0.0).tolist()))
@@ -131,13 +143,18 @@ def _columns(rows: Rows, scalar) -> list[tuple[str, list]]:
 def _rows_json(rows: Rows) -> str:
     """The rows as flat JSON objects at indent 2, comma-joined ("" for no rows).
 
-    One template per row, all joined and filled by a single ``%``.
+    ``_JSON_SLICE`` rows at a time: a slice's values are converted, one
+    template per row is joined and filled by a single ``%``, and only the
+    slice's text is kept, so the converted values and templates of one
+    slice are alive at a time.
     """
-    columns = _columns(rows, _json_scalar)
-    count = len(columns[0][1]) if columns else 0
-    template = _template(rows.keys, 2, tuple(c for c, _ in columns))
-    return ",\n    ".join([template] * count) % tuple(
-        chain.from_iterable(zip(*(values for _, values in columns))))
+    slices = []
+    for start in range(0, _row_count(rows), _JSON_SLICE):
+        columns = _columns(rows, _json_scalar, start, start + _JSON_SLICE)
+        template = _template(rows.keys, 2, tuple(c for c, _ in columns))
+        slices.append(",\n    ".join([template] * len(columns[0][1])) % tuple(
+            chain.from_iterable(zip(*(values for _, values in columns)))))
+    return ",\n    ".join(slices)
 
 
 def _to_json(document: dict) -> str:
@@ -149,6 +166,7 @@ def _to_json(document: dict) -> str:
         elif isinstance(value, Rows):
             text = _rows_json(value)
             values.append(f"[\n    {text}\n  ]" if text else "[]")
+            del text  # one copy of the rows' text at a time
         else:
             values.append(_json_scalar(value))
     return _template(tuple(document), 0) % tuple(values)
@@ -347,6 +365,9 @@ def _cmd_verify(args) -> tuple[dict, Rows]:
     n_min, n_max = _parse_range(args.n)
     if n_min > n_max:
         raise ValueError(f"verify range {n_min}..{n_max} is empty")
+    if n_min < 2:  # the oracle's pair reduction needs two sites
+        raise ValueError(f"verify compares rings of at least two sites: --n must lie in "
+                         f"2..{FULL_DIAGONALIZE_CAP}, got {args.n}")
     if n_max > FULL_DIAGONALIZE_CAP:  # refuse before any row is solved
         raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
     records = []

@@ -6,7 +6,9 @@ fixed-magnetization sector reduce to an X-form matrix: a diagonal
 (u+, w1, w2, u-) plus a single coherence z = matrix[1, 2] between up-down and
 down-up, for which the concurrence has the closed form
 2*max(0, |z| - sqrt(u+ * u-)).  ``PairDensity`` keeps only the matrix and its
-spectrum; these entries are read from ``matrix`` directly.
+spectrum; these entries are read from ``matrix`` directly.  It is a named
+tuple that checks its matrix and solves the spectrum in ``__new__``, on every
+path that builds one: the constructor, ``_make``, ``_replace`` and unpickling.
 Every value comes from the general Wootters route (square roots of the
 eigenvalues of rho*rho~, spin-flipped rho~); the X-form closed form is a
 test reference (``tests/reference.py``) that must agree with it.
@@ -18,8 +20,7 @@ pairwise entanglement of the odd rings relative to a single ground vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,32 +40,52 @@ _SPIN_FLIP = np.array([
 ], dtype=float)
 
 
-@dataclass(frozen=True)
-class PairDensity:
+class _PairDensityFields(NamedTuple):
+    matrix: np.ndarray
+    pair: tuple[int, int]
+    spectrum: tuple[np.ndarray, np.ndarray]
+
+
+class PairDensity(_PairDensityFields):
     """4x4 reduced density matrix of the sites ``pair`` (p < q).
 
     ``spectrum`` holds its ascending eigenvalues and eigenvectors, solved
-    once here for the PSD check and read by ``concurrence_wootters``.
+    once here for the PSD check and read by ``concurrence_wootters``.  It is
+    derived from ``matrix``: the constructor takes only ``matrix`` and
+    ``pair``, and ``_replace`` checks the new matrix and solves it again.
     """
 
-    matrix: np.ndarray
-    pair: tuple[int, int]
-    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m = self.matrix
-        if m.shape != (4, 4):
+    def __new__(cls, matrix: np.ndarray, pair: tuple[int, int]):
+        if matrix.shape != (4, 4):
             raise ValueError("pair density must be 4x4")
-        if abs(np.trace(m) - 1.0) > DENSITY_TOL:
-            raise ValueError(f"trace {np.trace(m)} is not 1 within {DENSITY_TOL}")
-        if np.abs(m - m.conj().T).max() > DENSITY_TOL:
+        if abs(np.trace(matrix) - 1.0) > DENSITY_TOL:
+            raise ValueError(f"trace {np.trace(matrix)} is not 1 within {DENSITY_TOL}")
+        if np.abs(matrix - matrix.conj().T).max() > DENSITY_TOL:
             raise ValueError(f"pair density is not Hermitian within {DENSITY_TOL}")
-        values, vectors = np.linalg.eigh(m)
+        values, vectors = np.linalg.eigh(matrix)
         if values.min() < PSD_FLOOR:
             raise ValueError("pair density has an eigenvalue below -1e-10")
         for array in (values, vectors):
             array.flags.writeable = False
-        object.__setattr__(self, "spectrum", (values, vectors))
+        return super().__new__(cls, matrix, pair, (values, vectors))
+
+    @classmethod
+    def _make(cls, iterable):
+        matrix, pair, _ = iterable  # the spectrum is solved again
+        return cls(matrix, pair)
+
+    def _replace(self, **changes):
+        if "spectrum" in changes:
+            raise ValueError("spectrum is solved from matrix and cannot be replaced")
+        return super()._replace(**changes)
+
+    def __getnewargs__(self):
+        return self.matrix, self.pair
+
+    def __repr__(self) -> str:
+        return f"PairDensity(matrix={self.matrix!r}, pair={self.pair!r})"
 
 
 def _reduce_pure(state: SectorState, p: int, q: int) -> np.ndarray:
@@ -117,8 +138,7 @@ def pair_density(states: Sequence[tuple[float, SectorState]],
     return PairDensity(matrix=rho, pair=(p, q))
 
 
-@dataclass(frozen=True)
-class ConcurrenceResult:
+class ConcurrenceResult(NamedTuple):
     """Concurrence value with the four descending spin-flip roots."""
 
     value: float

@@ -30,11 +30,16 @@ as real symmetric pieces: the block in the basis fixed by K R (complex
 conjugation times reflection), the semi-momentum states of Sandvik, AIP
 Conf. Proc. 1297 (2010), section 4, split by R where R keeps the block.
 Both read the same hop rows, once per block or once per sector.
+
+``Coupling``, ``FieldSetting`` and ``MomentumBlock`` are immutable named
+tuples.  The first two are the ground-solve cache keys, equal and hashed by
+value, and check their input in ``__new__``, which ``_make`` and so
+``_replace`` go through as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,32 +49,48 @@ _HALF = np.sqrt(0.5)
 _PIECE_BUDGET = 1 << 15  # matrix entries of the pieces assembled at once
 
 
-@dataclass(frozen=True)
-class Coupling:
-    """Exchange constant J; sign selects the magnetic regime."""
-
+class _CouplingFields(NamedTuple):
     j: float
 
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.j):
-            raise ValueError(f"exchange constant j must be finite, got {self.j}")
-        if self.j == 0:
+
+class Coupling(_CouplingFields):
+    """Exchange constant J; sign selects the magnetic regime."""
+
+    __slots__ = ()
+
+    def __new__(cls, j: float):
+        if not np.isfinite(j):
+            raise ValueError(f"exchange constant j must be finite, got {j}")
+        if j == 0:
             raise ValueError("exchange constant must be nonzero")
+        return super().__new__(cls, j)
+
+    @classmethod
+    def _make(cls, iterable):  # so ``_replace`` checks its input too
+        return cls(*iterable)
 
     @property
     def regime(self) -> str:
         return "ferromagnetic" if self.j < 0 else "antiferromagnetic"
 
 
-@dataclass(frozen=True)
-class FieldSetting:
-    """Uniform field b adding the Zeeman term -b * sum_i Sz_i."""
-
+class _FieldSettingFields(NamedTuple):
     b: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.b):
-            raise ValueError(f"field b must be finite, got {self.b}")
+
+class FieldSetting(_FieldSettingFields):
+    """Uniform field b adding the Zeeman term -b * sum_i Sz_i."""
+
+    __slots__ = ()
+
+    def __new__(cls, b: float = 0.0):
+        if not np.isfinite(b):
+            raise ValueError(f"field b must be finite, got {b}")
+        return super().__new__(cls, b)
+
+    @classmethod
+    def _make(cls, iterable):  # so ``_replace`` checks its input too
+        return cls(*iterable)
 
 
 def sector_energy_offset(k: int, n: int, field: FieldSetting) -> float:
@@ -77,8 +98,7 @@ def sector_energy_offset(k: int, n: int, field: FieldSetting) -> float:
     return -field.b * (k - n / 2)
 
 
-@dataclass(frozen=True)
-class MomentumBlock:
+class MomentumBlock(NamedTuple):
     """Hamiltonian restricted to one momentum sector of one k sector.
 
     ``orbits`` holds the ascending, read-only indices of the sector's

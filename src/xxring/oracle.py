@@ -48,8 +48,8 @@ may be handed a decomposition made before the patch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -273,8 +273,7 @@ def _mixture_pair_density(vectors: np.ndarray, n: int, pair: tuple[int, int]) ->
     return PairDensity(matrix=amps @ amps.conj().T / d, pair=pair)
 
 
-@dataclass(frozen=True)
-class FullSpectrumReport:
+class FullSpectrumReport(NamedTuple):
     n: int
     ground_energy: float
     ground_degeneracy: int
@@ -302,15 +301,13 @@ def full_diagonalize(n: int, coupling: Coupling, field: FieldSetting = FieldSett
     )
 
 
-@dataclass(frozen=True)
-class LevelRow:
+class LevelRow(NamedTuple):
     energy: float
     degeneracy: int
     concurrence: float
 
 
-@dataclass(frozen=True)
-class LevelScan:
+class LevelScan(NamedTuple):
     """Nearest-pair concurrence of every level's equal-weight mixture."""
 
     n: int
@@ -341,8 +338,7 @@ def eigenvector_concurrence_scan(n: int, coupling: Coupling,
                      ground_is_max=rows[0].concurrence >= top - 1e-12)
 
 
-@dataclass(frozen=True)
-class PipelineAgreement:
+class PipelineAgreement(NamedTuple):
     """Deltas between the full-space oracle and the momentum pipeline."""
 
     n: int

@@ -13,7 +13,7 @@ score, and the probability up to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,15 +29,23 @@ def _rank_correlation(x, y) -> float | None:
 
     Values are snapped to the equal-probability grid so exact symmetry ties
     rank as ties, and tied values share the mean of their 1-based positions.
-    A constant column, a single row included, leaves the coefficient undefined.
+    Each column is ranked by one stable sort: a run of equal grid values
+    starting at position s with length c ranks s + (c + 1)/2, an exact
+    half-integer.  A constant column, a single row included, leaves the
+    coefficient undefined.
     """
     ranks = []
     for values in (x, y):
         grid = np.round(np.asarray(values) / EQUAL_PROBABILITY_ATOL)
-        _, inverse, counts = np.unique(grid, return_inverse=True, return_counts=True)
-        if len(counts) == 1:
+        order = np.argsort(grid, kind="stable")
+        ordered = grid[order]
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        if len(starts) == 1:
             return None
-        ranks.append((np.cumsum(counts) - (counts - 1) / 2)[inverse])
+        counts = np.diff(np.append(starts, len(grid)))
+        rank = np.empty(len(grid))
+        rank[order] = np.repeat(starts + (counts + 1) / 2, counts)
+        ranks.append(rank)
     return float(np.corrcoef(*ranks)[1, 0])
 
 
@@ -74,8 +82,7 @@ def _labels(configs, n: int) -> list[str]:
             for row in (sites - sites[:, :1]).tolist()]
 
 
-@dataclass(frozen=True)
-class OrbitRow:
+class OrbitRow(NamedTuple):
     representative: int
     pattern: str
     period: int
@@ -85,8 +92,7 @@ class OrbitRow:
     dihedral_class: int
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     """Per-orbit ground-mixture probabilities for one sector.
 
     When the manifold spans several sectors (odd rings at zero field) the

@@ -53,8 +53,8 @@ that holds every sector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ DEGENERACY_RTOL = 1e-9
 GROUND_CACHE_SIZE = 32  # distinct ground-solve inputs kept per process
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues ascending, eigenvectors in matching columns."""
 
     values: np.ndarray
@@ -158,8 +157,7 @@ def check_finite_energies(energies, coupling: Coupling, field: FieldSetting) -> 
         raise ValueError(f"energies overflow at J={coupling.j:g}, b={field.b:g}")
 
 
-@dataclass(frozen=True)
-class SectorState:
+class SectorState(NamedTuple):
     """Amplitude vector over one sector basis, with its momentum tag."""
 
     basis: SectorBasis
@@ -203,8 +201,7 @@ def lift_block_vector(block: MomentumBlock, v: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GroundManifold:
+class GroundManifold(NamedTuple):
     """All states at the minimum energy, one amplitude vector per (k, m)."""
 
     energy: float

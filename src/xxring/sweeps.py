@@ -11,7 +11,7 @@ ring of 15 sites allows, higher orders would only fit noise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ SWEEP_CAP = 15
 REGIME_COUPLING = {"ferro": -1.0, "antiferro": 1.0}
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     regime: str
     distance: int
@@ -72,8 +71,7 @@ def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
     return [_one_row(n, regime, distance, tol) for n in sizes]
 
 
-@dataclass(frozen=True)
-class LimitFit:
+class LimitFit(NamedTuple):
     """Least-squares fit of C(n) = c_infinity + a/n + b/n^2."""
 
     c_infinity: float

@@ -11,11 +11,12 @@ matrix-free product, the basis that makes a momentum block real, the dense
 levels one level at a time, the pair reduction that numbers configuration
 groups with ``np.unique``, and the X-form concurrence.
 
-Three more keep an earlier array form of a library path, so the tests can
-pin the library's arrays and payloads to it bit for bit: a sector built on
-its own (orbits numbered by ``np.unique``, reflections and hop targets found
-with ``searchsorted``), orbit reports summed one orbit at a time, and the
-ground window counted one sector at a time with ``cumsum``.
+Five more keep an earlier form of a library path, so the tests can pin the
+library's arrays and payloads to it bit for bit: a sector built on its own
+(orbits numbered by ``np.unique``, reflections and hop targets found with
+``searchsorted``), orbit reports summed one orbit at a time, the ground
+window counted one sector at a time with ``cumsum``, Spearman ranks read
+from ``np.unique``, and JSON rows filled into one template for all rows.
 """
 
 from __future__ import annotations
@@ -23,16 +24,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from xxring.basis import SectorBasis, rotation_order, ring_bonds
+from xxring.cli import _columns, _json_scalar, _template
 from xxring.concurrence import PairDensity
 from xxring.hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from xxring.oracle import FULL_DIAGONALIZE_CAP
-from xxring.polarization import (OrbitReport, OrbitRow, _labels, _rank_correlation,
-                                 clustering_scores)
+from xxring.polarization import (EQUAL_PROBABILITY_ATOL, OrbitReport, OrbitRow, _labels,
+                                 _rank_correlation, clustering_scores)
 from xxring.spectra import GroundManifold, _unit_levels
 
 X_OFFDIAG_TOL = 1e-10
@@ -391,3 +394,24 @@ def window_counts_by_cumsum(n: int, coupling: Coupling, field: FieldSetting,
                 for momentum in {m, -m % n}:
                     counts[sector, momentum] = int(inside[bounds[m + 1]] - inside[bounds[m]])
     return counts
+
+
+def rank_correlation_by_unique(x, y) -> float | None:
+    """``polarization._rank_correlation`` with each column ranked through ``np.unique``."""
+    ranks = []
+    for values in (x, y):
+        grid = np.round(np.asarray(values) / EQUAL_PROBABILITY_ATOL)
+        _, inverse, counts = np.unique(grid, return_inverse=True, return_counts=True)
+        if len(counts) == 1:
+            return None
+        ranks.append((np.cumsum(counts) - (counts - 1) / 2)[inverse])
+    return float(np.corrcoef(*ranks)[1, 0])
+
+
+def rows_json_whole(rows) -> str:
+    """``cli._rows_json`` with every row converted and filled into one template at once."""
+    columns = _columns(rows, _json_scalar)
+    count = len(columns[0][1]) if columns else 0
+    template = _template(rows.keys, 2, tuple(c for c, _ in columns))
+    return ",\n    ".join([template] * count) % tuple(
+        chain.from_iterable(zip(*(values for _, values in columns))))

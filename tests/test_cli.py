@@ -13,7 +13,7 @@ from xxring import __version__
 from xxring.hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from xxring.spectra import DEGENERACY_RTOL, block_levels
 
-from reference import full_hamiltonian
+from reference import full_hamiltonian, rows_json_whole
 
 
 def run_json(capsys, argv):
@@ -313,6 +313,29 @@ class TestJsonWriter:
         for fmt in ("csv", "table"):
             assert cli._render(document, fmt) == reference_render(document, fmt)
 
+    @pytest.mark.parametrize("count", [0, 1, cli._JSON_SLICE - 1, cli._JSON_SLICE,
+                                       cli._JSON_SLICE + 1, 2 * cli._JSON_SLICE + 1])
+    def test_slices_equal_the_whole_template(self, count):
+        rng = np.random.default_rng(count)
+        rows = Rows(("k", "energy", "pattern", "ok", "corr", "m"),
+                    (np.arange(count, dtype=np.int64) - 3, rng.normal(size=count) * 1e3,
+                     [f"|j,j+{i % 7}>" for i in range(count)],
+                     [i % 3 == 0 for i in range(count)],
+                     [None if i % 5 else 0.25 * i - 1.0 for i in range(count)],
+                     list(range(count))))
+        assert cli._rows_json(rows) == rows_json_whole(rows)
+        document = {"command": "c", "config": {}, "rows": rows, "meta": {}}
+        assert cli._to_json(document) == reference_to_json(document)
+
+    def test_every_paper_listing_is_one_slice(self):
+        # spectrum --n 12, the largest listing of the paper's tables, has 2^12 rows
+        assert cli._JSON_SLICE >= 1 << 12
+
+    def test_a_slice_checks_the_shape_of_all_rows(self):
+        rows = Rows(("a", "b"), ([1, 2, 3], [1.0, 2.0]))
+        with pytest.raises(TypeError):
+            cli._columns(rows, cli._json_scalar, 0, 2)
+
     def test_array_columns_print_as_their_scalars(self):
         """``%.12g`` of an array's floats and ``%d`` of its ints, as ``_json_scalar`` writes them."""
         rng = np.random.default_rng(5)
@@ -430,6 +453,16 @@ class TestExitCodes:
     def test_verify_refuses_single_site(self, capsys):
         assert cli.run(["verify", "--n", "1..3"]) == 2
         assert "at least two sites" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "0", "1..3", "0..2"])
+    def test_verify_refuses_rings_below_two_sites_before_solving(self, capsys, monkeypatch,
+                                                                 n):
+        calls = []
+        monkeypatch.setattr(cli, "compare_with_pipeline", lambda n, *_, **__: calls.append(n))
+        assert cli.run(["verify", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == ""
+        assert f"--n must lie in 2..{cli.FULL_DIAGONALIZE_CAP}, got {n}" in captured.err
 
     def test_verify_refuses_range_beyond_oracle_cap_before_solving(self, capsys,
                                                                     monkeypatch):

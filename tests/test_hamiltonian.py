@@ -1,7 +1,5 @@
 """Sector Hamiltonians, momentum blocks, and their symmetries."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -158,8 +156,8 @@ class TestHopTable:
         for k in range(n // 2 + 1):
             basis = enumerate_sector(n, k)
             reference = reference_hop_table(basis, set_walk_orbits(n, k))
-            looped = replace(basis, hop_index=reference[:, :3].astype(np.int64),
-                             hop_weight=reference[:, 3])
+            looped = basis._replace(hop_index=reference[:, :3].astype(np.int64),
+                                    hop_weight=reference[:, 3])
             for pieces, expected in zip(real_block_pieces(basis), real_block_pieces(looped),
                                         strict=True):
                 assert len(pieces) == len(expected), (n, k)
@@ -176,8 +174,8 @@ class TestHopTable:
                 for coupling in (FERRO, ANTIFERRO):
                     block = build_momentum_block(basis, m, coupling)
                     expected = build_momentum_block(
-                        replace(basis, hop_index=reference[:, :3].astype(np.int64),
-                                hop_weight=reference[:, 3]), m, coupling)
+                        basis._replace(hop_index=reference[:, :3].astype(np.int64),
+                                       hop_weight=reference[:, 3]), m, coupling)
                     assert np.array_equal(block.orbits, expected.orbits)
                     assert np.array_equal(block.matrix, expected.matrix)
 

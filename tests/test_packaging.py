@@ -24,6 +24,19 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_after_numpy_adds_no_dataclasses():
+    # generating dataclass methods was most of the package's own import time
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import xxring.cli\n"
+            "print(sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    added = ast.literal_eval(out.strip())
+    assert "xxring.cli" in added and "dataclasses" not in added
+
+
 def test_commands_load_no_numpy_ma():
     # np.unique without return_* options imports numpy.ma on numpy 2
     code = ("import contextlib, io, sys\n"

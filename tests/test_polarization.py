@@ -7,11 +7,13 @@ import pytest
 
 from xxring.basis import enumerate_sector
 from xxring.hamiltonian import Coupling, FieldSetting
-from xxring.polarization import _labels, clustering_scores, lp_table, orbit_probabilities
+from xxring.polarization import (_labels, _rank_correlation, clustering_scores, lp_table,
+                                 orbit_probabilities)
 from xxring.spectra import ground_manifold
 
 from reference import (clustering_score, config_label, dihedral_classes, index_of,
-                       orbit_report_by_split, reflect, rotate, set_walk_orbits)
+                       orbit_report_by_split, rank_correlation_by_unique, reflect, rotate,
+                       set_walk_orbits)
 
 FERRO = Coupling(-1.0)
 
@@ -193,6 +195,43 @@ class TestOrbitReports:
         assert len(set(grid(probs))) < len(probs)  # reflection partners tie
         expected = spearman_by_hand([r.clustering for r in report.rows], probs)
         assert report.rank_correlation == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_rank_correlation_equals_the_unique_ranks(self, n):
+        # ranks are exact half-integers both ways, so np.corrcoef reads the
+        # same inputs: every orbit table of every ground sector gives == values
+        undefined = []
+        for j in (-1.0, 1.0, 0.5):
+            for b in (0.0, 0.3):
+                manifold = ground_manifold(n, Coupling(j), FieldSetting(b))
+                for k in manifold.sectors():
+                    rows = orbit_probabilities(manifold, enumerate_sector(n, k)).rows
+                    columns = ([r.clustering for r in rows], [r.member_probability for r in rows])
+                    value = _rank_correlation(*columns)
+                    assert value == rank_correlation_by_unique(*columns), (j, b, k)
+                    if value is None:
+                        undefined.append(len(rows))
+        # n = 2 and 3 give one-row tables, undefined; larger rings none
+        assert set(undefined) == ({1} if n < 4 else set())
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.5], [0.25]),  # one row
+        ([1.0, 1.0, 1.0], [0.3, 0.1, 0.2]),  # constant first column
+        ([3.0, 1.0, 2.0], [0.2, 0.2 + 1e-11, 0.2 - 1e-11]),  # constant on the grid
+        ([3.0, 1.0, 2.0, 2.0, 5.0], [0.1, 0.4, 0.4, 0.3, 0.1]),
+    ])
+    def test_rank_correlation_edge_cases_equal_the_unique_ranks(self, x, y):
+        assert _rank_correlation(x, y) == rank_correlation_by_unique(x, y)
+        if len(set(grid(x))) == 1 or len(set(grid(y))) == 1:
+            assert _rank_correlation(x, y) is None
+
+    def test_rank_correlation_of_tied_random_columns_equals_the_unique_ranks(self):
+        rng = np.random.default_rng(7)
+        for size in (2, 3, 10, 80, 500):
+            for _ in range(20):
+                x = rng.integers(0, 6, size) * 0.125
+                y = rng.integers(0, 4, size) * 1e-3 + rng.normal(0, 1e-12, size)
+                assert _rank_correlation(x, y) == rank_correlation_by_unique(x, y)
 
     def test_odd_ring_reports_conditional_distribution(self):
         report = lp_table(3, FERRO)
