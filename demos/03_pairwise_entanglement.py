@@ -33,7 +33,8 @@ manifold = ground_manifold(3, FERRO)
 for state in manifold.states:
     print(f"  single state (k={state.k}, m={state.momentum}): "
           f"C = {state_concurrence(state, (0, 1)):.6f}")
-mixture = concurrence_wootters(manifold_pair_density(manifold, (0, 1))).value
+# the general Wootters formula on the mixture's 4x4 pair density, as a float
+mixture = concurrence_wootters(manifold_pair_density(manifold, (0, 1)))
 print(f"  equal-weight mixture: C = {mixture:.6f}")
 
 print()

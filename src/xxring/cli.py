@@ -218,9 +218,10 @@ def _pair_arg(args, n: int) -> tuple[int, int]:
         if not (1 <= p < q <= n):
             raise ValueError(f"pair sites must be distinct and within 1..{n}")
         return p - 1, q - 1
-    if not 1 <= args.distance <= n - 1:
-        raise ValueError(f"--distance must be in 1..{n - 1}, got {args.distance}")
-    return 0, args.distance
+    distance = 1 if args.distance is None else args.distance
+    if not 1 <= distance <= n - 1:
+        raise ValueError(f"--distance must be in 1..{n - 1}, got {distance}")
+    return 0, distance
 
 
 def _add_common(parser: argparse.ArgumentParser, *, coupling: bool = True) -> None:
@@ -254,9 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("concurrence", help="pair concurrence of the ground mixture")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pair", type=int, nargs=2, metavar=("P", "Q"),
-                   help="1-based site pair (default: 1 2)")
-    p.add_argument("--distance", type=int, default=1, help="ring distance when --pair is absent")
+    # no --distance default: argparse lets an option that equals its default
+    # past the group, so --pair 1 2 --distance 1 would pass
+    sites = p.add_mutually_exclusive_group()
+    sites.add_argument("--pair", type=int, nargs=2, metavar=("P", "Q"),
+                       help="1-based site pair (default: 1 2)")
+    sites.add_argument("--distance", type=int, help="ring distance from site 1 (default: 1)")
     _add_common(p)
 
     p = sub.add_parser("lp", help="orbit probabilities and clustering of the ground mixture")
@@ -316,7 +320,7 @@ def _cmd_concurrence(args) -> tuple[dict, Rows]:
     pair = _pair_arg(args, args.n)
     manifold = ground_manifold(args.n, Coupling(j=args.j), FieldSetting(b=args.b),
                                tol=args.tol)
-    value = concurrence_wootters(manifold_pair_density(manifold, pair)).value
+    value = concurrence_wootters(manifold_pair_density(manifold, pair))
     d = abs(pair[0] - pair[1])
     rows = _table(("n", "p", "q", "distance", "concurrence", "degeneracy", "energy"),
                   [(args.n, pair[0] + 1, pair[1] + 1, min(d, args.n - d), value,

@@ -5,13 +5,16 @@ of sites, in the basis (up-up, up-down, down-up, down-down).  States from a
 fixed-magnetization sector reduce to an X-form matrix: a diagonal
 (u+, w1, w2, u-) plus a single coherence z = matrix[1, 2] between up-down and
 down-up, for which the concurrence has the closed form
-2*max(0, |z| - sqrt(u+ * u-)).  ``PairDensity`` keeps only the matrix and its
-spectrum; these entries are read from ``matrix`` directly.  It is a named
-tuple that checks its matrix and solves the spectrum in ``__new__``, on every
-path that builds one: the constructor, ``_make``, ``_replace`` and unpickling.
+2*max(0, |z| - sqrt(u+ * u-)).  ``PairDensity`` holds only the matrix and
+the pair; these entries are read from ``matrix`` directly.  It is a named
+tuple that checks its matrix in ``__new__`` (finite, unit trace, Hermitian,
+no eigenvalue below -1e-10 by a Cholesky test) and stores nothing derived,
+on every path that builds one: the constructor, ``_make``, ``_replace`` and
+unpickling.  ``concurrence_wootters`` returns the concurrence as a float.
 Every value comes from the general Wootters route (square roots of the
-eigenvalues of rho*rho~, spin-flipped rho~); the X-form closed form is a
-test reference (``tests/reference.py``) that must agree with it.
+eigenvalues of rho*rho~, spin-flipped rho~), with one ``eigh`` of the
+matrix per call; the X-form closed form is a test reference
+(``tests/reference.py``) that must agree with it.
 
 Degenerate ground manifolds are mixed with equal weights: that is the unique
 translation- and flip-symmetric choice, and the mixing is what depresses the
@@ -43,49 +46,31 @@ _SPIN_FLIP = np.array([
 class _PairDensityFields(NamedTuple):
     matrix: np.ndarray
     pair: tuple[int, int]
-    spectrum: tuple[np.ndarray, np.ndarray]
 
 
 class PairDensity(_PairDensityFields):
-    """4x4 reduced density matrix of the sites ``pair`` (p < q).
-
-    ``spectrum`` holds its ascending eigenvalues and eigenvectors, solved
-    once here for the PSD check and read by ``concurrence_wootters``.  It is
-    derived from ``matrix``: the constructor takes only ``matrix`` and
-    ``pair``, and ``_replace`` checks the new matrix and solves it again.
-    """
+    """4x4 reduced density matrix of the sites ``pair`` (p < q)."""
 
     __slots__ = ()
 
     def __new__(cls, matrix: np.ndarray, pair: tuple[int, int]):
         if matrix.shape != (4, 4):
             raise ValueError("pair density must be 4x4")
+        if not np.isfinite(matrix).all():
+            raise ValueError("pair density has a non-finite entry")
         if abs(np.trace(matrix) - 1.0) > DENSITY_TOL:
             raise ValueError(f"trace {np.trace(matrix)} is not 1 within {DENSITY_TOL}")
         if np.abs(matrix - matrix.conj().T).max() > DENSITY_TOL:
             raise ValueError(f"pair density is not Hermitian within {DENSITY_TOL}")
-        values, vectors = np.linalg.eigh(matrix)
-        if values.min() < PSD_FLOOR:
-            raise ValueError("pair density has an eigenvalue below -1e-10")
-        for array in (values, vectors):
-            array.flags.writeable = False
-        return super().__new__(cls, matrix, pair, (values, vectors))
+        try:  # positive definite once shifted by the floor
+            np.linalg.cholesky(matrix - PSD_FLOOR * np.eye(4))
+        except np.linalg.LinAlgError:
+            raise ValueError("pair density has an eigenvalue below -1e-10") from None
+        return super().__new__(cls, matrix, pair)
 
     @classmethod
-    def _make(cls, iterable):
-        matrix, pair, _ = iterable  # the spectrum is solved again
-        return cls(matrix, pair)
-
-    def _replace(self, **changes):
-        if "spectrum" in changes:
-            raise ValueError("spectrum is solved from matrix and cannot be replaced")
-        return super()._replace(**changes)
-
-    def __getnewargs__(self):
-        return self.matrix, self.pair
-
-    def __repr__(self) -> str:
-        return f"PairDensity(matrix={self.matrix!r}, pair={self.pair!r})"
+    def _make(cls, iterable):  # so ``_replace`` checks its input too
+        return cls(*iterable)
 
 
 def _reduce_pure(state: SectorState, p: int, q: int) -> np.ndarray:
@@ -119,6 +104,8 @@ def pair_density(states: Sequence[tuple[float, SectorState]],
     if not states:
         raise ValueError("mixture needs at least one state")
     weights = np.array([w for w, _ in states], dtype=float)
+    if not np.isfinite(weights).all():
+        raise ValueError("mixture weights must be finite")
     if weights.min() < -1e-12:
         raise ValueError("mixture weights must be nonnegative")
     if abs(weights.sum() - 1.0) > 1e-9:
@@ -131,6 +118,8 @@ def pair_density(states: Sequence[tuple[float, SectorState]],
     for weight, state in states:
         if state.basis.n != n:
             raise ValueError("all mixture states must live on the same ring")
+        if not np.isfinite(state.amplitudes).all():
+            raise ValueError("state amplitudes must be finite")
         norm = np.linalg.norm(state.amplitudes)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm {norm} is not 1")
@@ -138,14 +127,7 @@ def pair_density(states: Sequence[tuple[float, SectorState]],
     return PairDensity(matrix=rho, pair=(p, q))
 
 
-class ConcurrenceResult(NamedTuple):
-    """Concurrence value with the four descending spin-flip roots."""
-
-    value: float
-    lambdas: tuple[float, float, float, float]
-
-
-def concurrence_wootters(rho: PairDensity) -> ConcurrenceResult:
+def concurrence_wootters(rho: PairDensity) -> float:
     """max(0, l1 - l2 - l3 - l4) from the spin-flipped density matrix.
 
     The l_i are the square roots of the eigenvalues of rho * rho~ with
@@ -155,16 +137,16 @@ def concurrence_wootters(rho: PairDensity) -> ConcurrenceResult:
     A value at or below ``DENSITY_TOL``, the pair density's own tolerance,
     cannot be resolved (|z| = sqrt(u+ u-) exactly gives ~1e-16) and reads 0.
     """
-    values, vectors = rho.spectrum
+    values, vectors = np.linalg.eigh(rho.matrix)
     root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
     lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
     value = lam[0] - lam[1] - lam[2] - lam[3]
-    return ConcurrenceResult(value=value if value > DENSITY_TOL else 0.0, lambdas=tuple(lam))
+    return value if value > DENSITY_TOL else 0.0
 
 
 def state_concurrence(state: SectorState, pair: tuple[int, int] = (0, 1)) -> float:
     """Concurrence of a single pure sector state's pair reduction."""
-    return concurrence_wootters(pair_density([(1.0, state)], pair)).value
+    return concurrence_wootters(pair_density([(1.0, state)], pair))
 
 
 def manifold_pair_density(manifold: GroundManifold,
@@ -181,4 +163,4 @@ def ground_concurrence(n: int, coupling: Coupling, field: FieldSetting = FieldSe
     if n < 2:
         raise ValueError("pairwise concurrence needs at least two sites")
     manifold = ground_manifold(n, coupling, field, tol=tol)
-    return concurrence_wootters(manifold_pair_density(manifold, pair)).value
+    return concurrence_wootters(manifold_pair_density(manifold, pair))

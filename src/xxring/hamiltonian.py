@@ -34,7 +34,9 @@ Both read the same hop rows, once per block or once per sector.
 ``Coupling``, ``FieldSetting`` and ``MomentumBlock`` are immutable named
 tuples.  The first two are the ground-solve cache keys, equal and hashed by
 value, and check their input in ``__new__``, which ``_make`` and so
-``_replace`` go through as well.
+``_replace`` go through as well: J and b must be finite, J nonzero, and
+neither may be subnormal, since the tolerance window of a subnormal
+spectrum would hold every level.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ import numpy as np
 from .basis import SectorBasis
 
 _HALF = np.sqrt(0.5)
+# smallest normal float; subnormal J or b products keep too few digits
+_TINY = float(np.finfo(float).tiny)
 _PIECE_BUDGET = 1 << 15  # matrix entries of the pieces assembled at once
 
 
@@ -63,6 +67,9 @@ class Coupling(_CouplingFields):
             raise ValueError(f"exchange constant j must be finite, got {j}")
         if j == 0:
             raise ValueError("exchange constant must be nonzero")
+        if abs(j) < _TINY:
+            raise ValueError(f"exchange constant j is subnormal: |j| must be at least {_TINY}, "
+                             f"got {j}")
         return super().__new__(cls, j)
 
     @classmethod
@@ -86,6 +93,8 @@ class FieldSetting(_FieldSettingFields):
     def __new__(cls, b: float = 0.0):
         if not np.isfinite(b):
             raise ValueError(f"field b must be finite, got {b}")
+        if 0 < abs(b) < _TINY:
+            raise ValueError(f"field b is subnormal: |b| must be 0 or at least {_TINY}, got {b}")
         return super().__new__(cls, b)
 
     @classmethod

@@ -290,7 +290,7 @@ def full_diagonalize(n: int, coupling: Coupling, field: FieldSetting = FieldSett
     _, d = next(_degenerate_groups(values, tol))
     ground = _columns(n, tags[:d], columns[:d])
     probs = (np.abs(ground) ** 2).sum(axis=1) / d
-    ground_c = concurrence_wootters(_mixture_pair_density(ground, n, (0, 1))).value
+    ground_c = concurrence_wootters(_mixture_pair_density(ground, n, (0, 1)))
     return FullSpectrumReport(
         n=n,
         ground_energy=float(values[0]),
@@ -332,7 +332,7 @@ def eigenvector_concurrence_scan(n: int, coupling: Coupling,
         rho = _mixture_pair_density(_columns(n, tags[start:stop], columns[start:stop]),
                                     n, (0, 1))
         rows.append(LevelRow(energy=float(values[start]), degeneracy=stop - start,
-                             concurrence=concurrence_wootters(rho).value))
+                             concurrence=concurrence_wootters(rho)))
     top = max(row.concurrence for row in rows)
     return LevelScan(n=n, rows=tuple(rows),
                      ground_is_max=rows[0].concurrence >= top - 1e-12)
@@ -363,7 +363,7 @@ def compare_with_pipeline(n: int, coupling: Coupling,
     """Cross-check ground energy, degeneracy, probabilities and concurrence."""
     report = full_diagonalize(n, coupling, field, tol)
     manifold = ground_manifold(n, coupling, field, tol=tol)
-    mixture_c = concurrence_wootters(manifold_pair_density(manifold, (0, 1))).value
+    mixture_c = concurrence_wootters(manifold_pair_density(manifold, (0, 1)))
 
     d = manifold.degeneracy
     pipeline_probs = np.zeros(1 << n)

@@ -106,9 +106,6 @@ class OrbitReport(NamedTuple):
     rows: tuple[OrbitRow, ...]
     rank_correlation: float | None
 
-    def member_probabilities(self) -> list[float]:
-        return [row.member_probability for row in self.rows]
-
 
 def orbit_probabilities(manifold: GroundManifold, sector: SectorBasis) -> OrbitReport:
     """Aggregate the manifold mixture's diagonal into orbit rows.

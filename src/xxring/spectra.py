@@ -212,9 +212,6 @@ class GroundManifold(NamedTuple):
     def degeneracy(self) -> int:
         return len(self.states)
 
-    def sectors(self) -> tuple[int, ...]:
-        return tuple(sorted({s.k for s in self.states}))
-
 
 def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
                     tol: float = DEGENERACY_RTOL) -> GroundManifold:

@@ -39,7 +39,7 @@ def _one_row(n: int, regime: str, distance: int, tol: float) -> SweepRow:
     coupling = Coupling(j=REGIME_COUPLING[regime])
     manifold = ground_manifold(n, coupling, tol=tol)
     pair = (0, distance % n)
-    value = concurrence_wootters(manifold_pair_density(manifold, pair)).value
+    value = concurrence_wootters(manifold_pair_density(manifold, pair))
     return SweepRow(n=n, regime=regime, distance=distance, concurrence=value,
                     degeneracy=manifold.degeneracy, energy=manifold.energy,
                     seconds=time.perf_counter() - started)
@@ -79,9 +79,6 @@ class LimitFit(NamedTuple):
     b: float
     residual: float
     points: tuple[int, ...]
-
-    def predict(self, n: int) -> float:
-        return self.c_infinity + self.a / n + self.b / n**2
 
 
 def extrapolate(rows: list[SweepRow]) -> LimitFit:

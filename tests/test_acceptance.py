@@ -140,11 +140,11 @@ def test_criterion_03_orbit_probability_table():
     started = time.perf_counter()
     failures = []
 
-    got4 = lp_table(4, FERRO).member_probabilities()
+    got4 = [row.member_probability for row in lp_table(4, FERRO).rows]
     if np.abs(np.array(got4) - [1 / 8, 1 / 4]).max() > 1e-10:
         failures.append(f"n=4: target [1/8, 1/4], computed {got4}")
 
-    got6 = lp_table(6, FERRO).member_probabilities()
+    got6 = [row.member_probability for row in lp_table(6, FERRO).rows]
     if np.abs(np.array(got6) - [1 / 72, 1 / 18, 1 / 18, 1 / 8]).max() > 1e-10:
         failures.append(f"n=6: target [1/72, 1/18, 1/18, 1/8], computed {got6}")
 
@@ -158,7 +158,7 @@ def test_criterion_03_orbit_probability_table():
     # squares within 3.8e-4.
     q8 = np.pi * np.array([1, -1, 3, -3]) / 8
     target8 = slater_orbit_probabilities(8, q8)
-    got8 = np.sort(lp_table(8, FERRO).member_probabilities())
+    got8 = np.sort([row.member_probability for row in lp_table(8, FERRO).rows])
     bad = np.abs(got8 - target8) > 1e-10
     if bad.any():
         rows = "; ".join(f"target {t:.12f} vs computed {g:.12f}"
@@ -207,8 +207,8 @@ def test_criterion_05_oracle_equivalence():
 def test_criterion_06_field_lifting():
     started = time.perf_counter()
     manifold = ground_manifold(3, FERRO, FieldSetting(b=0.1))
-    value = concurrence_wootters(manifold_pair_density(manifold, (0, 1))).value
-    ok = manifold.degeneracy == 1 and len(manifold.sectors()) == 1 \
+    value = concurrence_wootters(manifold_pair_density(manifold, (0, 1)))
+    ok = manifold.degeneracy == 1 and len({s.k for s in manifold.states}) == 1 \
         and abs(value - 2 / 3) <= 1e-10
     line = report(6, ok, f"small field lifts n=3 degeneracy to C=2/3 (got {value:.12f})",
                   time.perf_counter() - started, 60.0)
@@ -281,7 +281,7 @@ def test_criterion_09_property_suites():
         amp = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         state = SectorState(basis=basis, amplitudes=amp / np.linalg.norm(amp))
         rho = pair_density([(1.0, state)], (0, int(rng.integers(1, n))))
-        if abs(concurrence_xstate(rho) - concurrence_wootters(rho).value) > 1e-10:
+        if abs(concurrence_xstate(rho) - concurrence_wootters(rho)) > 1e-10:
             failures.append("x-state fast path disagrees with the general route")
             break
 
@@ -293,7 +293,7 @@ def test_criterion_09_property_suites():
             for shift in range(n):
                 p, q = sorted(((shift) % n, (shift + distance) % n))
                 values.append(concurrence_wootters(
-                    manifold_pair_density(manifold, (p, q))).value)
+                    manifold_pair_density(manifold, (p, q))))
             if max(values) - min(values) > 1e-10:
                 failures.append(f"pair concurrence not translation invariant (n={n})")
 

@@ -446,6 +446,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert message in captured.err and "4.." in captured.err
 
+    @pytest.mark.parametrize("sites", [["--pair", "1", "2", "--distance", "3"],
+                                       ["--distance", "1", "--pair", "1", "2"],
+                                       ["--pair", "1", "2", "--distance", "1"]])
+    def test_concurrence_refuses_pair_with_distance(self, capsys, sites):
+        assert cli.run(["concurrence", "--n", "6"] + sites) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+
     def test_verify_refuses_empty_range(self, capsys):
         assert cli.run(["verify", "--n", "5..3"]) == 2
         assert "empty" in capsys.readouterr().err
@@ -491,6 +499,11 @@ class TestExitCodes:
         (["spectrum", "--n", "4", "--tol", "nan"], "--tol must be finite and nonnegative"),
         (["spectrum", "--n", "4", "--tol", "inf"], "--tol must be finite and nonnegative"),
         (["verify", "--n", "2..3", "--tol", "nan"], "--tol must be finite and nonnegative"),
+        # subnormal J or b: the tolerance window would swallow the whole spectrum
+        (["ground", "--n", "3", "--j", "1e-320"], "exchange constant j is subnormal"),
+        (["ground", "--n", "1", "--b", "1e-320"], "field b is subnormal"),
+        (["spectrum", "--n", "4", "--b", "-1e-320"], "field b is subnormal"),
+        (["concurrence", "--n", "4", "--j", "5e-324"], "exchange constant j is subnormal"),
     ])
     def test_refuses_negative_or_non_finite_input(self, capsys, argv, message):
         assert cli.run(argv) == 2

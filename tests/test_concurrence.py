@@ -1,8 +1,11 @@
 """Pair reductions, Wootters concurrence, and ground-mixture values."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from xxring import cli
 from xxring.basis import enumerate_sector
 from xxring.concurrence import (PairDensity, _reduce_pure, concurrence_wootters,
                                 ground_concurrence, manifold_pair_density, pair_density,
@@ -80,6 +83,17 @@ class TestPairDensity:
             pair_density([(1.0, w_state(3))], (1, 1))
         with pytest.raises(ValueError):
             pair_density([], (0, 1))
+        # NaN fails every `x > tol` test, so non-finite inputs are refused first
+        for weights in ([np.nan], [np.inf], [0.5, np.nan]):
+            mixture = list(zip(weights, [w_state(3), flipped_w_state(3)]))
+            with pytest.raises(ValueError, match="mixture weights must be finite"):
+                pair_density(mixture, (0, 1))
+        for value in (np.nan, np.inf):
+            amplitudes = np.full(3, 1 / np.sqrt(3))
+            amplitudes[1] = value
+            bad = SectorState(basis=enumerate_sector(3, 1), amplitudes=amplitudes)
+            with pytest.raises(ValueError, match="state amplitudes must be finite"):
+                pair_density([(1.0, bad)], (0, 1))
 
     def test_matrix_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -91,6 +105,9 @@ class TestPairDensity:
         hermitian_not_psd = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
         with pytest.raises(ValueError):
             PairDensity(matrix=hermitian_not_psd, pair=(0, 1))
+        one_nan = np.diag([np.nan, 0.5, 0.5, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            PairDensity(matrix=one_nan, pair=(0, 1))
 
 
 def reference_reduction(state, p, q):
@@ -164,20 +181,48 @@ class TestPairReductionReference:
         u_plus, u_minus = rho.matrix.diagonal().real[[0, 3]]
         np.testing.assert_allclose([abs(rho.matrix[1, 2]), np.sqrt(u_plus * u_minus)],
                                    [coherence, coherence], rtol=0, atol=1e-14)
-        assert concurrence_wootters(rho).value < 1e-15
+        assert concurrence_wootters(rho) < 1e-15
 
 
 class TestWoottersConcurrence:
     def test_bell_state(self):
         m = np.zeros((4, 4), dtype=complex)
         m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = 0.5
-        result = concurrence_wootters(PairDensity(matrix=m, pair=(0, 1)))
-        np.testing.assert_allclose(result.value, 1.0, atol=1e-12)
-        assert result.lambdas[0] >= result.lambdas[1] >= result.lambdas[2] >= result.lambdas[3]
+        value = concurrence_wootters(PairDensity(matrix=m, pair=(0, 1)))
+        np.testing.assert_allclose(value, 1.0, atol=1e-12)
+
+    def test_one_eigh_per_pair_density_and_none_in_its_constructor(self, monkeypatch):
+        calls = []  # (solver, calling function, matrix shape)
+
+        def counted(name):
+            solve = getattr(np.linalg, name)
+
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, sys._getframe(1).f_code.co_name, np.shape(a)))
+                return solve(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        built = []
+        construct = PairDensity.__new__
+
+        def new(cls, matrix, pair):
+            built.append(pair)
+            before = len(calls)
+            rho = construct(cls, matrix, pair)
+            assert len(calls) == before, calls[before:]  # no eigendecomposition here
+            return rho
+
+        monkeypatch.setattr(PairDensity, "__new__", new)
+        assert cli.run(["concurrence", "--n", "7", "--j", "1"]) == 0
+        assert built == [(0, 1)]
+        assert [call for call in calls if call[1] == "concurrence_wootters"] == \
+            [("eigh", "concurrence_wootters", (4, 4))] * len(built)
 
     def test_product_state(self):
         rho = PairDensity(matrix=np.diag([1.0, 0, 0, 0]).astype(complex), pair=(0, 1))
-        assert concurrence_wootters(rho).value == 0.0
+        assert concurrence_wootters(rho) == 0.0
 
     def test_w3_pair(self):
         np.testing.assert_allclose(state_concurrence(w_state(3), (0, 1)), 2 / 3,
@@ -185,10 +230,10 @@ class TestWoottersConcurrence:
 
     def test_only_values_within_the_density_tolerance_read_zero(self):
         # C = 2 * (|z| - sqrt(u+ u-)): 2e-9 is resolved, 5e-13 is below DENSITY_TOL
-        resolved = concurrence_wootters(x_density(0.1, 0.4, 0.4, 0.1, 0.1 + 1e-9)).value
+        resolved = concurrence_wootters(x_density(0.1, 0.4, 0.4, 0.1, 0.1 + 1e-9))
         assert resolved == pytest.approx(2e-9, rel=1e-5)
         below = x_density(0.1, 0.4, 0.4, 0.1, 0.1 + 2.5e-13)
-        assert concurrence_wootters(below).value == 0.0
+        assert concurrence_wootters(below) == 0.0
 
 
 class TestXStateFastPath:
@@ -220,7 +265,7 @@ class TestXStateFastPath:
             q = int(rng.integers(1, n))
             rho = pair_density([(1.0, state)], (0, q))
             assert abs(concurrence_xstate(rho)
-                       - concurrence_wootters(rho).value) <= 1e-10
+                       - concurrence_wootters(rho)) <= 1e-10
 
 
 class TestStateConcurrence:
@@ -283,7 +328,7 @@ class TestGroundConcurrence:
                 for shift in range(n):
                     p, q = sorted(((0 + shift) % n, (distance + shift) % n))
                     rho = manifold_pair_density(manifold, (p, q))
-                    values.append(concurrence_wootters(rho).value)
+                    values.append(concurrence_wootters(rho))
                 assert max(values) - min(values) <= 1e-10
 
     def test_invariant_under_coupling_scale(self):

@@ -58,7 +58,7 @@ class TestFullHamiltonian:
                                        atol=1e-10, err_msg=label)
             np.testing.assert_allclose(
                 report.ground_concurrence,
-                concurrence_wootters(PairDensity(matrix=rho, pair=(0, 1))).value,
+                concurrence_wootters(PairDensity(matrix=rho, pair=(0, 1))),
                 rtol=0, atol=1e-10, err_msg=label)
 
     def test_symmetric(self):

@@ -85,13 +85,13 @@ class TestLabels:
 class TestOrbitReports:
     def test_four_site_probabilities(self):
         report = lp_table(4, FERRO)
-        np.testing.assert_allclose(report.member_probabilities(), [1 / 8, 1 / 4],
-                                   atol=1e-10)
+        np.testing.assert_allclose([row.member_probability for row in report.rows],
+                                   [1 / 8, 1 / 4], atol=1e-10)
         np.testing.assert_allclose(report.sector_weight, 1.0, atol=1e-12)
 
     def test_six_site_probabilities(self):
         report = lp_table(6, FERRO)
-        np.testing.assert_allclose(report.member_probabilities(),
+        np.testing.assert_allclose([row.member_probability for row in report.rows],
                                    [1 / 72, 1 / 18, 1 / 18, 1 / 8], atol=1e-10)
         # strongest clustering carries the smallest weight, weakest the largest
         assert report.rows[0].pattern == "|j,j+1,j+2>"
@@ -103,7 +103,7 @@ class TestOrbitReports:
         # pinned against the 2^8 oracle (paths cross-checked in test_oracle)
         report = lp_table(8, FERRO)
         np.testing.assert_allclose(
-            report.member_probabilities(),
+            [row.member_probability for row in report.rows],
             [0.000670206544, 0.004576456544, 0.004576456544, 0.0078125, 0.0078125,
              0.015625, 0.022767293456, 0.026673543456, 0.026673543456, 0.0625],
             atol=1e-10)
@@ -114,7 +114,7 @@ class TestOrbitReports:
             sector = manifold.states[0].basis
             report = orbit_probabilities(manifold, sector)
             assert sum(r.orbit_probability for r in report.rows) == pytest.approx(1.0, abs=1e-10)
-            probs = report.member_probabilities()
+            probs = [row.member_probability for row in report.rows]
             assert probs == sorted(probs)
             # per-member constancy, checked against the raw mixture diagonal
             raw = np.zeros(sector.dim)
@@ -135,7 +135,7 @@ class TestOrbitReports:
             for b in (0.0, 0.3, -0.7):
                 for tol in (0.0, 1e-9, 1e-3):
                     manifold = ground_manifold(n, Coupling(j), FieldSetting(b), tol=tol)
-                    for k in manifold.sectors():
+                    for k in sorted({s.k for s in manifold.states}):
                         sector = enumerate_sector(n, k)
                         assert (orbit_probabilities(manifold, sector)
                                 == orbit_report_by_split(manifold, sector)), (j, b, tol, k)
@@ -204,7 +204,7 @@ class TestOrbitReports:
         for j in (-1.0, 1.0, 0.5):
             for b in (0.0, 0.3):
                 manifold = ground_manifold(n, Coupling(j), FieldSetting(b))
-                for k in manifold.sectors():
+                for k in sorted({s.k for s in manifold.states}):
                     rows = orbit_probabilities(manifold, enumerate_sector(n, k)).rows
                     columns = ([r.clustering for r in rows], [r.member_probability for r in rows])
                     value = _rank_correlation(*columns)
@@ -237,7 +237,8 @@ class TestOrbitReports:
         report = lp_table(3, FERRO)
         assert report.k == 1
         np.testing.assert_allclose(report.sector_weight, 0.5, atol=1e-12)
-        np.testing.assert_allclose(report.member_probabilities(), [1 / 3], atol=1e-12)
+        np.testing.assert_allclose([row.member_probability for row in report.rows], [1 / 3],
+                                   atol=1e-12)
         assert report.rank_correlation is None  # undefined on a single row
 
     def test_missing_sector_rejected(self):

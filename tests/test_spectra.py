@@ -182,7 +182,7 @@ class TestGroundManifold:
         for coupling in (FERRO, ANTIFERRO):
             manifold = ground_manifold(n, coupling)
             assert manifold.degeneracy == 1
-            assert manifold.sectors() == (n // 2,)
+            assert [s.k for s in manifold.states] == [n // 2]
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_odd_rings_degenerate(self, n):
@@ -191,7 +191,7 @@ class TestGroundManifold:
         anti = ground_manifold(n, ANTIFERRO)
         assert anti.degeneracy == 4
         for manifold in (ferro, anti):
-            assert manifold.sectors() == ((n - 1) // 2, (n + 1) // 2)
+            assert {s.k for s in manifold.states} == {(n - 1) // 2, (n + 1) // 2}
 
     def test_block_path_matches_dense_scan(self):
         for n in range(2, 13):
@@ -319,7 +319,7 @@ class TestGroundSolves:
             vectors[state.basis.bits, col] = state.amplitudes
         np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(manifold.degeneracy),
                                    rtol=0, atol=1e-12)
-        concurrence = concurrence_wootters(manifold_pair_density(manifold, (0, 1))).value
+        concurrence = concurrence_wootters(manifold_pair_density(manifold, (0, 1)))
         assert abs(concurrence - full_diagonalize(n, coupling).ground_concurrence) <= 1e-12
 
 

@@ -11,8 +11,7 @@ import pytest
 import xxring
 from xxring import basis, cli, concurrence, hamiltonian, oracle, polarization, spectra, sweeps
 from xxring.basis import SectorBasis, enumerate_sector
-from xxring.concurrence import (ConcurrenceResult, PairDensity, concurrence_wootters,
-                                manifold_pair_density)
+from xxring.concurrence import PairDensity, concurrence_wootters, manifold_pair_density
 from xxring.hamiltonian import Coupling, FieldSetting, MomentumBlock, build_momentum_block
 from xxring.oracle import (FullSpectrumReport, LevelRow, LevelScan, PipelineAgreement,
                            compare_with_pipeline, eigenvector_concurrence_scan,
@@ -35,8 +34,7 @@ FIELDS = {
     Spectrum: ("values", "vectors"),
     SectorState: ("basis", "amplitudes", "momentum"),
     GroundManifold: ("energy", "states", "tolerance"),
-    PairDensity: ("matrix", "pair", "spectrum"),
-    ConcurrenceResult: ("value", "lambdas"),
+    PairDensity: ("matrix", "pair"),
     OrbitRow: ("representative", "pattern", "period", "member_probability",
                "orbit_probability", "clustering", "dihedral_class"),
     OrbitReport: ("n", "k", "sector_weight", "rows", "rank_correlation"),
@@ -51,8 +49,9 @@ FIELDS = {
 }
 DEFAULTS = {FieldSetting: {"b": 0.0}, SectorState: {"momentum": None}}
 # the types whose fields are all hashable, so equal values hash equal
-HASHABLE = (Coupling, FieldSetting, ConcurrenceResult, OrbitRow, OrbitReport, SweepRow,
-            LimitFit, LevelRow, LevelScan, PipelineAgreement)
+HASHABLE = (Coupling, FieldSetting, OrbitRow, OrbitReport, SweepRow, LimitFit, LevelRow,
+            LevelScan, PipelineAgreement)
+TINY = np.finfo(float).tiny
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +68,7 @@ def instances() -> dict:
     found = {
         SectorBasis: sector, Coupling: ferro, FieldSetting: FieldSetting(0.3),
         MomentumBlock: block, Spectrum: eigh(block.matrix), SectorState: manifold.states[0],
-        GroundManifold: manifold, PairDensity: rho, ConcurrenceResult: concurrence_wootters(rho),
+        GroundManifold: manifold, PairDensity: rho,
         OrbitRow: report.rows[0], OrbitReport: report, SweepRow: rows[0],
         LimitFit: extrapolate(rows), FullSpectrumReport: full_diagonalize(6, ferro),
         LevelRow: scan.rows[0], LevelScan: scan, PipelineAgreement: compare_with_pipeline(5, ferro),
@@ -87,10 +86,6 @@ def same(a, b) -> bool:
         return (type(a) is type(b) and len(a) == len(b)
                 and all(same(x, y) for x, y in zip(a, b)))
     return type(a) is type(b) and a == b
-
-
-def constructor_fields(cls) -> tuple:
-    return tuple(name for name in FIELDS[cls] if not (cls is PairDensity and name == "spectrum"))
 
 
 TYPES = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
@@ -113,9 +108,9 @@ def test_fields_and_defaults(cls):
 @TYPES
 def test_keyword_construction_keeps_every_field(cls):
     obj = instances()[cls]
-    built = cls(**{name: getattr(obj, name) for name in constructor_fields(cls)})
+    built = cls(**{name: getattr(obj, name) for name in FIELDS[cls]})
     assert type(built) is cls
-    for name in constructor_fields(cls):
+    for name in FIELDS[cls]:
         assert getattr(built, name) is getattr(obj, name), name
     assert same(built, obj)
 
@@ -187,6 +182,8 @@ def raised(call) -> str:
     (-np.inf, "exchange constant j must be finite, got -inf"),
     (0.0, "exchange constant must be nonzero"),
     (0, "exchange constant must be nonzero"),
+    (1e-320, f"exchange constant j is subnormal: |j| must be at least {TINY}, got 1e-320"),
+    (-5e-324, f"exchange constant j is subnormal: |j| must be at least {TINY}, got -5e-324"),
 ])
 def test_coupling_refuses_the_same_inputs_on_every_path(j, message):
     good = Coupling(1.0)
@@ -200,6 +197,8 @@ def test_coupling_refuses_the_same_inputs_on_every_path(j, message):
     (float("nan"), "field b must be finite, got nan"),
     (float("inf"), "field b must be finite, got inf"),
     (-np.inf, "field b must be finite, got -inf"),
+    (1e-320, f"field b is subnormal: |b| must be 0 or at least {TINY}, got 1e-320"),
+    (-TINY / 2, f"field b is subnormal: |b| must be 0 or at least {TINY}, got {-TINY / 2}"),
 ])
 def test_field_refuses_the_same_inputs_on_every_path(b, message):
     good = FieldSetting()
@@ -213,6 +212,8 @@ def test_replace_builds_checked_couplings_and_fields():
     assert Coupling(1.0)._replace(j=-2.0) == Coupling(-2.0)
     assert type(Coupling(1.0)._replace(j=-2.0)) is Coupling
     assert FieldSetting()._replace(b=0.5) == FieldSetting(0.5)
+    assert Coupling(TINY).j == TINY and FieldSetting(-TINY).b == -TINY  # smallest normal floats
+    assert FieldSetting(-0.0).b == 0.0
     with pytest.raises(ValueError, match="unexpected field names"):
         Coupling(1.0)._replace(b=1.0)
 
@@ -223,30 +224,43 @@ def test_replace_builds_checked_couplings_and_fields():
     (np.diag([0.5, 0.5, 0, 0]) + np.triu(np.full((4, 4), 0.1), 1),
      "pair density is not Hermitian within 1e-12"),
     (np.diag([0.6, 0.6, -0.2, 0.0]), "pair density has an eigenvalue below -1e-10"),
+    (np.diag([np.nan, 0.5, 0.5, 0.0]), "pair density has a non-finite entry"),
+    (np.eye(4) / 4 + np.diag([np.inf, 0.0, 0.0], 1), "pair density has a non-finite entry"),
 ])
 def test_pair_density_refuses_the_same_inputs_on_every_path(matrix, message):
     good = instances()[PairDensity]
     assert raised(lambda: PairDensity(matrix, (0, 1))) == message
     assert raised(lambda: PairDensity(matrix=matrix, pair=(0, 1))) == message
     assert raised(lambda: good._replace(matrix=matrix)) == message
-    assert raised(lambda: PairDensity._make([matrix, (0, 1), good.spectrum])) == message
+    assert raised(lambda: PairDensity._make([matrix, (0, 1)])) == message
 
 
-def test_pair_density_replace_solves_the_new_matrix():
+def test_pair_density_replace_checks_the_new_matrix():
     good = instances()[PairDensity]
     other = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
     replaced = good._replace(matrix=other)
     assert type(replaced) is PairDensity and replaced.matrix is other
-    assert same(replaced.spectrum, PairDensity(other, good.pair).spectrum)
-    assert np.array_equal(replaced.spectrum[0], [0.1, 0.2, 0.3, 0.4])
+    assert replaced.pair == good.pair
     moved = good._replace(pair=(1, 3))
     assert moved.pair == (1, 3) and moved.matrix is good.matrix
-    assert same(moved.spectrum, good.spectrum)
-    assert not any(array.flags.writeable for array in replaced.spectrum)
-    with pytest.raises(ValueError, match="spectrum"):
-        good._replace(spectrum=replaced.spectrum)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        good._replace(spectrum=None)
     with pytest.raises(TypeError):
-        PairDensity(other, (0, 1), replaced.spectrum)
+        PairDensity(other, (0, 1), None)
+
+
+def test_pair_density_holds_only_its_inputs():
+    methods = {name for name, value in vars(PairDensity).items()
+               if callable(value) or isinstance(value, (classmethod, staticmethod, property))}
+    assert methods == {"__new__", "_make"}
+    bell = np.zeros((4, 4))
+    bell[1:3, 1:3] = 0.5
+    value = concurrence_wootters(PairDensity(bell, (0, 1)))
+    assert isinstance(value, float) and value == pytest.approx(1.0)  # the concurrence itself
+    assert not hasattr(concurrence, "ConcurrenceResult")
+    assert not hasattr(GroundManifold, "sectors")
+    assert not hasattr(OrbitReport, "member_probabilities")
+    assert not hasattr(LimitFit, "predict")
 
 
 def test_pair_density_repr_leaves_out_the_spectrum():
