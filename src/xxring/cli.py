@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .basis import check_ring_size
-from .concurrence import concurrence_wootters, manifold_pair_density
+from .concurrence import ground_concurrence
 from .hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from .oracle import FULL_DIAGONALIZE_CAP, compare_with_pipeline
 from .polarization import lp_table
@@ -318,9 +318,9 @@ def _cmd_ground(args) -> tuple[dict, Rows]:
 
 def _cmd_concurrence(args) -> tuple[dict, Rows]:
     pair = _pair_arg(args, args.n)
-    manifold = ground_manifold(args.n, Coupling(j=args.j), FieldSetting(b=args.b),
-                               tol=args.tol)
-    value = concurrence_wootters(manifold_pair_density(manifold, pair))
+    coupling, field = Coupling(j=args.j), FieldSetting(b=args.b)
+    manifold = ground_manifold(args.n, coupling, field, tol=args.tol)
+    value = ground_concurrence(args.n, coupling, field, pair, tol=args.tol)
     d = abs(pair[0] - pair[1])
     rows = _table(("n", "p", "q", "distance", "concurrence", "degeneracy", "energy"),
                   [(args.n, pair[0] + 1, pair[1] + 1, min(d, args.n - d), value,

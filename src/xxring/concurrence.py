@@ -6,15 +6,14 @@ fixed-magnetization sector reduce to an X-form matrix: a diagonal
 (u+, w1, w2, u-) plus a single coherence z = matrix[1, 2] between up-down and
 down-up, for which the concurrence has the closed form
 2*max(0, |z| - sqrt(u+ * u-)).  ``PairDensity`` holds only the matrix and
-the pair; these entries are read from ``matrix`` directly.  It is a named
-tuple that checks its matrix in ``__new__`` (finite, unit trace, Hermitian,
-no eigenvalue below -1e-10 by a Cholesky test) and stores nothing derived,
-on every path that builds one: the constructor, ``_make``, ``_replace`` and
-unpickling.  ``concurrence_wootters`` returns the concurrence as a float.
-Every value comes from the general Wootters route (square roots of the
-eigenvalues of rho*rho~, spin-flipped rho~), with one ``eigh`` of the
-matrix per call; the X-form closed form is a test reference
-(``tests/reference.py``) that must agree with it.
+the pair.  It is a named tuple that checks both in ``__new__`` (finite, unit
+trace, Hermitian, no eigenvalue below -1e-10 by a Cholesky test; two ints
+0 <= p < q) and stores nothing derived, on every path that builds one: the
+constructor, ``_make``, ``_replace`` and unpickling.  ``concurrence_wootters``
+returns the concurrence as a float, from the general Wootters route (square
+roots of the eigenvalues of rho*rho~, spin-flipped rho~); the X-form closed
+form is a test reference (``tests/reference.py``) that must agree with it.
+Both take a (..., 4, 4) stack, so ``ground_concurrence`` solves all distances at once.
 
 Degenerate ground manifolds are mixed with equal weights: that is the unique
 translation- and flip-symmetric choice, and the mixing is what depresses the
@@ -28,7 +27,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hamiltonian import Coupling, FieldSetting
-from .spectra import DEGENERACY_RTOL, GroundManifold, SectorState, ground_manifold
+from .spectra import (DEGENERACY_RTOL, GROUND_CACHE_SIZE, GroundManifold, SectorState,
+                      ground_manifold)
 
 PSD_FLOOR = -1e-10
 # trace and Hermiticity tolerance of a pair density
@@ -56,21 +56,31 @@ class PairDensity(_PairDensityFields):
     def __new__(cls, matrix: np.ndarray, pair: tuple[int, int]):
         if matrix.shape != (4, 4):
             raise ValueError("pair density must be 4x4")
-        if not np.isfinite(matrix).all():
-            raise ValueError("pair density has a non-finite entry")
-        if abs(np.trace(matrix) - 1.0) > DENSITY_TOL:
-            raise ValueError(f"trace {np.trace(matrix)} is not 1 within {DENSITY_TOL}")
-        if np.abs(matrix - matrix.conj().T).max() > DENSITY_TOL:
-            raise ValueError(f"pair density is not Hermitian within {DENSITY_TOL}")
-        try:  # positive definite once shifted by the floor
-            np.linalg.cholesky(matrix - PSD_FLOOR * np.eye(4))
-        except np.linalg.LinAlgError:
-            raise ValueError("pair density has an eigenvalue below -1e-10") from None
+        _check_densities(matrix)
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and all(isinstance(s, (int, np.integer)) for s in pair)
+                and 0 <= pair[0] < pair[1]):
+            raise ValueError(f"pair {pair!r} is not two ordered sites 0 <= p < q")
         return super().__new__(cls, matrix, pair)
 
     @classmethod
     def _make(cls, iterable):  # so ``_replace`` checks its input too
         return cls(*iterable)
+
+
+def _check_densities(matrices: np.ndarray) -> None:
+    """Refuse a (..., 4, 4) stack unless each matrix is finite, unit-trace, Hermitian, PSD."""
+    if not np.isfinite(matrices).all():
+        raise ValueError("pair density has a non-finite entry")
+    worst = max(matrices.trace(axis1=-2, axis2=-1).ravel(), key=lambda t: abs(t - 1.0))
+    if abs(worst - 1.0) > DENSITY_TOL:
+        raise ValueError(f"trace {worst} is not 1 within {DENSITY_TOL}")
+    if np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max() > DENSITY_TOL:
+        raise ValueError(f"pair density is not Hermitian within {DENSITY_TOL}")
+    try:  # positive definite once shifted by the floor
+        np.linalg.cholesky(matrices - PSD_FLOOR * np.eye(4))
+    except np.linalg.LinAlgError:
+        raise ValueError("pair density has an eigenvalue below -1e-10") from None
 
 
 def _reduce_pure(state: SectorState, p: int, q: int) -> np.ndarray:
@@ -137,11 +147,16 @@ def concurrence_wootters(rho: PairDensity) -> float:
     A value at or below ``DENSITY_TOL``, the pair density's own tolerance,
     cannot be resolved (|z| = sqrt(u+ u-) exactly gives ~1e-16) and reads 0.
     """
-    values, vectors = np.linalg.eigh(rho.matrix)
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+    return float(_wootters(rho.matrix))
+
+
+def _wootters(matrices: np.ndarray) -> np.ndarray:
+    """``concurrence_wootters`` of each matrix of a checked (..., 4, 4) stack."""
+    values, vectors = np.linalg.eigh(matrices)
+    root = (vectors * np.sqrt(values.clip(0.0))[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
     lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
-    value = lam[0] - lam[1] - lam[2] - lam[3]
-    return value if value > DENSITY_TOL else 0.0
+    value = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return np.where(value > DENSITY_TOL, value, 0.0)
 
 
 def state_concurrence(state: SectorState, pair: tuple[int, int] = (0, 1)) -> float:
@@ -156,11 +171,47 @@ def manifold_pair_density(manifold: GroundManifold,
     return pair_density([(1.0 / d, s) for s in manifold.states], pair)
 
 
+# id(manifold) -> (manifold, profile), the last GROUND_CACHE_SIZE; held, so no id is reused
+_PROFILES: dict[int, tuple[GroundManifold, np.ndarray]] = {}
+
+
+def _concurrence_profile(manifold: GroundManifold) -> np.ndarray:
+    """Read-only concurrence of the mixture's pair (0, d) at index d - 1, d = 1..n//2.
+
+    Momentum eigenstates mix to a translation-invariant rho(p, q) = rho(0, q - p); swapping
+    the sites (d to n - d) keeps the concurrence.  Up-down configuration c pairs with down-up
+    c ^ (1 | 1 << d) = c + 2^d - 1, in order: the i-th of the one with the i-th of the other.
+    """
+    if id(manifold) in _PROFILES:
+        return _PROFILES[id(manifold)][1]
+    distance = np.arange(1, manifold.states[0].basis.n // 2 + 1)[:, None]
+    matrices = np.zeros((len(distance), 4, 4), dtype=complex)
+    for state in manifold.states:
+        bits, amplitudes = state.basis.bits, state.amplitudes / np.sqrt(manifold.degeneracy)
+        cell = (1 - (bits & 1)) * 2 + (1 - ((bits >> distance) & 1))  # uu, ud, du, dd
+        diagonal = np.bincount((cell + 4 * distance - 4).ravel(),  # (distance, cell) flattened
+                               np.resize(np.abs(amplitudes) ** 2, cell.size), 4 * len(distance))
+        matrices[:, range(4), range(4)] += diagonal.reshape(-1, 4)
+        (rows, up_down), (_, down_up) = np.nonzero(cell == 1), np.nonzero(cell == 2)
+        np.add.at(matrices[:, 1, 2], rows, amplitudes[up_down] * amplitudes[down_up].conj())
+    matrices[:, 2, 1] = matrices[:, 1, 2].conj()
+    _check_densities(matrices)
+    profile = _wootters(matrices)
+    profile.flags.writeable = False
+    if len(_PROFILES) >= GROUND_CACHE_SIZE:
+        del _PROFILES[next(iter(_PROFILES))]
+    _PROFILES[id(manifold)] = manifold, profile
+    return profile
+
+
 def ground_concurrence(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
                        pair: tuple[int, int] = (0, 1),
                        tol: float = DEGENERACY_RTOL) -> float:
-    """Nearest- or distant-pair concurrence of the ground-manifold mixture."""
+    """Pair concurrence of the ground-manifold mixture, read from its distance profile."""
     if n < 2:
         raise ValueError("pairwise concurrence needs at least two sites")
+    p, q = pair
+    if not 0 <= p < q < n:  # before the solve, which can take seconds
+        raise ValueError(f"pair {pair} is not ordered within 0..{n - 1}")
     manifold = ground_manifold(n, coupling, field, tol=tol)
-    return concurrence_wootters(manifold_pair_density(manifold, pair))
+    return float(_concurrence_profile(manifold)[min(q - p, n - q + p) - 1])

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .concurrence import concurrence_wootters, manifold_pair_density
+from .concurrence import ground_concurrence
 from .hamiltonian import Coupling
 from .spectra import DEGENERACY_RTOL, ground_manifold
 
@@ -38,8 +38,7 @@ def _one_row(n: int, regime: str, distance: int, tol: float) -> SweepRow:
     started = time.perf_counter()
     coupling = Coupling(j=REGIME_COUPLING[regime])
     manifold = ground_manifold(n, coupling, tol=tol)
-    pair = (0, distance % n)
-    value = concurrence_wootters(manifold_pair_density(manifold, pair))
+    value = ground_concurrence(n, coupling, pair=(0, distance % n), tol=tol)
     return SweepRow(n=n, regime=regime, distance=distance, concurrence=value,
                     degeneracy=manifold.degeneracy, energy=manifold.energy,
                     seconds=time.perf_counter() - started)

@@ -1,17 +1,18 @@
 """Pair reductions, Wootters concurrence, and ground-mixture values."""
 
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from xxring import cli
+from xxring import cli, concurrence, spectra
 from xxring.basis import enumerate_sector
-from xxring.concurrence import (PairDensity, _reduce_pure, concurrence_wootters,
-                                ground_concurrence, manifold_pair_density, pair_density,
-                                state_concurrence)
+from xxring.concurrence import (_PROFILES, PairDensity, _concurrence_profile, _reduce_pure,
+                                _wootters, concurrence_wootters, ground_concurrence,
+                                manifold_pair_density, pair_density, state_concurrence)
 from xxring.hamiltonian import Coupling, FieldSetting
-from xxring.spectra import SectorState, ground_manifold
+from xxring.spectra import GROUND_CACHE_SIZE, SectorState, ground_manifold
 
 from reference import concurrence_xstate, reduce_pure_by_unique
 
@@ -191,7 +192,7 @@ class TestWoottersConcurrence:
         value = concurrence_wootters(PairDensity(matrix=m, pair=(0, 1)))
         np.testing.assert_allclose(value, 1.0, atol=1e-12)
 
-    def test_one_eigh_per_pair_density_and_none_in_its_constructor(self, monkeypatch):
+    def test_one_eigh_per_ground_solve_none_in_constructor(self, monkeypatch):
         calls = []  # (solver, calling function, matrix shape)
 
         def counted(name):
@@ -215,10 +216,21 @@ class TestWoottersConcurrence:
             return rho
 
         monkeypatch.setattr(PairDensity, "__new__", new)
-        assert cli.run(["concurrence", "--n", "7", "--j", "1"]) == 0
+        spectra._ground_manifold.cache_clear()  # a fresh solve, so a fresh profile
+        for distance in ("1", "2", "3"):
+            assert cli.run(["concurrence", "--n", "7", "--j", "1", "--distance", distance]) == 0
+        assert built == []
+        assert [call for call in calls if call[1] == "_wootters"] == \
+            [("eigh", "_wootters", (3, 4, 4))]
+        before = len(calls)
+        for distance in ("1", "2", "3"):  # the same ground solve, so the same profile
+            assert cli.run(["sweep", "--n", "7", "--regime", "antiferro",
+                            "--distance", distance]) == 0
+        assert calls[before:] == []
+        rho = manifold_pair_density(ground_manifold(7, ANTIFERRO), (0, 1))
         assert built == [(0, 1)]
-        assert [call for call in calls if call[1] == "concurrence_wootters"] == \
-            [("eigh", "concurrence_wootters", (4, 4))] * len(built)
+        concurrence_wootters(rho)
+        assert calls[before:] == [("eigh", "_wootters", (4, 4))]
 
     def test_product_state(self):
         rho = PairDensity(matrix=np.diag([1.0, 0, 0, 0]).astype(complex), pair=(0, 1))
@@ -344,3 +356,65 @@ class TestGroundConcurrence:
     def test_two_site_minimum(self):
         with pytest.raises(ValueError):
             ground_concurrence(1, FERRO)
+
+
+class TestConcurrenceProfile:
+    """``ground_concurrence`` reads one profile per manifold; the per-pair
+    reduction of ``manifold_pair_density`` is the reference."""
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_every_pair_equals_the_per_pair_reduction(self, n):
+        for coupling in (FERRO, ANTIFERRO, Coupling(0.5)):
+            for field in (FieldSetting(), FieldSetting(b=0.3)):
+                manifold = ground_manifold(n, coupling, field)
+                for p in range(n):
+                    for q in range(p + 1, n):
+                        reference = concurrence_wootters(manifold_pair_density(manifold, (p, q)))
+                        assert abs(ground_concurrence(n, coupling, field, (p, q))
+                                   - reference) <= 1e-12, (p, q)
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_distance_d_and_n_minus_d_agree(self, n):
+        for coupling in (FERRO, ANTIFERRO):
+            manifold = ground_manifold(n, coupling)
+            for d in range(1, n):
+                reference = concurrence_wootters(manifold_pair_density(manifold, (0, n - d)))
+                assert abs(ground_concurrence(n, coupling, pair=(0, d)) - reference) <= 1e-12
+
+    def test_profile_is_read_only_and_kept_for_the_manifold_object(self):
+        manifold = ground_manifold(6, FERRO)
+        profile = _concurrence_profile(manifold)
+        assert profile.shape == (3,) and not profile.flags.writeable
+        assert _concurrence_profile(manifold) is profile
+        spectra._ground_manifold.cache_clear()
+        fresh = ground_manifold(6, FERRO)
+        assert fresh is not manifold
+        assert _concurrence_profile(fresh) is not profile  # never a stale solve's profile
+        for i in range(GROUND_CACHE_SIZE + 5):
+            ground_concurrence(4, FERRO, FieldSetting(b=0.01 * (i + 1)))
+        assert len(_PROFILES) == GROUND_CACHE_SIZE
+        assert all(id(held) == key for key, (held, _) in _PROFILES.items())
+
+    def test_refuses_a_pair_outside_the_ring_before_solving(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad pair must be refused before the ground solve")
+
+        monkeypatch.setattr(concurrence, "ground_manifold", refuse)
+        for pair in [(1, 0), (2, 2), (0, 5), (-1, 3)]:
+            message = f"pair {pair} is not ordered within 0..4"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ground_concurrence(5, FERRO, pair=pair)
+
+    def test_stack_solve_equals_one_solve_per_matrix(self):
+        rng = np.random.default_rng(11)
+        matrices = []
+        for _ in range(20):
+            n = int(rng.integers(3, 9))
+            state = random_state(rng, n, int(rng.integers(1, n)))
+            matrices.append(pair_density([(1.0, state)], (0, int(rng.integers(1, n)))).matrix)
+        matrices.append(x_density(0.25, 0.25, 0.25, 0.25, 0.0).matrix)  # reads 0
+        stack = np.stack(matrices)
+        expected = [concurrence_wootters(PairDensity(m, (0, 1))) for m in matrices]
+        np.testing.assert_allclose(_wootters(stack), expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_wootters(stack.reshape(7, 3, 4, 4)).ravel(), expected,
+                                   rtol=0, atol=1e-15)

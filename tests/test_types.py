@@ -233,6 +233,25 @@ def test_pair_density_refuses_the_same_inputs_on_every_path(matrix, message):
     assert raised(lambda: PairDensity(matrix=matrix, pair=(0, 1))) == message
     assert raised(lambda: good._replace(matrix=matrix)) == message
     assert raised(lambda: PairDensity._make([matrix, (0, 1)])) == message
+    if matrix.shape == (4, 4):  # the stack check behind the constructor, one bad matrix in three
+        stack = np.stack([np.eye(4) / 4, matrix, np.eye(4) / 4])
+        assert raised(lambda: concurrence._check_densities(stack)) == message
+
+
+@pytest.mark.parametrize("pair", [(3, 1), (1, 1), (-1, 2), (0.5, 2), (0, 2.0), "ab", (0, 1, 2),
+                                  [0, 1], None])
+def test_pair_density_refuses_a_pair_that_is_not_two_ordered_sites(pair):
+    good = instances()[PairDensity]
+    message = f"pair {pair!r} is not two ordered sites 0 <= p < q"
+    assert raised(lambda: PairDensity(good.matrix, pair)) == message
+    assert raised(lambda: good._replace(pair=pair)) == message
+    assert raised(lambda: PairDensity._make([good.matrix, pair])) == message
+
+
+def test_pair_density_takes_numpy_integer_sites():
+    good = instances()[PairDensity]
+    assert good._replace(pair=(np.int64(2), np.int64(5))).pair == (2, 5)
+    assert PairDensity(good.matrix, (0, 9)).pair == (0, 9)  # a density knows no ring size
 
 
 def test_pair_density_replace_checks_the_new_matrix():
