@@ -10,8 +10,8 @@ field selects a single sector and restores the single-state value.
 import numpy as np
 
 from xxring import (Coupling, FieldSetting, concurrence_wootters, enumerate_sector,
-                    ground_concurrence, manifold_pair_density, ground_manifold,
-                    state_concurrence, SectorState)
+                    ground_concurrence, ground_manifold, state_concurrence, SectorState)
+from xxring.concurrence import pair_density
 
 FERRO, ANTIFERRO = Coupling(-1.0), Coupling(1.0)
 
@@ -34,7 +34,8 @@ for state in manifold.states:
     print(f"  single state (k={state.k}, m={state.momentum}): "
           f"C = {state_concurrence(state, (0, 1)):.6f}")
 # the general Wootters formula on the mixture's 4x4 pair density, as a float
-mixture = concurrence_wootters(manifold_pair_density(manifold, (0, 1)))
+d = manifold.degeneracy
+mixture = concurrence_wootters(pair_density([(1 / d, s) for s in manifold.states], (0, 1)))
 print(f"  equal-weight mixture: C = {mixture:.6f}")
 
 print()

@@ -15,8 +15,7 @@ checks its inputs checks them on that path too.
 """
 
 from .basis import enumerate_sector
-from .concurrence import (concurrence_wootters, ground_concurrence, manifold_pair_density,
-                          state_concurrence)
+from .concurrence import concurrence_wootters, ground_concurrence, state_concurrence
 from .hamiltonian import Coupling, FieldSetting, build_momentum_block
 from .polarization import lp_table
 from .spectra import SectorState, eigh, ground_manifold
@@ -29,7 +28,7 @@ __all__ = [
     "enumerate_sector", "build_momentum_block",
     "eigh", "ground_manifold",
     "concurrence_wootters", "state_concurrence", "ground_concurrence",
-    "manifold_pair_density", "lp_table",
+    "lp_table",
     "sweep", "extrapolate",
     "__version__",
 ]

@@ -35,9 +35,9 @@ from typing import NamedTuple
 import numpy as np
 
 # largest ring accepted.  Sectors enumerate in well under a second up to here,
-# but dense ground solves grow fast: on one core of a 2-core x86-64 VM with
-# numpy 2.4 and OpenBLAS, n = 16 takes about 2.5 s and n = 17 about 14 s,
-# n = 18..20 minutes to hours; the 2^n oracle stops at n = 14.
+# but dense ground solves grow fast: at J = +-1 with one BLAS thread on a
+# 2-core x86-64 VM (numpy 2.4, OpenBLAS), n = 16 takes 1.6-2.0 s and n = 17
+# 8.8-13.9 s, n = 18..20 minutes to hours; the 2^n oracle stops at n = 14.
 RING_CAP = 20
 
 

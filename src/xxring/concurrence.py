@@ -13,7 +13,14 @@ constructor, ``_make``, ``_replace`` and unpickling.  ``concurrence_wootters``
 returns the concurrence as a float, from the general Wootters route (square
 roots of the eigenvalues of rho*rho~, spin-flipped rho~); the X-form closed
 form is a test reference (``tests/reference.py``) that must agree with it.
-Both take a (..., 4, 4) stack, so ``ground_concurrence`` solves all distances at once.
+
+One kernel, ``_add_reductions``, builds every pair-density matrix: it adds
+one sector state's X-form entries for the pairs (p, q), over a list of q,
+into a (pairs, 4, 4) stack.  ``pair_density`` calls it for one pair of a
+weighted mixture, and ``ground_concurrence`` reads a per-solve profile that
+calls it once per ground state for every distance d = 1..n//2.  The checks
+and the Wootters route take a (..., 4, 4) stack too, so a profile is checked
+and solved at once.
 
 Degenerate ground manifolds are mixed with equal weights: that is the unique
 translation- and flip-symmetric choice, and the mixing is what depresses the
@@ -83,29 +90,23 @@ def _check_densities(matrices: np.ndarray) -> None:
         raise ValueError("pair density has an eigenvalue below -1e-10") from None
 
 
-def _reduce_pure(state: SectorState, p: int, q: int) -> np.ndarray:
-    """Partial trace of |state><state| onto sites (p, q).
+def _add_reductions(matrices: np.ndarray, bits: np.ndarray, amplitudes: np.ndarray,
+                    p: int, qs: int | np.ndarray) -> None:
+    """Add one sector state's reductions onto the pairs (p, q), q in ``qs``, to a stack.
 
-    Row g of the (groups, 4) matrix A holds the amplitudes of the
-    configurations whose pattern away from (p, q) is the g-th one, in the
-    column of their pair bits (uu, ud, du, dd); then rho = A^T A*.  Each
-    configuration fills its own cell, so one plain assignment builds A.
-    Patterns are numbered in ascending order without a sort: squeezing bits
-    p and q out of a configuration gives an order-preserving (n-2)-bit
-    index, and a cumulative sum over the occupied indices numbers them.
+    ``matrices[i]`` takes pair (p, qs[i]), q > p: the diagonal from one ``bincount`` of
+    |psi|^2 over (pair, cell), and the coherence [1, 2] from partners.  Up-down
+    configuration c pairs with down-up c - 2^p + 2^q, which is increasing in c, so the
+    i-th of the one pairs with the i-th of the other; [2, 1] is kept its conjugate.
     """
-    configs = state.basis.bits
-    pair_index = (1 - ((configs >> p) & 1)) * 2 + (1 - ((configs >> q) & 1))
-    squeezed = (configs & ((1 << p) - 1)
-                | (configs >> 1) & ((1 << (q - 1)) - (1 << p))
-                | (configs >> 2) & -(1 << (q - 1)))
-    occupied = np.zeros(1 << (state.basis.n - 2), dtype=bool)
-    occupied[squeezed] = True
-    number = np.cumsum(occupied)
-    group = number[squeezed] - 1
-    a = np.zeros((number[-1], 4), dtype=complex)
-    a[group, pair_index] = state.amplitudes
-    return a.T @ a.conj()
+    qs = np.reshape(qs, (-1, 1))
+    cell = (1 - ((bits >> p) & 1)) * 2 + (1 - ((bits >> qs) & 1))  # uu, ud, du, dd
+    diagonal = np.bincount((cell + 4 * np.arange(len(qs))[:, None]).ravel(),  # (pair, cell)
+                           np.resize(np.abs(amplitudes) ** 2, cell.size), 4 * len(qs))
+    matrices[:, range(4), range(4)] += diagonal.reshape(-1, 4)
+    (rows, up_down), (_, down_up) = np.nonzero(cell == 1), np.nonzero(cell == 2)
+    np.add.at(matrices[:, 1, 2], rows, amplitudes[up_down] * amplitudes[down_up].conj())
+    matrices[:, 2, 1] = matrices[:, 1, 2].conj()
 
 
 def pair_density(states: Sequence[tuple[float, SectorState]],
@@ -124,17 +125,21 @@ def pair_density(states: Sequence[tuple[float, SectorState]],
     p, q = pair
     if not 0 <= p < q < n:
         raise ValueError(f"pair {pair} is not ordered within 0..{n - 1}")
-    rho = np.zeros((4, 4), dtype=complex)
+    rho = np.zeros((1, 4, 4), dtype=complex)
     for weight, state in states:
         if state.basis.n != n:
             raise ValueError("all mixture states must live on the same ring")
+        if np.shape(state.amplitudes) != (state.basis.dim,):
+            raise ValueError(f"state amplitudes have shape {np.shape(state.amplitudes)}, "
+                             f"not {(state.basis.dim,)}")
         if not np.isfinite(state.amplitudes).all():
             raise ValueError("state amplitudes must be finite")
         norm = np.linalg.norm(state.amplitudes)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm {norm} is not 1")
-        rho += weight * _reduce_pure(state, p, q)
-    return PairDensity(matrix=rho, pair=(p, q))
+        _add_reductions(rho, state.basis.bits, np.sqrt(max(weight, 0.0)) * state.amplitudes,
+                        p, q)
+    return PairDensity(matrix=rho[0], pair=(p, q))
 
 
 def concurrence_wootters(rho: PairDensity) -> float:
@@ -164,13 +169,6 @@ def state_concurrence(state: SectorState, pair: tuple[int, int] = (0, 1)) -> flo
     return concurrence_wootters(pair_density([(1.0, state)], pair))
 
 
-def manifold_pair_density(manifold: GroundManifold,
-                          pair: tuple[int, int]) -> PairDensity:
-    """Pair reduction of the equal-weight mixture over a ground manifold."""
-    d = manifold.degeneracy
-    return pair_density([(1.0 / d, s) for s in manifold.states], pair)
-
-
 # id(manifold) -> (manifold, profile), the last GROUND_CACHE_SIZE; held, so no id is reused
 _PROFILES: dict[int, tuple[GroundManifold, np.ndarray]] = {}
 
@@ -179,22 +177,16 @@ def _concurrence_profile(manifold: GroundManifold) -> np.ndarray:
     """Read-only concurrence of the mixture's pair (0, d) at index d - 1, d = 1..n//2.
 
     Momentum eigenstates mix to a translation-invariant rho(p, q) = rho(0, q - p); swapping
-    the sites (d to n - d) keeps the concurrence.  Up-down configuration c pairs with down-up
-    c ^ (1 | 1 << d) = c + 2^d - 1, in order: the i-th of the one with the i-th of the other.
+    the sites (d to n - d) keeps the concurrence.  Each state, scaled by 1/sqrt(degeneracy),
+    adds its reductions onto pairs (0, 1..n//2) in one ``_add_reductions`` call.
     """
     if id(manifold) in _PROFILES:
         return _PROFILES[id(manifold)][1]
-    distance = np.arange(1, manifold.states[0].basis.n // 2 + 1)[:, None]
+    distance = np.arange(1, manifold.states[0].basis.n // 2 + 1)
     matrices = np.zeros((len(distance), 4, 4), dtype=complex)
     for state in manifold.states:
-        bits, amplitudes = state.basis.bits, state.amplitudes / np.sqrt(manifold.degeneracy)
-        cell = (1 - (bits & 1)) * 2 + (1 - ((bits >> distance) & 1))  # uu, ud, du, dd
-        diagonal = np.bincount((cell + 4 * distance - 4).ravel(),  # (distance, cell) flattened
-                               np.resize(np.abs(amplitudes) ** 2, cell.size), 4 * len(distance))
-        matrices[:, range(4), range(4)] += diagonal.reshape(-1, 4)
-        (rows, up_down), (_, down_up) = np.nonzero(cell == 1), np.nonzero(cell == 2)
-        np.add.at(matrices[:, 1, 2], rows, amplitudes[up_down] * amplitudes[down_up].conj())
-    matrices[:, 2, 1] = matrices[:, 1, 2].conj()
+        _add_reductions(matrices, state.basis.bits,
+                        state.amplitudes / np.sqrt(manifold.degeneracy), 0, distance)
     _check_densities(matrices)
     profile = _wootters(matrices)
     profile.flags.writeable = False

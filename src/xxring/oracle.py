@@ -6,6 +6,9 @@ stay in their blocks, and only the columns of the level group a caller reads
 are gathered into full-space vectors for an independent pair reduction.  It
 cross-checks the momentum-block pipeline: ground energy, degeneracy,
 per-configuration probabilities and mixture concurrence agree to 1e-10.
+The pipeline's concurrence is ``ground_concurrence`` of the nearest pair,
+read from the per-solve profile: the value that the ``concurrence``,
+``sweep`` and ``extrapolate`` commands print.
 
 H(J) = J * H(1), so each popcount block is decomposed once, at J = 1, and
 both signs of J, any field and the level scan read that one decomposition.
@@ -54,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import ring_bonds
-from .concurrence import PairDensity, concurrence_wootters, manifold_pair_density
+from .concurrence import PairDensity, concurrence_wootters, ground_concurrence
 from .hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from .spectra import DEGENERACY_RTOL, ground_manifold
 
@@ -360,10 +363,10 @@ class PipelineAgreement(NamedTuple):
 def compare_with_pipeline(n: int, coupling: Coupling,
                           field: FieldSetting = FieldSetting(),
                           tol: float = DEGENERACY_RTOL) -> PipelineAgreement:
-    """Cross-check ground energy, degeneracy, probabilities and concurrence."""
+    """Cross-check ground energy, degeneracy, probabilities and the printed d = 1 concurrence."""
     report = full_diagonalize(n, coupling, field, tol)
     manifold = ground_manifold(n, coupling, field, tol=tol)
-    mixture_c = concurrence_wootters(manifold_pair_density(manifold, (0, 1)))
+    mixture_c = ground_concurrence(n, coupling, field, (0, 1), tol)
 
     d = manifold.degeneracy
     pipeline_probs = np.zeros(1 << n)

@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 from xxring.basis import enumerate_sector
-from xxring.concurrence import (concurrence_wootters, ground_concurrence,
-                                manifold_pair_density, pair_density, state_concurrence)
+from xxring.concurrence import (concurrence_wootters, ground_concurrence, pair_density,
+                                state_concurrence)
 from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block
 from xxring.oracle import compare_with_pipeline, eigenvector_concurrence_scan
 from xxring.polarization import lp_table
@@ -207,7 +207,8 @@ def test_criterion_05_oracle_equivalence():
 def test_criterion_06_field_lifting():
     started = time.perf_counter()
     manifold = ground_manifold(3, FERRO, FieldSetting(b=0.1))
-    value = concurrence_wootters(manifold_pair_density(manifold, (0, 1)))
+    mixture = [(1 / manifold.degeneracy, s) for s in manifold.states]
+    value = concurrence_wootters(pair_density(mixture, (0, 1)))
     ok = manifold.degeneracy == 1 and len({s.k for s in manifold.states}) == 1 \
         and abs(value - 2 / 3) <= 1e-10
     line = report(6, ok, f"small field lifts n=3 degeneracy to C=2/3 (got {value:.12f})",
@@ -267,8 +268,9 @@ def test_criterion_09_property_suites():
         for n in range(2, 9):
             for coupling in (FERRO, ANTIFERRO):
                 manifold = ground_manifold(n, coupling)
+                d = manifold.degeneracy
                 for q in range(1, n):
-                    manifold_pair_density(manifold, (0, q))
+                    pair_density([(1 / d, s) for s in manifold.states], (0, q))
     except ValueError as exc:
         failures.append(f"pair-density invariant violated: {exc}")
 
@@ -288,12 +290,12 @@ def test_criterion_09_property_suites():
     # translation invariance of the manifold pair concurrence
     for n, coupling in [(5, FERRO), (6, ANTIFERRO), (7, ANTIFERRO)]:
         manifold = ground_manifold(n, coupling)
+        mixture = [(1 / manifold.degeneracy, s) for s in manifold.states]
         for distance in range(1, n // 2 + 1):
             values = []
             for shift in range(n):
                 p, q = sorted(((shift) % n, (shift + distance) % n))
-                values.append(concurrence_wootters(
-                    manifold_pair_density(manifold, (p, q))))
+                values.append(concurrence_wootters(pair_density(mixture, (p, q))))
             if max(values) - min(values) > 1e-10:
                 failures.append(f"pair concurrence not translation invariant (n={n})")
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import xxring.cli as cli
-from xxring import __version__
+from xxring import __version__, concurrence
 from xxring.hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from xxring.spectra import DEGENERACY_RTOL, block_levels
 
@@ -583,6 +583,14 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "compare_with_pipeline", broken)
         assert cli.run(["verify", "--n", "2..3"]) == 1
+
+    def test_verify_checks_the_printed_concurrence(self, capsys, monkeypatch):
+        # concurrence, sweep and extrapolate print the profile's values, so a
+        # profile moved by 1e-9 (ten times verify's 1e-10) is a mismatch
+        profile = concurrence._concurrence_profile
+        monkeypatch.setattr(concurrence, "_concurrence_profile",
+                            lambda manifold: profile(manifold) + 1e-9)
+        assert cli.run(["verify", "--n", "2..6"]) == 1
 
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
     def test_unwritable_out_exits_two(self, tmp_path, capsys, target):

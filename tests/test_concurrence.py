@@ -8,9 +8,9 @@ import pytest
 
 from xxring import cli, concurrence, spectra
 from xxring.basis import enumerate_sector
-from xxring.concurrence import (_PROFILES, PairDensity, _concurrence_profile, _reduce_pure,
-                                _wootters, concurrence_wootters, ground_concurrence,
-                                manifold_pair_density, pair_density, state_concurrence)
+from xxring.concurrence import (_PROFILES, PairDensity, _concurrence_profile, _wootters,
+                                concurrence_wootters, ground_concurrence, pair_density,
+                                state_concurrence)
 from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.spectra import GROUND_CACHE_SIZE, SectorState, ground_manifold
 
@@ -28,6 +28,18 @@ def w_state(n):
 def flipped_w_state(n):
     return SectorState(basis=enumerate_sector(n, n - 1),
                        amplitudes=np.full(n, 1 / np.sqrt(n)))
+
+
+def mixture_density(manifold, pair):
+    """Pair density of the equal-weight mixture over a ground manifold."""
+    return pair_density([(1 / manifold.degeneracy, s) for s in manifold.states], pair)
+
+
+def reference_concurrence(manifold, pair):
+    """X-form closed form of the equal-weight sum of ``np.unique``-grouped reductions."""
+    rho = sum(reduce_pure_by_unique(s.amplitudes, s.basis.bits, *pair)
+              for s in manifold.states) / manifold.degeneracy
+    return concurrence_xstate(PairDensity(rho, pair))
 
 
 def x_density(u_plus, w1, w2, u_minus, z):
@@ -96,6 +108,14 @@ class TestPairDensity:
             with pytest.raises(ValueError, match="state amplitudes must be finite"):
                 pair_density([(1.0, bad)], (0, 1))
 
+    @pytest.mark.parametrize("shape", [(4,), (2,), (3, 1)], ids=["dim+1", "dim-1", "column"])
+    def test_refuses_amplitudes_not_shaped_by_the_basis(self, shape):
+        amplitudes = np.full(shape, 1 / np.sqrt(np.prod(shape)))  # unit norm
+        bad = SectorState(basis=enumerate_sector(3, 1), amplitudes=amplitudes)
+        message = f"state amplitudes have shape {shape}, not (3,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pair_density([(1.0, bad)], (0, 1))
+
     def test_matrix_invariants_enforced(self):
         with pytest.raises(ValueError):
             PairDensity(matrix=np.diag([0.5, 0.2, 0.2, 0.2]).astype(complex), pair=(0, 1))
@@ -144,15 +164,16 @@ class TestPairReductionReference:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_groups_numbered_as_np_unique_numbers_them(self, n):
-        """Bit for bit the reduction whose groups ``np.unique`` numbers."""
+        """The reduction whose groups ``np.unique`` numbers, within 1e-14."""
         rng = np.random.default_rng(200 + n)
         for k in range(n + 1):
             state = random_state(rng, n, k)
             for p in range(n):
                 for q in range(p + 1, n):
-                    assert np.array_equal(
-                        _reduce_pure(state, p, q),
-                        reduce_pure_by_unique(state.amplitudes, state.basis.bits, p, q))
+                    np.testing.assert_allclose(
+                        pair_density([(1.0, state)], (p, q)).matrix,
+                        reduce_pure_by_unique(state.amplitudes, state.basis.bits, p, q),
+                        rtol=0, atol=1e-14)
 
     def test_reduction_sorts_nothing(self, monkeypatch):
         states = [random_state(np.random.default_rng(3), 9, k) for k in (4, 5)]
@@ -178,7 +199,7 @@ class TestPairReductionReference:
     @pytest.mark.parametrize("n, distance, coherence", [(4, 2, 1 / 4), (6, 3, 2 / 9)])
     @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["ferro", "antiferro"])
     def test_border_x_states_have_zero_concurrence(self, n, distance, coherence, coupling):
-        rho = manifold_pair_density(ground_manifold(n, coupling), (0, distance))
+        rho = mixture_density(ground_manifold(n, coupling), (0, distance))
         u_plus, u_minus = rho.matrix.diagonal().real[[0, 3]]
         np.testing.assert_allclose([abs(rho.matrix[1, 2]), np.sqrt(u_plus * u_minus)],
                                    [coherence, coherence], rtol=0, atol=1e-14)
@@ -227,7 +248,7 @@ class TestWoottersConcurrence:
             assert cli.run(["sweep", "--n", "7", "--regime", "antiferro",
                             "--distance", distance]) == 0
         assert calls[before:] == []
-        rho = manifold_pair_density(ground_manifold(7, ANTIFERRO), (0, 1))
+        rho = mixture_density(ground_manifold(7, ANTIFERRO), (0, 1))
         assert built == [(0, 1)]
         concurrence_wootters(rho)
         assert calls[before:] == [("eigh", "_wootters", (4, 4))]
@@ -339,7 +360,7 @@ class TestGroundConcurrence:
                 values = []
                 for shift in range(n):
                     p, q = sorted(((0 + shift) % n, (distance + shift) % n))
-                    rho = manifold_pair_density(manifold, (p, q))
+                    rho = mixture_density(manifold, (p, q))
                     values.append(concurrence_wootters(rho))
                 assert max(values) - min(values) <= 1e-10
 
@@ -359,8 +380,10 @@ class TestGroundConcurrence:
 
 
 class TestConcurrenceProfile:
-    """``ground_concurrence`` reads one profile per manifold; the per-pair
-    reduction of ``manifold_pair_density`` is the reference."""
+    """``ground_concurrence`` reads one profile per manifold.  ``pair_density``
+    shares its reduction kernel and its Wootters route, so the reference is
+    independent of both: the X-form closed form of the equal-weight sum of
+    ``reduce_pure_by_unique``, whose groups ``np.unique`` numbers."""
 
     @pytest.mark.parametrize("n", range(2, 14))
     def test_every_pair_equals_the_per_pair_reduction(self, n):
@@ -369,7 +392,7 @@ class TestConcurrenceProfile:
                 manifold = ground_manifold(n, coupling, field)
                 for p in range(n):
                     for q in range(p + 1, n):
-                        reference = concurrence_wootters(manifold_pair_density(manifold, (p, q)))
+                        reference = reference_concurrence(manifold, (p, q))
                         assert abs(ground_concurrence(n, coupling, field, (p, q))
                                    - reference) <= 1e-12, (p, q)
 
@@ -378,7 +401,7 @@ class TestConcurrenceProfile:
         for coupling in (FERRO, ANTIFERRO):
             manifold = ground_manifold(n, coupling)
             for d in range(1, n):
-                reference = concurrence_wootters(manifold_pair_density(manifold, (0, n - d)))
+                reference = reference_concurrence(manifold, (0, n - d))
                 assert abs(ground_concurrence(n, coupling, pair=(0, d)) - reference) <= 1e-12
 
     def test_profile_is_read_only_and_kept_for_the_manifold_object(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xxring.basis import enumerate_sector
-from xxring.concurrence import concurrence_wootters, manifold_pair_density
+from xxring.concurrence import concurrence_wootters, pair_density
 from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block, real_block_pieces
 import xxring.cli
 import xxring.spectra
@@ -319,7 +319,8 @@ class TestGroundSolves:
             vectors[state.basis.bits, col] = state.amplitudes
         np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(manifold.degeneracy),
                                    rtol=0, atol=1e-12)
-        concurrence = concurrence_wootters(manifold_pair_density(manifold, (0, 1)))
+        mixture = [(1 / manifold.degeneracy, s) for s in manifold.states]
+        concurrence = concurrence_wootters(pair_density(mixture, (0, 1)))
         assert abs(concurrence - full_diagonalize(n, coupling).ground_concurrence) <= 1e-12
 
 

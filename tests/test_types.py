@@ -11,7 +11,7 @@ import pytest
 import xxring
 from xxring import basis, cli, concurrence, hamiltonian, oracle, polarization, spectra, sweeps
 from xxring.basis import SectorBasis, enumerate_sector
-from xxring.concurrence import PairDensity, concurrence_wootters, manifold_pair_density
+from xxring.concurrence import PairDensity, concurrence_wootters, pair_density
 from xxring.hamiltonian import Coupling, FieldSetting, MomentumBlock, build_momentum_block
 from xxring.oracle import (FullSpectrumReport, LevelRow, LevelScan, PipelineAgreement,
                            compare_with_pipeline, eigenvector_concurrence_scan,
@@ -61,7 +61,7 @@ def instances() -> dict:
     sector = enumerate_sector(6, 3)
     block = build_momentum_block(sector, 0, ferro)
     manifold = ground_manifold(5, ferro)
-    rho = manifold_pair_density(manifold, (0, 2))
+    rho = pair_density([(1 / manifold.degeneracy, s) for s in manifold.states], (0, 2))
     report = lp_table(6, ferro)
     rows = sweep(4, 8, parity="even")
     scan = eigenvector_concurrence_scan(4, Coupling(1.0))
