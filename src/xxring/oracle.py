@@ -4,11 +4,14 @@ It deliberately avoids the translation-symmetry machinery: popcount blocks
 are built from ``np.arange(2**n)`` with numpy bit operations, eigenvectors
 stay in their blocks, and only the columns of the level group a caller reads
 are gathered into full-space vectors for an independent pair reduction.  It
-cross-checks the momentum-block pipeline: ground energy, degeneracy,
-per-configuration probabilities and mixture concurrence agree to 1e-10.
-The pipeline's concurrence is ``ground_concurrence`` of the nearest pair,
-read from the per-solve profile: the value that the ``concurrence``,
-``sweep`` and ``extrapolate`` commands print.
+writes its own Zeeman offset and its own Wootters concurrence, from the
+eigenvalues of rho * rho~ where the pipeline takes singular values, so a
+fault in either of the pipeline's does not pass unseen.  It cross-checks
+the momentum-block pipeline: ground energy, degeneracy, per-configuration
+probabilities and mixture concurrence agree to 1e-10.  The pipeline's
+concurrence is ``ground_concurrence`` of the nearest pair, read from the
+per-solve profile: the value that the ``concurrence``, ``sweep`` and
+``extrapolate`` commands print.
 
 H(J) = J * H(1), so each popcount block is decomposed once, at J = 1, and
 both signs of J, any field and the level scan read that one decomposition.
@@ -57,8 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import ring_bonds
-from .concurrence import PairDensity, concurrence_wootters, ground_concurrence
-from .hamiltonian import Coupling, FieldSetting, sector_energy_offset
+from .concurrence import ground_concurrence
+from .hamiltonian import Coupling, FieldSetting
 from .spectra import DEGENERACY_RTOL, ground_manifold
 
 FULL_DIAGONALIZE_CAP = 14
@@ -215,7 +218,7 @@ def _full_spectrum(n, coupling, field):
             column = np.arange(len(w))
             if coupling.j < 0:
                 w, column = w[::-1], column[::-1]
-            values.append(coupling.j * w + sector_energy_offset(k, n, field))
+            values.append(coupling.j * w - field.b * (k - n / 2))  # Zeeman offset
             tags.append(np.full(len(w), k))
             columns.append(column)
     values = np.concatenate(values)
@@ -262,8 +265,8 @@ def _degenerate_groups(values: np.ndarray, tol: float):
         start = stop
 
 
-def _mixture_pair_density(vectors: np.ndarray, n: int, pair: tuple[int, int]) -> PairDensity:
-    """Equal-weight pair reduction of full-space columns (independent path).
+def _mixture_pair_density(vectors: np.ndarray, n: int, pair: tuple[int, int]) -> np.ndarray:
+    """Equal-weight 4 x 4 pair reduction of full-space columns (independent path).
 
     Each column becomes an n-index tensor whose first axis is bit n-1; the
     axes of sites p and q move to the front, reversed so that up (bit 1)
@@ -273,7 +276,25 @@ def _mixture_pair_density(vectors: np.ndarray, n: int, pair: tuple[int, int]) ->
     d = vectors.shape[1]
     amps = np.moveaxis(vectors.T.reshape((d,) + (2,) * n), (n - p, n - q), (0, 1))
     amps = amps[::-1, ::-1].reshape(4, -1)
-    return PairDensity(matrix=amps @ amps.conj().T / d, pair=pair)
+    return amps @ amps.conj().T / d
+
+
+def _concurrence(rho: np.ndarray) -> float:
+    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a 4 x 4 pair density.
+
+    The l are the square roots of the eigenvalues of rho * rho~, with rho~ =
+    (sy x sy) rho* (sy x sy), clipped at 0 and sorted descending (Wootters,
+    PRL 80, 2245 (1998)).  The pipeline reaches the l another way, as
+    singular values, so the two routes check each other.  A square root
+    turns an eigenvalue's rounding error e into sqrt(e), so an l that is
+    exactly 0 comes out near 1e-8 unless the solver returns the zero
+    exactly.  The complex product does for the ring's W-state pairs (n = 3),
+    where real arithmetic is 3e-17 off, 5e-9 in the concurrence.
+    """
+    flip = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])  # sy x sy
+    squares = np.linalg.eigvals(rho @ flip @ rho.conj() @ flip).real
+    lam = np.sort(np.sqrt(squares.clip(0.0)))[::-1]
+    return float(max(0.0, lam[0] - lam[1:].sum()))
 
 
 class FullSpectrumReport(NamedTuple):
@@ -293,7 +314,7 @@ def full_diagonalize(n: int, coupling: Coupling, field: FieldSetting = FieldSett
     _, d = next(_degenerate_groups(values, tol))
     ground = _columns(n, tags[:d], columns[:d])
     probs = (np.abs(ground) ** 2).sum(axis=1) / d
-    ground_c = concurrence_wootters(_mixture_pair_density(ground, n, (0, 1)))
+    ground_c = _concurrence(_mixture_pair_density(ground, n, (0, 1)))
     return FullSpectrumReport(
         n=n,
         ground_energy=float(values[0]),
@@ -335,7 +356,7 @@ def eigenvector_concurrence_scan(n: int, coupling: Coupling,
         rho = _mixture_pair_density(_columns(n, tags[start:stop], columns[start:stop]),
                                     n, (0, 1))
         rows.append(LevelRow(energy=float(values[start]), degeneracy=stop - start,
-                             concurrence=concurrence_wootters(rho)))
+                             concurrence=_concurrence(rho)))
     top = max(row.concurrence for row in rows)
     return LevelScan(n=n, rows=tuple(rows),
                      ground_is_max=rows[0].concurrence >= top - 1e-12)

@@ -14,20 +14,21 @@ piece is checked to be symmetric, and the block's levels are the sorted
 union of its pieces' ``eigvalsh``.  Every other request scales those levels
 by J.
 
-``ground_manifold`` solves in two phases.  It scans the levels of the
-canonical blocks, each with the field offsets -b*(k - n/2) of its sector k
-and of n-k.  The ground energy and tolerance window come from that scan,
-and the window levels of every block are counted over the joined levels,
-with one ``np.bincount`` at the offsets of the sectors k and one at those
-of n-k.  Then only blocks reaching the window are solved with eigenvectors,
-at the given J, as complex blocks, and lifted.  One ``eigh`` serves both
-sectors of a spin-flip pair: the spin flip commutes with H and with the
-translations, and lists sector n-k as sector k's complements in reverse
-order, so a state of block (n-k, m) is the lifted state of block (k, m)
-reversed, at the same level and momentum.  The lower sector of the pair is
-the one solved.  Exact
-ground-level degeneracies are symmetry-protected, so the default tolerance
-of 1e-9 times the spectral range separates them cleanly from solver noise.
+``ground_manifold`` solves in two phases.  It scans one array of every
+level of every sector k = 0..n: sector k reads the levels of sector
+min(k, n-k), scaled by J, plus its own field offset -b*(k - n/2).  The
+ground energy, the spectral range and the tolerance window come from that
+array, and one ``np.bincount`` over each level's (k, m) tag counts the
+window levels of every block m <= n/2, block n-m sharing its count.  Then
+only blocks reaching the window are solved with eigenvectors, at the given
+J, as complex blocks, and each solve is lifted in one call.  One ``eigh``
+serves both sectors of a spin-flip pair: the spin flip commutes with H and
+with the translations, and lists sector n-k as sector k's complements in
+reverse order, so a state of block (n-k, m) is the lifted state of block
+(k, m) reversed, at the same level and momentum.  The lower sector of the
+pair is the one solved.  Exact ground-level degeneracies are
+symmetry-protected, so the default tolerance of 1e-9 times the spectral
+range separates them cleanly from solver noise.
 Blocks are built on ``enumerate_sector``'s sectors, which each process builds
 once per ring size, all n + 1 in one pass, and shares read-only, so the scan
 and the ground solve read the same orbit arrays and hop rows.
@@ -105,12 +106,11 @@ def eigh(matrix: np.ndarray, count: int | None = None) -> Spectrum:
     All eigenvalues, and the eigenvectors of the lowest ``count`` of them
     (all by default); the phases are fixed only on the columns returned.
     """
-    values, vectors = np.linalg.eigh(_hermitian(np.asarray(matrix)))
+    matrix = np.asarray(matrix)
+    if count is not None and not 0 <= count <= len(matrix):
+        raise ValueError(f"count {count} is outside 0..{len(matrix)}, the matrix dimension")
+    values, vectors = np.linalg.eigh(_hermitian(matrix))
     return Spectrum(values=values, vectors=_fix_phases(vectors, count))
-
-
-def _block(n: int, k: int, m: int, coupling: Coupling) -> MomentumBlock:
-    return build_momentum_block(enumerate_sector(n, k), m, coupling)
 
 
 @lru_cache(maxsize=None)
@@ -169,17 +169,19 @@ class SectorState(NamedTuple):
         return self.basis.k
 
 
-def lift_block_vector(block: MomentumBlock, v: np.ndarray) -> np.ndarray:
-    """Expand a momentum-block vector into sector amplitudes.
+def lift_block_vector(block: MomentumBlock, vectors: np.ndarray) -> np.ndarray:
+    """Expand momentum-block vectors into sector amplitudes.
 
-    The orbit representative ``a`` with period p contributes amplitude
-    v_a * exp(-2*pi*i*m*t/n) / sqrt(p) on each member T^t(a).  The
-    sector's orbit map gives every configuration's orbit, hence its block
-    column, and its shift t, so the lift is array indexing.
+    ``vectors`` is one vector of the block, or a (dim, count) array of them,
+    lifted to one row per column.  The orbit representative ``a`` with
+    period p contributes amplitude v_a * exp(-2*pi*i*m*t/n) / sqrt(p) on
+    each member T^t(a).  The sector's orbit map gives every configuration's
+    orbit, hence its block column, and its shift t, so the lift is array
+    indexing.
     """
-    v = np.asarray(v)
-    if v.shape != (block.dim,):
-        raise ValueError(f"vector has shape {v.shape}, block dimension is {block.dim}")
+    rows = np.asarray(vectors).T
+    if rows.ndim > 2 or rows.shape[-1:] != (block.dim,):
+        raise ValueError(f"vector has shape {np.shape(vectors)}, block dimension is {block.dim}")
     basis = block.basis
     phase = np.exp(-2j * np.pi * block.m * np.arange(basis.n) / basis.n)
     periods = basis.period[block.orbits]
@@ -188,16 +190,16 @@ def lift_block_vector(block: MomentumBlock, v: np.ndarray) -> np.ndarray:
     column = column_of_orbit[basis.orbit]
     members = column >= 0
     column = column[members]
-    w = (v / np.sqrt(periods))[column]
+    w = (rows / np.sqrt(periods))[..., column]
     # index by the shift modulo the period: phase[t] and phase[t + p] are the
     # same number mathematically but not always in the last bit
     p = phase[basis.shift[members] % periods[column]]
     # w * p is written out: numpy's array complex multiply may use fused
     # multiply-adds (it does on AVX-512) and then differs in the last bit
     # from the scalar product w_a * phase[t]
-    out = np.zeros(basis.dim, dtype=complex)
-    out.real[members] = w.real * p.real - w.imag * p.imag
-    out.imag[members] = w.real * p.imag + w.imag * p.real
+    out = np.zeros(rows.shape[:-1] + (basis.dim,), dtype=complex)
+    out.real[..., members] = w.real * p.real - w.imag * p.imag
+    out.imag[..., members] = w.real * p.imag + w.imag * p.real
     return out
 
 
@@ -206,7 +208,6 @@ class GroundManifold(NamedTuple):
 
     energy: float
     states: tuple[SectorState, ...]
-    tolerance: float
 
     @property
     def degeneracy(self) -> int:
@@ -233,48 +234,37 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
 @lru_cache(maxsize=GROUND_CACHE_SIZE)
 def _ground_manifold(n: int, coupling: Coupling, field: FieldSetting,
                      tol: float) -> GroundManifold:
-    offsets = [sector_energy_offset(k, n, field) for k in range(n + 1)]
-    width = n // 2 + 1  # canonical sectors, and canonical blocks per sector
-    unit = [_unit_levels(n, k) for k in range(width)]
-    sizes = [len(levels) for levels, _ in unit]
+    unit = [_unit_levels(n, min(k, n - k)) for k in range(n + 1)]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        values = coupling.j * np.concatenate([levels for levels, _ in unit])
-        ends = [end + offsets[sector]  # each sector's lowest and highest level
-                for k, part in enumerate(np.split(values, np.cumsum(sizes)[:-1]))
-                for end in (part.min(), part.max()) for sector in {k, n - k}]
-    check_finite_energies(ends, coupling, field)
-    e0 = float(min(ends))
-    window = tol * max(float(max(ends)) - e0, np.finfo(float).tiny)
+        levels = np.concatenate([coupling.j * part + sector_energy_offset(k, n, field)
+                                 for k, (part, _) in enumerate(unit)])
+    check_finite_energies(levels, coupling, field)
+    e0 = float(levels.min())
+    window = tol * max(float(levels.max()) - e0, np.finfo(float).tiny)
 
-    # every level's block k * width + m; one count of window levels per block,
-    # with the offsets of sector k, then with those of sector n - k
-    tag = np.repeat(np.arange(width * width), np.concatenate([np.diff(b) for _, b in unit]))
-    counts = {}  # (k, m) -> levels in the window, for every block that holds one
-    for flip in (False, True):
-        offset = np.repeat([offsets[n - k if flip else k] for k in range(width)], sizes)
-        inside = np.bincount(tag[values + offset - e0 <= window], minlength=width * width)
-        for b in np.flatnonzero(inside).tolist():
-            k, m = divmod(b, width)
-            for momentum in {m, -m % n}:
-                counts[n - k if flip else k, momentum] = int(inside[b])
+    # every level's block k * width + m, m <= n/2; one count of window levels per block
+    width = n // 2 + 1
+    tag = np.repeat(np.arange((n + 1) * width), np.concatenate([np.diff(b) for _, b in unit]))
+    inside = np.bincount(tag[levels - e0 <= window], minlength=(n + 1) * width)
+    counts = {(k, momentum): int(inside[k * width + m])  # (k, m) -> levels in the window
+              for k, m in (divmod(b, width) for b in np.flatnonzero(inside).tolist())
+              for momentum in {m, -m % n}}
 
     solved, states, energies = {}, [], []
     for k, m in sorted(counts):
-        image = (n - k, m) in solved  # the spin flip of a lower sector's solve
-        if image:
-            spectrum, lifted = solved[n - k, m]
+        if (n - k, m) in solved:  # the spin flip of a lower sector's solve
+            values, lifted = solved[n - k, m]
+            # sector n - k lists sector k's complements in reverse
+            lifted = lifted[:counts[k, m], ::-1].copy()
         else:
-            block = _block(n, k, m, coupling)
-            spectrum = eigh(block.matrix, max(counts[k, m], counts.get((n - k, m), 0)))
-            lifted = [lift_block_vector(block, v) for v in spectrum.vectors.T]
-            solved[k, m] = spectrum, lifted
-        energies.append(spectrum.values[0] + offsets[k])
-        for amplitudes in lifted[:counts[k, m]]:
-            if image:  # sector n - k lists sector k's complements in reverse
-                amplitudes = amplitudes[::-1].copy()
-            amplitudes.flags.writeable = False
-            states.append(SectorState(basis=enumerate_sector(n, k), amplitudes=amplitudes,
-                                      momentum=m))
+            block = build_momentum_block(enumerate_sector(n, k), m, coupling)
+            values, vectors = eigh(block.matrix, max(counts[k, m], counts.get((n - k, m), 0)))
+            lifted = lift_block_vector(block, vectors)
+            solved[k, m] = values, lifted
+        lifted.flags.writeable = False
+        energies.append(values[0] + sector_energy_offset(k, n, field))
+        states.extend(SectorState(basis=enumerate_sector(n, k), amplitudes=amplitudes,
+                                  momentum=m) for amplitudes in lifted[:counts[k, m]])
     # the energy of the decompositions the states come from (the scan's
     # eigenvalue-only minimum can differ from it in the last bits)
-    return GroundManifold(energy=float(min(energies)), states=tuple(states), tolerance=tol)
+    return GroundManifold(energy=float(min(energies)), states=tuple(states))

@@ -592,6 +592,16 @@ class TestExitCodes:
                             lambda manifold: profile(manifold) + 1e-9)
         assert cli.run(["verify", "--n", "2..6"]) == 1
 
+    def test_verify_checks_the_pipeline_concurrence_solver(self, capsys, monkeypatch):
+        # the oracle computes its own concurrence, so a fault in the
+        # pipeline's Wootters solver (here a scale of 1 + 1e-8) is a mismatch;
+        # an empty profile cache makes every profile go through the fault
+        wootters = concurrence._wootters
+        monkeypatch.setattr(concurrence, "_PROFILES", {})
+        monkeypatch.setattr(concurrence, "_wootters",
+                            lambda matrices: wootters(matrices) * (1 + 1e-8))
+        assert cli.run(["verify", "--n", "2..6"]) == 1
+
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
     def test_unwritable_out_exits_two(self, tmp_path, capsys, target):
         path = tmp_path / target

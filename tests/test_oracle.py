@@ -12,7 +12,7 @@ import xxring.oracle
 from xxring.basis import enumerate_sector
 from xxring.concurrence import PairDensity, concurrence_wootters, pair_density
 from xxring.hamiltonian import Coupling, FieldSetting
-from xxring.oracle import (_columns, _degenerate_groups, _full_spectrum, _hops,
+from xxring.oracle import (_columns, _concurrence, _degenerate_groups, _full_spectrum, _hops,
                            _mixture_pair_density, _piece_matrix, _unit_columns,
                            _unit_spectrum, compare_with_pipeline,
                            eigenvector_concurrence_scan, full_diagonalize)
@@ -242,9 +242,9 @@ class TestFullDiagonalize:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """(solver, dimension, calling module) of every np.linalg.eigh and eigvalsh call."""
+    """(solver, dimension, calling module) of every np.linalg.eigh, eigvalsh and eigvals call."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "eigvals"):
         def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
             calls.append((_name, len(a), sys._getframe(1).f_globals["__name__"]))
             return _solver(a, *args, **kwargs)
@@ -254,17 +254,19 @@ def solves(monkeypatch):
 
 
 def block_solves(calls):
-    """(solver, dimension) of the calls that solve a piece of a popcount block.
+    """(solver, dimension) of the oracle's calls that solve a piece of a popcount block.
 
-    Each oracle concurrence also solves the 4 x 4 pair density it reduces to,
-    from ``xxring.concurrence``; a piece can have dimension 4 too.
+    Each oracle concurrence also solves the 4 x 4 product of the pair density
+    it reduces to, with ``eigvals``; a piece can have dimension 4 too, but
+    pieces are symmetric and solved with ``eigh`` or ``eigvalsh``.
     """
-    return [(solver, dim) for solver, dim, module in calls if module == "xxring.oracle"]
+    return [(solver, dim) for solver, dim, module in calls
+            if module == "xxring.oracle" and solver != "eigvals"]
 
 
 def pair_solves(calls):
-    """Number of 4 x 4 pair-density solves among the calls."""
-    return sum(module == "xxring.concurrence" and dim == 4 for _, dim, module in calls)
+    """Number of the oracle's own 4 x 4 concurrence solves among the calls."""
+    return sum(call == ("eigvals", 4, "xxring.oracle") for call in calls)
 
 
 def mirror_site(bits, n):
@@ -316,7 +318,7 @@ class TestUnitSpectrum:
         assert [len(piece_dimensions(n, k)) for k in range(n // 2 + 1)] == counts
         assert [sum(piece_dimensions(n, k)) for k in range(n // 2 + 1)] == [
             comb(n, k) for k in range(n // 2 + 1)]
-        assert pair_solves(solves) == 2  # one pair density per call
+        assert pair_solves(solves) == 2  # one concurrence solve per call
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_block_is_decomposed(self, n):
@@ -414,7 +416,7 @@ class TestUnitSpectrum:
         solves.clear()
         scan = eigenvector_concurrence_scan(8, coupling)
         assert block_solves(solves) == []
-        assert pair_solves(solves) == len(solves) == len(scan.rows)  # pair densities only
+        assert pair_solves(solves) == len(solves) == len(scan.rows)  # concurrences only
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     @pytest.mark.parametrize("b", [1.0, 2.0, 5.0])
@@ -460,9 +462,23 @@ class TestPairReduction:
         for p in range(n):
             for q in range(p + 1, n):
                 np.testing.assert_allclose(
-                    _mixture_pair_density(column, n, (p, q)).matrix,
+                    _mixture_pair_density(column, n, (p, q)),
                     pair_density([(1.0, state)], (p, q)).matrix, rtol=0, atol=1e-12,
                     err_msg=f"pair {(p, q)}")
+
+    def test_own_concurrence_matches_the_pipeline_solver(self):
+        # the ring's pair densities are all X-shaped; the two Wootters routes
+        # must also agree on general complex densities, entangled or not.
+        # Full rank: a rank-deficient one has zero l, which the oracle's route
+        # resolves only to about sqrt(eps), 1e-9 on a random rank-2 density
+        rng = np.random.default_rng(2245)
+        values = []
+        for _ in range(60):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = a @ a.conj().T / np.linalg.norm(a) ** 2
+            values.append(_concurrence(rho))
+            assert abs(values[-1] - concurrence_wootters(PairDensity(rho, (0, 1)))) <= 1e-12
+        assert min(values) == 0.0 < max(values)
 
 
 class TestDegenerateGroups:

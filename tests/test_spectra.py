@@ -34,6 +34,14 @@ class TestEigh:
         with pytest.raises(ValueError):
             eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("count", [-1, 4], ids=["-1", "dim+1"])
+    def test_refuses_count_outside_the_dimension(self, count):
+        # a negative count would slice columns off the end; one above the
+        # dimension would index past it
+        with pytest.raises(ValueError, match=rf"count {count} is outside 0\.\.3"):
+            eigh(np.diag([3.0, -1.0, 2.0]), count)
+        assert [eigh(np.eye(3), c).vectors.shape for c in (0, 3)] == [(3, 0), (3, 3)]
+
     def test_residual_and_orthonormality(self):
         rng = np.random.default_rng(11)
         for dim in (2, 5, 17, 40):
@@ -89,11 +97,15 @@ class TestLiftBlockVector:
                 for m in range(n):
                     for coupling in (FERRO, ANTIFERRO):
                         block = build_momentum_block(basis, m, coupling)
-                        for v in eigh(block.matrix).vectors[:, :6].T:
+                        vectors = eigh(block.matrix).vectors[:, :6]
+                        together = lift_block_vector(block, vectors)  # one row per column
+                        assert together.shape == (vectors.shape[1], basis.dim)
+                        for v, row in zip(vectors.T, together):
                             lifted = lift_block_vector(block, v)
                             expected = loop_lift(block, v)
-                            assert np.array_equal(lifted.view(np.int64),
-                                                  expected.view(np.int64)), (n, k, m)
+                            for got in (lifted, row):
+                                assert np.array_equal(got.view(np.int64),
+                                                      expected.view(np.int64)), (n, k, m)
 
     def test_four_site_ground_amplitudes(self):
         basis = enumerate_sector(4, 2)
@@ -380,7 +392,7 @@ class TestGroundCache:
         xxring.spectra._ground_manifold.cache_clear()
         cold = ground_manifold(5, FERRO, **options)
         assert cold is not warm
-        assert (warm.energy, warm.tolerance) == (cold.energy, cold.tolerance)
+        assert warm.energy == cold.energy
         assert ([(s.k, s.momentum) for s in warm.states]
                 == [(s.k, s.momentum) for s in cold.states])
         for a, b in zip(warm.states, cold.states):
