@@ -5,13 +5,13 @@ returns its ``config`` and its ``Rows``, and ``run`` writes one payload: the
 ``command`` name, a flat ``config`` dict, the rows and a flat ``meta`` dict.
 Every command's rows have one shape, never a dict per row: a tuple of keys
 and one column per key, each a list of scalars or a one-dimensional numpy
-array.  ``spectrum`` builds its columns as arrays: each block's levels
-come as one array, shifted by the sector offset, and the exact-zero snap
-and the overflow check read the joined array; the other commands
-transpose one value tuple per row.  The JSON writer prints each row as a
-flat object, from one template per row filled ``_JSON_SLICE`` rows at a time
-by a single ``%`` each; the CSV and table writers print one line per row
-under a header of the keys.
+array.  ``spectrum`` takes its columns from the one level listing,
+``spectra.ring_levels``, which the ground scan reads too: the ``--m``
+mask, the overflow check and the exact-zero snap act on its arrays; the
+other commands transpose one value tuple per row.  The JSON writer prints
+each row as a flat object, from one template per row filled
+``_JSON_SLICE`` rows at a time by a single ``%`` each; the CSV and table
+writers print one line per row under a header of the keys.
 Floats are printed with 12 significant digits and a fixed field order, so
 identical invocations produce identical payloads apart from two timing
 fields: ``runtime_ms`` in ``meta`` and the ``seconds`` of each sweep row.
@@ -38,12 +38,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .basis import check_ring_size
+from .basis import check_ring_size, check_sector
 from .concurrence import ground_concurrence
-from .hamiltonian import Coupling, FieldSetting, sector_energy_offset
+from .hamiltonian import Coupling, FieldSetting, check_momentum
 from .oracle import FULL_DIAGONALIZE_CAP, compare_with_pipeline
 from .polarization import lp_table
-from .spectra import DEGENERACY_RTOL, block_levels, check_finite_energies, ground_manifold
+from .spectra import DEGENERACY_RTOL, check_finite_energies, ground_manifold, ring_levels
 from .sweeps import extrapolate, sweep
 
 _JSON_SLICE = 4096  # rows the JSON writer converts and fills at a time
@@ -288,21 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_spectrum(args) -> tuple[dict, Rows]:
-    check_ring_size(args.n)
-    field = FieldSetting(b=args.b)
-    coupling = Coupling(j=args.j)
-    blocks = [(k, m) for k in (range(args.n + 1) if args.k is None else [args.k])
-              for m in (range(args.n) if args.m is None else [args.m])]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        levels = [block_levels(args.n, k, m, coupling) + sector_energy_offset(k, args.n, field)
-                  for k, m in blocks]
-        energy = np.concatenate(levels)
-        # exact zero levels come out as LAPACK noise
-        energy[np.abs(energy) <= args.tol * args.n * abs(args.j)] = 0.0
+    check_sector(args.n, args.k or 0)  # the ring size, then --k, then --m
+    check_momentum(args.m or 0, args.n)
+    coupling, field = Coupling(j=args.j), FieldSetting(b=args.b)
+    k, m, energy = ring_levels(args.n, coupling, field, None if args.k is None else [args.k])
+    block = k * args.n + m  # ascending in listing order
+    level = np.arange(len(energy)) - np.searchsorted(block, block)
+    kept = slice(None) if args.m is None else m == args.m
+    k, m, level, energy = k[kept], m[kept], level[kept], energy[kept]
     check_finite_energies(energy, coupling, field)
-    sizes = [len(block) for block in levels]
-    k, m = np.repeat(np.array(blocks, dtype=np.int64), sizes, axis=0).T
-    level = np.arange(len(energy)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # exact zero levels come out as LAPACK noise
+    energy[np.abs(energy) <= args.tol * args.n * abs(args.j)] = 0.0
     return {"n": args.n, "j": args.j, "b": args.b, "k": args.k, "m": args.m,
             "tol": args.tol}, Rows(("k", "m", "level", "energy"), (k, m, level, energy))
 

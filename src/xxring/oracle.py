@@ -5,13 +5,15 @@ are built from ``np.arange(2**n)`` with numpy bit operations, eigenvectors
 stay in their blocks, and only the columns of the level group a caller reads
 are gathered into full-space vectors for an independent pair reduction.  It
 writes its own Zeeman offset and its own Wootters concurrence, from the
-eigenvalues of rho * rho~ where the pipeline takes singular values, so a
-fault in either of the pipeline's does not pass unseen.  It cross-checks
-the momentum-block pipeline: ground energy, degeneracy, per-configuration
-probabilities and mixture concurrence agree to 1e-10.  The pipeline's
-concurrence is ``ground_concurrence`` of the nearest pair, read from the
-per-solve profile: the value that the ``concurrence``, ``sweep`` and
-``extrapolate`` commands print.
+mixture's pair amplitudes where the pipeline factors the pair density by its
+eigendecomposition, so a fault in either of the pipeline's does not pass
+unseen.  It cross-checks the momentum-block pipeline: ground energy,
+degeneracy, per-configuration probabilities and mixture concurrence agree
+to 1e-10.  The pipeline's concurrence is ``ground_concurrence`` at every
+distance d = 1..n//2, as the pair (0, d), and at the pair (1, 2), read from
+the per-solve profile: the values that the ``concurrence``, ``sweep`` and
+``extrapolate`` commands print.  The oracle reduces the ground mixture onto
+each of those pairs itself and solves them as one stack.
 
 H(J) = J * H(1), so each popcount block is decomposed once, at J = 1, and
 both signs of J, any field and the level scan read that one decomposition.
@@ -265,36 +267,41 @@ def _degenerate_groups(values: np.ndarray, tol: float):
         start = stop
 
 
-def _mixture_pair_density(vectors: np.ndarray, n: int, pair: tuple[int, int]) -> np.ndarray:
-    """Equal-weight 4 x 4 pair reduction of full-space columns (independent path).
+def _pair_amplitudes(vectors: np.ndarray, n: int, pair: tuple[int, int]) -> np.ndarray:
+    """Amplitudes A on a pair of the equal-weight mixture of full-space columns.
 
-    Each column becomes an n-index tensor whose first axis is bit n-1; the
-    axes of sites p and q move to the front, reversed so that up (bit 1)
-    comes first, which gives the (uu, ud, du, dd) order.
+    A is 4 x (2^(n-2) * columns), one row per pair configuration, and the
+    mixture's pair density is A A^dagger (independent path).  Each column
+    becomes an n-index tensor whose first axis is bit n-1; the axes of sites
+    p and q move to the front, reversed so that up (bit 1) comes first, which
+    gives the (uu, ud, du, dd) order.
     """
     p, q = pair
     d = vectors.shape[1]
     amps = np.moveaxis(vectors.T.reshape((d,) + (2,) * n), (n - p, n - q), (0, 1))
-    amps = amps[::-1, ::-1].reshape(4, -1)
-    return amps @ amps.conj().T / d
+    return amps[::-1, ::-1].reshape(4, -1) / np.sqrt(d)
 
 
-def _concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a 4 x 4 pair density.
+def _concurrence(amplitudes: np.ndarray) -> np.ndarray:
+    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of each pair density A A^dagger.
 
-    The l are the square roots of the eigenvalues of rho * rho~, with rho~ =
-    (sy x sy) rho* (sy x sy), clipped at 0 and sorted descending (Wootters,
-    PRL 80, 2245 (1998)).  The pipeline reaches the l another way, as
-    singular values, so the two routes check each other.  A square root
-    turns an eigenvalue's rounding error e into sqrt(e), so an l that is
-    exactly 0 comes out near 1e-8 unless the solver returns the zero
-    exactly.  The complex product does for the ring's W-state pairs (n = 3),
-    where real arithmetic is 3e-17 off, 5e-9 in the concurrence.
+    ``amplitudes`` is a (..., 4, K) stack of factors A.  The l are the
+    singular values of Wootters' matrix tau = A^T (sy x sy) A of the
+    ensemble that A's columns make up (PRL 80, 2245 (1998)): tau tau^dagger
+    has the eigenvalues of rho rho~.  With the QR decomposition A^T = Q R,
+    tau = Q (R (sy x sy) R^T) Q^T and Q has orthonormal columns, so the l
+    are the singular values of the 4 x 4 middle factor; A gets four zero
+    columns first, so R is 4 x 4 for every K.  One ``qr`` and one ``svd``
+    call solve the whole stack.  The pipeline factors rho by its
+    eigendecomposition instead, so the two routes check each other, and a
+    singular value resolves an l that is exactly 0 to about eps, where a
+    square root of an eigenvalue of rho rho~ resolved it only to sqrt(eps).
     """
     flip = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])  # sy x sy
-    squares = np.linalg.eigvals(rho @ flip @ rho.conj() @ flip).real
-    lam = np.sort(np.sqrt(squares.clip(0.0)))[::-1]
-    return float(max(0.0, lam[0] - lam[1:].sum()))
+    padded = np.concatenate([amplitudes, np.zeros(amplitudes.shape[:-1] + (4,))], axis=-1)
+    r = np.linalg.qr(padded.swapaxes(-1, -2), mode="r")
+    lam = np.linalg.svd(r @ flip @ r.swapaxes(-1, -2), compute_uv=False)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1))
 
 
 class FullSpectrumReport(NamedTuple):
@@ -306,23 +313,31 @@ class FullSpectrumReport(NamedTuple):
     config_probabilities: np.ndarray  # ground mixture, indexed by configuration
 
 
-def full_diagonalize(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
-                     tol: float = DEGENERACY_RTOL) -> FullSpectrumReport:
-    """Ground-level structure from the popcount-blocked full spectrum."""
+def _ground_level(n: int, coupling: Coupling, field: FieldSetting, tol: float,
+                  pairs) -> tuple[FullSpectrumReport, np.ndarray]:
+    """The ``full_diagonalize`` report, and the ground mixture's concurrence at each pair.
+
+    The report's ``ground_concurrence`` is that of the first pair.
+    """
     _check_tol(tol)
     values, tags, columns = _full_spectrum(n, coupling, field)
     _, d = next(_degenerate_groups(values, tol))
     ground = _columns(n, tags[:d], columns[:d])
-    probs = (np.abs(ground) ** 2).sum(axis=1) / d
-    ground_c = _concurrence(_mixture_pair_density(ground, n, (0, 1)))
+    concurrences = _concurrence(np.stack([_pair_amplitudes(ground, n, pair) for pair in pairs]))
     return FullSpectrumReport(
         n=n,
         ground_energy=float(values[0]),
         ground_degeneracy=d,
         ground_sectors=tuple(sorted(set(tags[:d].tolist()))),
-        ground_concurrence=ground_c,
-        config_probabilities=probs,
-    )
+        ground_concurrence=float(concurrences[0]),
+        config_probabilities=(np.abs(ground) ** 2).sum(axis=1) / d,
+    ), concurrences
+
+
+def full_diagonalize(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
+                     tol: float = DEGENERACY_RTOL) -> FullSpectrumReport:
+    """Ground-level structure from the popcount-blocked full spectrum."""
+    return _ground_level(n, coupling, field, tol, [(0, 1)])[0]
 
 
 class LevelRow(NamedTuple):
@@ -353,10 +368,10 @@ def eigenvector_concurrence_scan(n: int, coupling: Coupling,
     values, tags, columns = _full_spectrum(n, coupling, field)
     rows = []
     for start, stop in _degenerate_groups(values, tol):
-        rho = _mixture_pair_density(_columns(n, tags[start:stop], columns[start:stop]),
-                                    n, (0, 1))
+        amplitudes = _pair_amplitudes(_columns(n, tags[start:stop], columns[start:stop]),
+                                      n, (0, 1))
         rows.append(LevelRow(energy=float(values[start]), degeneracy=stop - start,
-                             concurrence=_concurrence(rho)))
+                             concurrence=float(_concurrence(amplitudes))))
     top = max(row.concurrence for row in rows)
     return LevelScan(n=n, rows=tuple(rows),
                      ground_is_max=rows[0].concurrence >= top - 1e-12)
@@ -384,10 +399,18 @@ class PipelineAgreement(NamedTuple):
 def compare_with_pipeline(n: int, coupling: Coupling,
                           field: FieldSetting = FieldSetting(),
                           tol: float = DEGENERACY_RTOL) -> PipelineAgreement:
-    """Cross-check ground energy, degeneracy, probabilities and the printed d = 1 concurrence."""
-    report = full_diagonalize(n, coupling, field, tol)
+    """Cross-check ground energy, degeneracy, probabilities and the printed concurrences.
+
+    The concurrence is compared at every distance d = 1..n//2, as the pair
+    (0, d), and at the pair (1, 2) when n >= 3, each read from the pipeline
+    through ``ground_concurrence``: the values the ``concurrence``, ``sweep``
+    and ``extrapolate`` commands print.  ``concurrence_delta`` is the
+    largest difference.
+    """
+    pairs = [(0, d) for d in range(1, n // 2 + 1)] + [(1, 2)] * (n >= 3)
+    report, oracle_c = _ground_level(n, coupling, field, tol, pairs)
     manifold = ground_manifold(n, coupling, field, tol=tol)
-    mixture_c = ground_concurrence(n, coupling, field, (0, 1), tol)
+    mixture_c = [ground_concurrence(n, coupling, field, pair, tol) for pair in pairs]
 
     d = manifold.degeneracy
     pipeline_probs = np.zeros(1 << n)
@@ -400,6 +423,6 @@ def compare_with_pipeline(n: int, coupling: Coupling,
         energy_delta=abs(report.ground_energy - manifold.energy),
         oracle_degeneracy=report.ground_degeneracy,
         pipeline_degeneracy=manifold.degeneracy,
-        concurrence_delta=abs(report.ground_concurrence - mixture_c),
+        concurrence_delta=float(np.abs(oracle_c - mixture_c).max()),
         probability_delta=float(np.abs(report.config_probabilities - pipeline_probs).max()),
     )

@@ -2,26 +2,28 @@
 
 ``eigh`` wraps the LAPACK Hermitian solver with a symmetry check and a
 deterministic phase convention (largest component of each eigenvector made
-real positive).  ``block_levels`` gives one momentum block's eigenvalues from
-a per-process table of levels: H(J) = J * H(1), the spin flip maps sector k
-onto sector n-k at equal momentum (particle-hole symmetry), and block n-m is
-the complex conjugate of block m, so blocks (k, m), (n-k, m), (k, n-m) and
+real positive).  ``ring_levels`` lists the levels of every momentum block of
+the ring, or of chosen sectors, as (k, m, energy) arrays; the ``spectrum``
+command prints that listing and the ground scan reads it, and no other code
+turns the per-process table of J = 1 levels into energies.  The table rests
+on three symmetries: H(J) = J * H(1), the spin flip maps sector k onto
+sector n-k at equal momentum (particle-hole symmetry), and block n-m is the
+complex conjugate of block m, so blocks (k, m), (n-k, m), (k, n-m) and
 (n-k, n-m) share the levels of one canonical block (k <= n/2, m <= n/2).
 The canonical blocks of a sector are solved together, once per process, at
 J = 1 and in real arithmetic: ``real_block_pieces`` gives each block in the
 basis that K R fixes (real, and split in two by R at m = 0 and n/2), each
 piece is checked to be symmetric, and the block's levels are the sorted
-union of its pieces' ``eigvalsh``.  Every other request scales those levels
-by J.
+union of its pieces' ``eigvalsh``.  The table lists block m > n/2 as a copy
+of block n-m's levels, so it holds every block m = 0..n-1 and no reader maps
+momenta; the listing scales it by J and adds the field offset.
 
-``ground_manifold`` solves in two phases.  It scans one array of every
-level of every sector k = 0..n: sector k reads the levels of sector
-min(k, n-k), scaled by J, plus its own field offset -b*(k - n/2).  The
-ground energy, the spectral range and the tolerance window come from that
-array, and one ``np.bincount`` over each level's (k, m) tag counts the
-window levels of every block m <= n/2, block n-m sharing its count.  Then
-only blocks reaching the window are solved with eigenvectors, at the given
-J, as complex blocks, and each solve is lifted in one call.  One ``eigh``
+``ground_manifold`` solves in two phases.  It scans the listing of every
+sector k = 0..n: the ground energy, the spectral range and the tolerance
+window come from its energies, and one ``Counter`` over the (k, m) of the
+levels inside the window counts each block's window levels.  Then only
+blocks reaching the window are solved with eigenvectors, at the given J,
+as complex blocks, and each solve is lifted in one call.  One ``eigh``
 serves both sectors of a spin-flip pair: the spin flip commutes with H and
 with the translations, and lists sector n-k as sector k's complements in
 reverse order, so a state of block (n-k, m) is the lifted state of block
@@ -54,14 +56,15 @@ that holds every sector.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .basis import SectorBasis, check_sector, enumerate_sector
+from .basis import SectorBasis, check_ring_size, check_sector, enumerate_sector
 from .hamiltonian import (Coupling, FieldSetting, MomentumBlock, build_momentum_block,
-                          check_momentum, real_block_pieces, sector_energy_offset)
+                          real_block_pieces, sector_energy_offset)
 
 HERMITICITY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-9
@@ -115,44 +118,54 @@ def eigh(matrix: np.ndarray, count: int | None = None) -> Spectrum:
 
 @lru_cache(maxsize=None)
 def _unit_levels(n: int, k: int, /) -> tuple[np.ndarray, np.ndarray]:
-    """J = 1 eigenvalues of blocks (k, m), m = 0..n//2, solved once per process.
+    """J = 1 eigenvalues of blocks (k, m), m = 0..n-1, solved once per process.
 
     Returns ``(levels, bounds)``, both read-only: block m's levels ascend in
-    ``levels[bounds[m]:bounds[m + 1]]``.  Each block's levels are the sorted
+    ``levels[bounds[m]:bounds[m + 1]]``.  Each block m <= n/2 is the sorted
     union of its real pieces' levels, every piece checked to be symmetric
-    first.
+    first; block m > n/2, the complex conjugate of block n - m, repeats that
+    block's levels and is not solved again.
     """
     blocks = []
     for pieces in real_block_pieces(enumerate_sector(n, k)):
         parts = [np.linalg.eigvalsh(_hermitian(piece)) for piece in pieces]
         blocks.append(np.sort(np.concatenate(parts)) if parts else np.empty(0))
+    blocks += blocks[1:(n + 1) // 2][::-1]
     levels = np.concatenate(blocks)
     bounds = np.cumsum([0] + [len(block) for block in blocks])
     levels.flags.writeable = bounds.flags.writeable = False
     return levels, bounds
 
 
-def block_levels(n: int, k: int, m: int, coupling: Coupling) -> np.ndarray:
-    """Ascending eigenvalues of momentum block (k, m), without the field offset.
+def ring_levels(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
+                sectors=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every level of the given sectors (all k = 0..n by default) as ``(k, m, energy)`` arrays.
 
-    Read from the J = 1 levels of the canonical block (min(k, n-k),
-    min(m, n-m)) and scaled by J, as a new array.
+    Rows come in (k, m) order, each block's levels ascending: J times sector
+    min(k, n-k)'s J = 1 table plus the sector's offset -b*(k - n/2).  For
+    J < 0 the reversed table lists blocks n-1..0, that is the levels of
+    m = 1..n-1 and then 0, so one roll by block 0's size restores m order.
+    Levels that overflow come out as inf or nan, unrefused: each caller
+    refuses, with ``check_finite_energies``, the levels it keeps.
     """
-    check_sector(n, k)
-    check_momentum(m, n)
-    levels, bounds = _unit_levels(n, min(k, n - k))
-    m = min(m, -m % n)
-    levels = coupling.j * levels[bounds[m]:bounds[m + 1]]
-    return levels[::-1] if coupling.j < 0 else levels
+    check_ring_size(n)
+    columns = []
+    for k in range(n + 1) if sectors is None else sectors:
+        check_sector(n, k)
+        levels, bounds = _unit_levels(n, min(k, n - k))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by the caller
+            energy = coupling.j * levels + sector_energy_offset(k, n, field)
+        columns.append((np.full(len(levels), k), np.repeat(np.arange(n), np.diff(bounds)),
+                        np.roll(energy[::-1], bounds[1]) if coupling.j < 0 else energy))
+    return tuple(map(np.concatenate, zip(*columns)))
 
 
-def check_finite_energies(energies, coupling: Coupling, field: FieldSetting) -> None:
-    """Refuse energies, or a spread of energies, that overflow to inf or nan.
+def check_finite_energies(energies: np.ndarray, coupling: Coupling, field: FieldSetting) -> None:
+    """Refuse a float array of energies, or its spread, that overflows to inf or nan.
 
     An infinite spectral range would make the degeneracy window infinite, so
     every level would count as degenerate with the ground level.
     """
-    energies = np.asarray(energies, dtype=float)
     if energies.size and not np.isfinite(float(energies.max()) - float(energies.min())):
         raise ValueError(f"energies overflow at J={coupling.j:g}, b={field.b:g}")
 
@@ -218,13 +231,13 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
                     tol: float = DEGENERACY_RTOL) -> GroundManifold:
     """Ground energy and every degenerate ground state of the n-site ring.
 
-    Scans the levels of the symmetry-distinct blocks (k <= n/2, m <= n/2),
-    takes every level within ``tol`` times the spectral range of the minimum,
-    and diagonalizes only the blocks holding one.  States are lifted to
-    read-only sector amplitudes and ordered by (k, m).  A repeated input
-    returns the cached result of the first call.  ``tol`` must be finite and
-    nonnegative; 0 keeps only levels equal to the minimum.  J and b whose
-    levels or spectral range overflow are refused with ValueError.
+    Scans every level of the ring (``ring_levels``), takes every level within
+    ``tol`` times the spectral range of the minimum, and diagonalizes only
+    the blocks holding one.  States are lifted to read-only sector amplitudes
+    and ordered by (k, m).  A repeated input returns the cached result of the
+    first call.  ``tol`` must be finite and nonnegative; 0 keeps only levels
+    equal to the minimum.  J and b whose levels or spectral range overflow
+    are refused with ValueError.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
@@ -234,21 +247,12 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
 @lru_cache(maxsize=GROUND_CACHE_SIZE)
 def _ground_manifold(n: int, coupling: Coupling, field: FieldSetting,
                      tol: float) -> GroundManifold:
-    unit = [_unit_levels(n, min(k, n - k)) for k in range(n + 1)]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        levels = np.concatenate([coupling.j * part + sector_energy_offset(k, n, field)
-                                 for k, (part, _) in enumerate(unit)])
+    sector, momentum, levels = ring_levels(n, coupling, field)
     check_finite_energies(levels, coupling, field)
     e0 = float(levels.min())
     window = tol * max(float(levels.max()) - e0, np.finfo(float).tiny)
-
-    # every level's block k * width + m, m <= n/2; one count of window levels per block
-    width = n // 2 + 1
-    tag = np.repeat(np.arange((n + 1) * width), np.concatenate([np.diff(b) for _, b in unit]))
-    inside = np.bincount(tag[levels - e0 <= window], minlength=(n + 1) * width)
-    counts = {(k, momentum): int(inside[k * width + m])  # (k, m) -> levels in the window
-              for k, m in (divmod(b, width) for b in np.flatnonzero(inside).tolist())
-              for momentum in {m, -m % n}}
+    inside = levels - e0 <= window
+    counts = Counter(zip(sector[inside].tolist(), momentum[inside].tolist()))  # per (k, m)
 
     solved, states, energies = {}, [], []
     for k, m in sorted(counts):

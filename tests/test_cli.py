@@ -11,7 +11,7 @@ import pytest
 import xxring.cli as cli
 from xxring import __version__, concurrence
 from xxring.hamiltonian import Coupling, FieldSetting, sector_energy_offset
-from xxring.spectra import DEGENERACY_RTOL, block_levels
+from xxring.spectra import DEGENERACY_RTOL, _unit_levels
 
 from reference import full_hamiltonian, rows_json_whole
 
@@ -78,14 +78,20 @@ def reference_render(document, fmt):
 
 
 def reference_spectrum_rows(n, j=-1.0, b=0.0, k=None, m=None, tol=DEGENERACY_RTOL):
-    """``spectrum`` rows built level by level, one float and one dict per level."""
-    field, coupling = FieldSetting(b=b), Coupling(j=j)
+    """``spectrum`` rows built level by level, one float and one dict per level.
+
+    Each block is sliced from its sector's J = 1 table, scaled by J (which
+    reverses it for J < 0) and shifted by the sector's field offset.
+    """
+    field = FieldSetting(b=b)
     zero = tol * n * abs(j)
     rows = []
     for kk in range(n + 1) if k is None else [k]:
         offset = sector_energy_offset(kk, n, field)
+        levels, bounds = _unit_levels(n, min(kk, n - kk))
         for mm in range(n) if m is None else [m]:
-            for level, energy in enumerate(block_levels(n, kk, mm, coupling)):
+            block = j * levels[bounds[mm]:bounds[mm + 1]]
+            for level, energy in enumerate(block[::-1] if j < 0 else block):
                 energy = float(energy) + offset
                 rows.append({"k": kk, "m": mm, "level": level,
                              "energy": 0.0 if abs(energy) <= zero else energy})
@@ -435,6 +441,17 @@ class TestExitCodes:
         assert cli.run(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k, m, message", [
+        (3, 6, "momentum index must be in 0..5, got 6"),
+        (3, -1, "momentum index must be in 0..5, got -1"),
+    ])
+    def test_spectrum_refuses_momentum_before_reading_levels(self, capsys, monkeypatch,
+                                                             k, m, message):
+        monkeypatch.setattr(cli, "ring_levels", pytest.fail)
+        assert cli.run(["spectrum", "--n", "6", "--k", str(k), "--m", str(m)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"xxring: error: {message}\n"
+
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--n", "4..6", "--distance", "9"], "--distance 9"),
         (["sweep", "--n", "4..4", "--parity", "odd"], "--parity odd"),
@@ -540,6 +557,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"xxring: error: energies overflow at {message}\n"
 
+    @pytest.mark.filterwarnings("error")  # the listing leaves overflow to the caller, unwarned
+    def test_spectrum_refuses_only_the_levels_it_prints(self, capsys):
+        # every level of the n = 4 ring's blocks m = 1 is 0, so J = 1e308 overflows none of them
+        code, doc = run_json(capsys, ["spectrum", "--n", "4", "--j", "1e308", "--m", "1"])
+        assert code == 0
+        assert [(r["k"], r["energy"]) for r in doc["rows"]] == [(1, 0.0), (2, 0.0), (3, 0.0)]
+        assert cli.run(["spectrum", "--n", "4", "--j", "1e308", "--m", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "xxring: error: energies overflow at J=1e+308, b=0\n"
+
     @pytest.mark.parametrize("option, value", [
         ("--b", "-1e-3"), ("--b", "-1E+2"), ("--j", "-.5e1"), ("--j", "-1e-3"),
         ("--tol", "-0e0"), ("--b", "-5"), ("--j", "-0.25"),
@@ -601,6 +629,22 @@ class TestExitCodes:
         monkeypatch.setattr(concurrence, "_wootters",
                             lambda matrices: wootters(matrices) * (1 + 1e-8))
         assert cli.run(["verify", "--n", "2..6"]) == 1
+
+    def test_verify_checks_every_distance(self, capsys, monkeypatch):
+        # a pipeline fault at every distance but the nearest (1e-8, a hundred
+        # times verify's 1e-10) is a mismatch; the d = 1 values stay exact
+        wootters = concurrence._wootters
+
+        def shifted(matrices):
+            values = wootters(matrices)
+            values[1:] += 1e-8
+            return values
+
+        monkeypatch.setattr(concurrence, "_PROFILES", {})
+        monkeypatch.setattr(concurrence, "_wootters", shifted)
+        assert cli.run(["verify", "--n", "2..8"]) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["ok"] for r in rows] == [True] * 4 + [False] * 10
 
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
     def test_unwritable_out_exits_two(self, tmp_path, capsys, target):

@@ -13,7 +13,7 @@ from xxring.basis import enumerate_sector
 from xxring.concurrence import PairDensity, concurrence_wootters, pair_density
 from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.oracle import (_columns, _concurrence, _degenerate_groups, _full_spectrum, _hops,
-                           _mixture_pair_density, _piece_matrix, _unit_columns,
+                           _pair_amplitudes, _piece_matrix, _unit_columns,
                            _unit_spectrum, compare_with_pipeline,
                            eigenvector_concurrence_scan, full_diagonalize)
 from xxring.spectra import DEGENERACY_RTOL, SectorState
@@ -242,9 +242,9 @@ class TestFullDiagonalize:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """(solver, dimension, calling module) of every np.linalg.eigh, eigvalsh and eigvals call."""
+    """(solver, dimension, calling module) of every np.linalg.eigh, eigvalsh and svd call."""
     calls = []
-    for name in ("eigh", "eigvalsh", "eigvals"):
+    for name in ("eigh", "eigvalsh", "svd"):
         def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
             calls.append((_name, len(a), sys._getframe(1).f_globals["__name__"]))
             return _solver(a, *args, **kwargs)
@@ -256,17 +256,17 @@ def solves(monkeypatch):
 def block_solves(calls):
     """(solver, dimension) of the oracle's calls that solve a piece of a popcount block.
 
-    Each oracle concurrence also solves the 4 x 4 product of the pair density
-    it reduces to, with ``eigvals``; a piece can have dimension 4 too, but
-    pieces are symmetric and solved with ``eigh`` or ``eigvalsh``.
+    Each oracle concurrence also solves the 4 x 4 middle factors of its
+    pairs, one stack per call, with ``svd``; pieces are symmetric and solved
+    with ``eigh`` or ``eigvalsh``.
     """
     return [(solver, dim) for solver, dim, module in calls
-            if module == "xxring.oracle" and solver != "eigvals"]
+            if module == "xxring.oracle" and solver != "svd"]
 
 
 def pair_solves(calls):
-    """Number of the oracle's own 4 x 4 concurrence solves among the calls."""
-    return sum(call == ("eigvals", 4, "xxring.oracle") for call in calls)
+    """Number of the oracle's own concurrence solves (one stack each) among the calls."""
+    return sum(solver == "svd" and module == "xxring.oracle" for solver, _, module in calls)
 
 
 def mirror_site(bits, n):
@@ -461,24 +461,29 @@ class TestPairReduction:
         state = SectorState(basis=basis, amplitudes=amplitudes)
         for p in range(n):
             for q in range(p + 1, n):
+                amplitudes = _pair_amplitudes(column, n, (p, q))
                 np.testing.assert_allclose(
-                    _mixture_pair_density(column, n, (p, q)),
+                    amplitudes @ amplitudes.conj().T,
                     pair_density([(1.0, state)], (p, q)).matrix, rtol=0, atol=1e-12,
                     err_msg=f"pair {(p, q)}")
 
     def test_own_concurrence_matches_the_pipeline_solver(self):
         # the ring's pair densities are all X-shaped; the two Wootters routes
-        # must also agree on general complex densities, entangled or not.
-        # Full rank: a rank-deficient one has zero l, which the oracle's route
-        # resolves only to about sqrt(eps), 1e-9 on a random rank-2 density
-        rng = np.random.default_rng(2245)
-        values = []
-        for _ in range(60):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho = a @ a.conj().T / np.linalg.norm(a) ** 2
-            values.append(_concurrence(rho))
-            assert abs(values[-1] - concurrence_wootters(PairDensity(rho, (0, 1)))) <= 1e-12
-        assert min(values) == 0.0 < max(values)
+        # must also agree on general complex densities, entangled or not, and
+        # of any rank: a rank-deficient one has zero l, which the square root
+        # of an eigenvalue of rho rho~ resolved only to about sqrt(eps)
+        for rank in (1, 2, 3, 4, 6):
+            rng = np.random.default_rng(2245 + rank)
+            factors = rng.normal(size=(60, 4, rank)) + 1j * rng.normal(size=(60, 4, rank))
+            factors /= np.linalg.norm(factors, axis=(1, 2))[:, None, None]
+            values = _concurrence(factors)
+            for a, value in zip(factors, values):
+                rho = a @ a.conj().T
+                assert abs(value - concurrence_wootters(PairDensity(rho, (0, 1)))) <= 1e-12
+                assert value == _concurrence(a)  # a stack solves each density alone
+            # both branches of max(0, ...): these densities of rank 3 and up
+            # include separable ones, those of rank 1 and 2 are all entangled
+            assert max(values) > 0.0 and (min(values) == 0.0) == (rank >= 3), rank
 
 
 class TestDegenerateGroups:
