@@ -8,10 +8,13 @@ and one column per key, each a list of scalars or a one-dimensional numpy
 array.  ``spectrum`` takes its columns from the one level listing,
 ``spectra.ring_levels``, which the ground scan reads too: the ``--m``
 mask, the overflow check and the exact-zero snap act on its arrays; the
-other commands transpose one value tuple per row.  The JSON writer prints
-each row as a flat object, from one template per row filled
-``_JSON_SLICE`` rows at a time by a single ``%`` each; the CSV and table
-writers print one line per row under a header of the keys.
+other commands transpose one value tuple per row, and ``sweep``, ``verify``
+and ``extrapolate`` take their keys from the fields of the library's result
+types (``SweepRow``, ``PipelineAgreement`` and ``ok``, ``LimitFit``).  One
+function, ``_to_json``, writes the JSON: each row as a flat object, from one
+template per row filled ``_JSON_SLICE`` rows at a time by a single ``%``
+each; the CSV and table writers print one line per row under a header of
+the keys.
 Floats are printed with 12 significant digits and a fixed field order, so
 identical invocations produce identical payloads apart from two timing
 fields: ``runtime_ms`` in ``meta`` and the ``seconds`` of each sweep row.
@@ -32,7 +35,7 @@ import math
 import sys
 import time
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 from typing import NamedTuple
 
 import numpy as np
@@ -41,10 +44,10 @@ from . import __version__
 from .basis import check_ring_size, check_sector
 from .concurrence import ground_concurrence
 from .hamiltonian import Coupling, FieldSetting, check_momentum
-from .oracle import FULL_DIAGONALIZE_CAP, compare_with_pipeline
+from .oracle import FULL_DIAGONALIZE_CAP, PipelineAgreement, compare_with_pipeline
 from .polarization import lp_table
 from .spectra import DEGENERACY_RTOL, check_finite_energies, ground_manifold, ring_levels
-from .sweeps import extrapolate, sweep
+from .sweeps import LimitFit, SweepRow, extrapolate, sweep
 
 _JSON_SLICE = 4096  # rows the JSON writer converts and fills at a time
 
@@ -71,13 +74,9 @@ def _json_scalar(value) -> str:
         return f"{value + 0.0:.12g}"  # +0.0 normalizes negative zero
     if type(value) is int:
         return str(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):  # np.float64
         return _json_scalar(float(value))
-    if value is None:
-        return "null"
-    if isinstance(value, str):
+    if value is None or isinstance(value, (bool, str)):
         return json.dumps(value)
     raise TypeError(f"a payload value must be a scalar, not {type(value).__name__}")
 
@@ -96,36 +95,23 @@ def _template(keys: tuple, indent: int, conversions: tuple | None = None) -> str
     return "{\n" + fields + "\n" + "  " * indent + "}"
 
 
-def _flat_json(obj: dict, indent: int) -> str:
-    if not isinstance(obj, dict):
-        raise TypeError(f"expected a flat dict, not {type(obj).__name__}")
-    return _template(tuple(obj), indent) % tuple(map(_json_scalar, obj.values()))
-
-
-def _row_count(rows: Rows) -> int:
-    """The number of rows, once ``rows`` is checked to be one column per key, all one length."""
-    if not isinstance(rows, Rows):
-        raise TypeError(f"expected Rows, not {type(rows).__name__}")
-    keys, columns = rows
-    if (len(columns) != len(keys)
-            or not all(isinstance(c, list) or isinstance(c, np.ndarray) and c.ndim == 1
-                       for c in columns)
-            or len(set(map(len, columns))) > 1):
-        raise TypeError("rows need one list or 1-d array per key, all of one length")
-    return len(columns[0]) if columns else 0
-
-
 def _columns(rows: Rows, scalar, start: int = 0,
              stop: int | None = None) -> list[tuple[str, list]]:
     """Each column of ``rows[start:stop]`` as a ``%`` conversion and the values it converts.
 
-    The shape of the whole of ``rows`` is checked first.  A float array
-    keeps its values for ``%.12g``, negative zero made positive by adding
-    0.0, and an integer array for ``%d``: the text ``_json_scalar`` writes
-    for them.  Any other column is written with ``%s`` from ``scalar`` of
-    each value.
+    TypeError is raised first unless the whole of ``rows`` is one list or
+    one-dimensional array per key, all of one length.  A float array keeps
+    its values for ``%.12g``, negative zero made positive by adding 0.0, and
+    an integer array for ``%d``: the text ``_json_scalar`` writes for them.
+    Any other column is written with ``%s`` from ``scalar`` of each value.
     """
-    _row_count(rows)
+    if not isinstance(rows, Rows):
+        raise TypeError(f"expected Rows, not {type(rows).__name__}")
+    if (len(rows.columns) != len(rows.keys)
+            or not all(isinstance(c, list) or isinstance(c, np.ndarray) and c.ndim == 1
+                       for c in rows.columns)
+            or len(set(map(len, rows.columns))) > 1):
+        raise TypeError("rows need one list or 1-d array per key, all of one length")
     converted = []
     for column in rows.columns:
         column = column[start:stop]
@@ -140,32 +126,29 @@ def _columns(rows: Rows, scalar, start: int = 0,
     return converted
 
 
-def _rows_json(rows: Rows) -> str:
-    """The rows as flat JSON objects at indent 2, comma-joined ("" for no rows).
-
-    ``_JSON_SLICE`` rows at a time: a slice's values are converted, one
-    template per row is joined and filled by a single ``%``, and only the
-    slice's text is kept, so the converted values and templates of one
-    slice are alive at a time.
-    """
-    slices = []
-    for start in range(0, _row_count(rows), _JSON_SLICE):
-        columns = _columns(rows, _json_scalar, start, start + _JSON_SLICE)
-        template = _template(rows.keys, 2, tuple(c for c, _ in columns))
-        slices.append(",\n    ".join([template] * len(columns[0][1])) % tuple(
-            chain.from_iterable(zip(*(values for _, values in columns)))))
-    return ",\n    ".join(slices)
-
-
 def _to_json(document: dict) -> str:
-    """The payload as JSON: scalars, flat dicts and ``Rows`` under one dict."""
+    """The payload as JSON: scalars, flat dicts and ``Rows`` under one dict.
+
+    ``Rows`` are written as flat objects at indent 2, ``_JSON_SLICE`` rows
+    at a time: a slice's values are converted, one template per row is
+    joined and filled by a single ``%``, and only the slice's text is kept,
+    so the converted values and templates of one slice are alive at a time.
+    """
     values = []
     for value in document.values():
         if isinstance(value, dict):
-            values.append(_flat_json(value, 1))
+            values.append(_template(tuple(value), 1) % tuple(map(_json_scalar, value.values())))
         elif isinstance(value, Rows):
-            text = _rows_json(value)
-            values.append(f"[\n    {text}\n  ]" if text else "[]")
+            text = "["
+            for start in count(0, _JSON_SLICE):
+                columns = _columns(value, _json_scalar, start, start + _JSON_SLICE)
+                if not (columns and columns[0][1]):
+                    break
+                template = _template(value.keys, 2, tuple(c for c, _ in columns))
+                text += (",\n    " if start else "\n    ") + ",\n    ".join(
+                    [template] * len(columns[0][1])) % tuple(
+                    chain.from_iterable(zip(*(column for _, column in columns))))
+            values.append(text + "\n  ]" if start else "[]")
             del text  # one copy of the rows' text at a time
         else:
             values.append(_json_scalar(value))
@@ -347,18 +330,14 @@ def _sweep(args) -> tuple[dict, list]:
 
 def _cmd_sweep(args) -> tuple[dict, Rows]:
     config, rows = _sweep(args)
-    return config, _table(("n", "regime", "distance", "concurrence", "degeneracy",
-                           "energy", "seconds"),
-                          [(row.n, row.regime, row.distance, row.concurrence,
-                            row.degeneracy, row.energy, row.seconds) for row in rows])
+    return config, _table(SweepRow._fields, rows)
 
 
 def _cmd_extrapolate(args) -> tuple[dict, Rows]:
     config, rows = _sweep(args)
     fit = extrapolate(rows)
-    return config, _table(("c_infinity", "a", "b", "residual", "points"),
-                          [(fit.c_infinity, fit.a, fit.b, fit.residual,
-                            " ".join(str(n) for n in fit.points))])
+    return config, _table(LimitFit._fields,
+                          [fit._replace(points=" ".join(map(str, fit.points)))])
 
 
 def _cmd_verify(args) -> tuple[dict, Rows]:
@@ -370,16 +349,10 @@ def _cmd_verify(args) -> tuple[dict, Rows]:
                          f"2..{FULL_DIAGONALIZE_CAP}, got {args.n}")
     if n_max > FULL_DIAGONALIZE_CAP:  # refuse before any row is solved
         raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
-    records = []
-    for n in range(n_min, n_max + 1):
-        for j in (-1.0, 1.0):
-            result = compare_with_pipeline(n, Coupling(j=j), tol=args.tol)
-            records.append((n, j, result.energy_delta, result.oracle_degeneracy,
-                            result.pipeline_degeneracy, result.concurrence_delta,
-                            result.probability_delta, result.ok))
+    results = [compare_with_pipeline(n, Coupling(j=j), tol=args.tol)
+               for n in range(n_min, n_max + 1) for j in (-1.0, 1.0)]
     return {"n_min": n_min, "n_max": n_max, "tol": args.tol}, _table(
-        ("n", "j", "energy_delta", "oracle_degeneracy", "pipeline_degeneracy",
-         "concurrence_delta", "probability_delta", "ok"), records)
+        PipelineAgreement._fields + ("ok",), [result + (result.ok,) for result in results])
 
 
 _COMMANDS = {

@@ -3,7 +3,10 @@
 The even and odd rings behave differently (unique versus degenerate ground
 level, decreasing versus increasing concurrence), so sweeps filter by parity
 and the 1/n extrapolation never mixes parities.  Each size is solved at
-J = -1 (ferro) or J = +1 (antiferro) and zero field.  The fit model is fixed
+J = -1 (ferro) or J = +1 (antiferro) and zero field.  A row at distance d
+reads the pair (0, d), so only rings of at least 2d sites are kept: on a
+smaller ring site 1 + d is nearer to site 1 the other way round, and its
+value belongs to a shorter distance.  The fit model is fixed
 to second order, C(n) = C_inf + a/n + b/n^2; with the five or six sizes a
 ring of 15 sites allows, higher orders would only fit noise.
 """
@@ -38,7 +41,7 @@ def _one_row(n: int, regime: str, distance: int, tol: float) -> SweepRow:
     started = time.perf_counter()
     coupling = Coupling(j=REGIME_COUPLING[regime])
     manifold = ground_manifold(n, coupling, tol=tol)
-    value = ground_concurrence(n, coupling, pair=(0, distance % n), tol=tol)
+    value = ground_concurrence(n, coupling, pair=(0, distance), tol=tol)
     return SweepRow(n=n, regime=regime, distance=distance, concurrence=value,
                     degeneracy=manifold.degeneracy, energy=manifold.energy,
                     seconds=time.perf_counter() - started)
@@ -48,8 +51,9 @@ def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
           distance: int = 1, tol: float = DEGENERACY_RTOL) -> list[SweepRow]:
     """One concurrence row per ring size in [n_min, n_max].
 
-    Sizes of the other parity and sizes not above ``distance`` are skipped;
-    a range that keeps no size is refused.  The regime sets J = -1 or +1,
+    Sizes of the other parity and sizes below ``2 * distance`` are skipped,
+    so every row's pair (0, distance) is at ring distance ``distance``; a
+    range that keeps no size is refused.  The regime sets J = -1 or +1,
     at zero field.
     """
     if regime not in REGIME_COUPLING:
@@ -64,9 +68,10 @@ def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
              if parity == "all" or n % 2 == (0 if parity == "even" else 1)]
     if not sizes:
         raise ValueError(f"no {parity} ring size in {n_min}..{n_max} (--parity {parity})")
-    sizes = [n for n in sizes if distance < n]
+    sizes = [n for n in sizes if 2 * distance <= n]
     if not sizes:
-        raise ValueError(f"no ring size in {n_min}..{n_max} exceeds --distance {distance}")
+        raise ValueError(f"no ring size in {n_min}..{n_max} is at least twice "
+                         f"--distance {distance}")
     return [_one_row(n, regime, distance, tol) for n in sizes]
 
 

@@ -409,7 +409,11 @@ def rank_correlation_by_unique(x, y) -> float | None:
 
 
 def rows_json_whole(rows) -> str:
-    """``cli._rows_json`` with every row converted and filled into one template at once."""
+    """The rows ``cli._to_json`` writes, comma-joined, each converted and filled at once.
+
+    The writer fills ``_JSON_SLICE`` rows at a time; this fills every row
+    into one template, the text between the ``[`` and ``]`` of the rows.
+    """
     columns = _columns(rows, _json_scalar)
     count = len(columns[0][1]) if columns else 0
     template = _template(rows.keys, 2, tuple(c for c, _ in columns))

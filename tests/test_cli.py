@@ -11,7 +11,9 @@ import pytest
 import xxring.cli as cli
 from xxring import __version__, concurrence
 from xxring.hamiltonian import Coupling, FieldSetting, sector_energy_offset
+from xxring.oracle import PipelineAgreement
 from xxring.spectra import DEGENERACY_RTOL, _unit_levels
+from xxring.sweeps import LimitFit, SweepRow
 
 from reference import full_hamiltonian, rows_json_whole
 
@@ -209,6 +211,16 @@ class TestPayloads:
         assert 0.32 <= row["c_infinity"] <= 0.36
         assert row["points"] == "4 6 8 10"
 
+    @pytest.mark.parametrize("argv, fields", [
+        (["sweep", "--n", "4..6"], SweepRow._fields),
+        (["verify", "--n", "2..3"], PipelineAgreement._fields + ("ok",)),
+        (["extrapolate", "--n", "4..8"], LimitFit._fields),
+    ])
+    def test_rows_are_the_result_types(self, capsys, argv, fields):
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert all(tuple(row) == fields for row in doc["rows"])
+
     def test_verify_clean_range(self, capsys):
         code, doc = run_json(capsys, ["verify", "--n", "2..5"])
         assert code == 0
@@ -329,7 +341,9 @@ class TestJsonWriter:
                      [i % 3 == 0 for i in range(count)],
                      [None if i % 5 else 0.25 * i - 1.0 for i in range(count)],
                      list(range(count))))
-        assert cli._rows_json(rows) == rows_json_whole(rows)
+        whole = rows_json_whole(rows)
+        assert cli._to_json({"rows": rows}) == (
+            f'{{\n  "rows": [\n    {whole}\n  ]\n}}' if count else '{\n  "rows": []\n}')
         document = {"command": "c", "config": {}, "rows": rows, "meta": {}}
         assert cli._to_json(document) == reference_to_json(document)
 

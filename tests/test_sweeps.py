@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from xxring.sweeps import LimitFit, SweepRow, extrapolate, sweep
+from xxring.concurrence import ground_concurrence
+from xxring.hamiltonian import Coupling
+from xxring.sweeps import REGIME_COUPLING, LimitFit, SweepRow, extrapolate, sweep
 
 
 def rows_from(pairs, regime="ferro", distance=1):
@@ -42,10 +44,20 @@ class TestSweep:
                                    [r.concurrence for r in anti], atol=1e-10)
 
     def test_distance_filter_and_metadata(self):
+        # n = 3 is left out: its site 3 is one step from site 1 the other way round
         rows = sweep(3, 6, regime="antiferro", distance=2)
-        assert [r.n for r in rows] == [3, 4, 5, 6]
+        assert [r.n for r in rows] == [4, 5, 6]
         assert all(r.distance == 2 and r.regime == "antiferro" for r in rows)
         assert all(r.seconds >= 0.0 for r in rows)
+
+    @pytest.mark.parametrize("regime", ["ferro", "antiferro"])
+    @pytest.mark.parametrize("distance", [1, 2, 3])
+    def test_rows_read_the_pair_at_their_distance(self, regime, distance):
+        rows = sweep(2, 10, regime=regime, distance=distance)
+        assert [r.n for r in rows] == list(range(max(2, 2 * distance), 11))
+        coupling = Coupling(j=REGIME_COUPLING[regime])
+        assert [r.concurrence for r in rows] == [
+            ground_concurrence(r.n, coupling, pair=(0, distance)) for r in rows]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -96,6 +108,13 @@ class TestExtrapolate:
         assert fit.c_infinity == pytest.approx(0.3, abs=1e-9)
         assert fit.a == pytest.approx(0.0, abs=1e-8)
         assert fit.b == pytest.approx(0.0, abs=1e-7)
+
+    def test_distance_three_limit_is_zero(self):
+        # every even ring of 6..14 sites has zero concurrence at distance 3;
+        # n = 4, whose site 4 is the nearest neighbour of site 1, is left out
+        fit = extrapolate(sweep(4, 14, parity="even", distance=3))
+        assert fit.c_infinity == 0
+        assert fit.points == (6, 8, 10, 12, 14)
 
     def test_computed_even_sequence(self):
         rows = sweep(4, 10, parity="even", regime="ferro")
