@@ -15,10 +15,10 @@ checks its inputs checks them on that path too.
 """
 
 from .basis import enumerate_sector
-from .concurrence import concurrence_wootters, ground_concurrence, state_concurrence
+from .concurrence import concurrence_wootters, state_concurrence
 from .hamiltonian import Coupling, FieldSetting, build_momentum_block
 from .polarization import lp_table
-from .spectra import SectorState, eigh, ground_manifold
+from .spectra import SectorState, eigh, ground_concurrence, ground_manifold
 from .sweeps import extrapolate, sweep
 
 __version__ = "0.1.0"

@@ -18,9 +18,12 @@ the keys.
 Floats are printed with 12 significant digits and a fixed field order, so
 identical invocations produce identical payloads apart from two timing
 fields: ``runtime_ms`` in ``meta`` and the ``seconds`` of each sweep row.
-Ground solves are reused within a process, so a sweep row whose solve was
-already done reads near zero seconds.  ``run`` builds its argument parser
-on the first call and reuses it.  Exit status: 0 on success, 1 when a row
+``concurrence``, ``sweep`` and ``extrapolate`` look each ground solve up once
+and print its value from the solve's concurrence profile
+(``GroundManifold.concurrence``).  Ground solves are reused within a
+process, so a sweep row whose solve was already done reads near zero
+seconds.  ``run`` builds its argument parser on the first call and reuses
+it.  Exit status: 0 on success, 1 when a row
 reports ``ok`` false (a ``verify`` mismatch), 2 for a usage error, a
 refused input or an ``--out`` that cannot be written.
 """
@@ -42,7 +45,6 @@ import numpy as np
 
 from . import __version__
 from .basis import check_ring_size, check_sector
-from .concurrence import ground_concurrence
 from .hamiltonian import Coupling, FieldSetting, check_momentum
 from .oracle import FULL_DIAGONALIZE_CAP, PipelineAgreement, compare_with_pipeline
 from .polarization import lp_table
@@ -299,11 +301,11 @@ def _cmd_concurrence(args) -> tuple[dict, Rows]:
     pair = _pair_arg(args, args.n)
     coupling, field = Coupling(j=args.j), FieldSetting(b=args.b)
     manifold = ground_manifold(args.n, coupling, field, tol=args.tol)
-    value = ground_concurrence(args.n, coupling, field, pair, tol=args.tol)
-    d = abs(pair[0] - pair[1])
+    distance = min(pair[1] - pair[0], args.n - pair[1] + pair[0])
     rows = _table(("n", "p", "q", "distance", "concurrence", "degeneracy", "energy"),
-                  [(args.n, pair[0] + 1, pair[1] + 1, min(d, args.n - d), value,
-                    manifold.degeneracy, manifold.energy)])
+                  [(args.n, pair[0] + 1, pair[1] + 1, distance,
+                    float(manifold.concurrence[distance - 1]), manifold.degeneracy,
+                    manifold.energy)])
     return {"n": args.n, "j": args.j, "b": args.b, "tol": args.tol}, rows
 
 

@@ -17,10 +17,15 @@ form is a test reference (``tests/reference.py``) that must agree with it.
 One kernel, ``_add_reductions``, builds every pair-density matrix: it adds
 one sector state's X-form entries for the pairs (p, q), over a list of q,
 into a (pairs, 4, 4) stack.  ``pair_density`` calls it for one pair of a
-weighted mixture, and ``ground_concurrence`` reads a per-solve profile that
-calls it once per ground state for every distance d = 1..n//2.  The checks
-and the Wootters route take a (..., 4, 4) stack too, so a profile is checked
-and solved at once.
+weighted mixture, and ``concurrence_profile`` calls it once per state of an
+equal-weight mixture for every distance d = 1..n//2; the ground solve
+(``spectra.ground_manifold``) stores that profile as the manifold's
+``concurrence``.  The checks and the Wootters route take a (..., 4, 4) stack
+too, so a profile is checked and solved at once.  One predicate,
+``_ordered_sites``, decides what a pair of sites is: two ints (numpy ints
+too) 0 <= p < q, and below n where the ring is known (``check_pair``).
+This module reads sector states (``spectra.SectorState``) by their fields
+and imports nothing from the rest of the package.
 
 Degenerate ground manifolds are mixed with equal weights: that is the unique
 translation- and flip-symmetric choice, and the mixing is what depresses the
@@ -32,10 +37,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-from .hamiltonian import Coupling, FieldSetting
-from .spectra import (DEGENERACY_RTOL, GROUND_CACHE_SIZE, GroundManifold, SectorState,
-                      ground_manifold)
 
 PSD_FLOOR = -1e-10
 # trace and Hermiticity tolerance of a pair density
@@ -64,15 +65,25 @@ class PairDensity(_PairDensityFields):
         if matrix.shape != (4, 4):
             raise ValueError("pair density must be 4x4")
         _check_densities(matrix)
-        if not (isinstance(pair, tuple) and len(pair) == 2
-                and all(isinstance(s, (int, np.integer)) for s in pair)
-                and 0 <= pair[0] < pair[1]):
+        if not (isinstance(pair, tuple) and _ordered_sites(pair)):
             raise ValueError(f"pair {pair!r} is not two ordered sites 0 <= p < q")
         return super().__new__(cls, matrix, pair)
 
     @classmethod
     def _make(cls, iterable):  # so ``_replace`` checks its input too
         return cls(*iterable)
+
+
+def _ordered_sites(pair, n: float = np.inf) -> bool:
+    """Whether ``pair`` is two ints (numpy ints too) p, q with 0 <= p < q < n."""
+    return (len(pair) == 2 and all(isinstance(s, (int, np.integer)) for s in pair)
+            and 0 <= pair[0] < pair[1] < n)
+
+
+def check_pair(pair: tuple[int, int], n: int) -> None:
+    """Refuse a pair that is not two int sites 0 <= p < q of an n-site ring."""
+    if not _ordered_sites(pair, n):
+        raise ValueError(f"pair {pair} is not ordered within 0..{n - 1}")
 
 
 def _check_densities(matrices: np.ndarray) -> None:
@@ -109,8 +120,7 @@ def _add_reductions(matrices: np.ndarray, bits: np.ndarray, amplitudes: np.ndarr
     matrices[:, 2, 1] = matrices[:, 1, 2].conj()
 
 
-def pair_density(states: Sequence[tuple[float, SectorState]],
-                 pair: tuple[int, int]) -> PairDensity:
+def pair_density(states: Sequence[tuple[float, tuple]], pair: tuple[int, int]) -> PairDensity:
     """Reduced density matrix of a weighted mixture of sector states."""
     if not states:
         raise ValueError("mixture needs at least one state")
@@ -122,9 +132,8 @@ def pair_density(states: Sequence[tuple[float, SectorState]],
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"mixture weights sum to {weights.sum()}, not 1")
     n = states[0][1].basis.n
+    check_pair(pair, n)
     p, q = pair
-    if not 0 <= p < q < n:
-        raise ValueError(f"pair {pair} is not ordered within 0..{n - 1}")
     rho = np.zeros((1, 4, 4), dtype=complex)
     for weight, state in states:
         if state.basis.n != n:
@@ -164,46 +173,27 @@ def _wootters(matrices: np.ndarray) -> np.ndarray:
     return np.where(value > DENSITY_TOL, value, 0.0)
 
 
-def state_concurrence(state: SectorState, pair: tuple[int, int] = (0, 1)) -> float:
+def state_concurrence(state: tuple, pair: tuple[int, int] = (0, 1)) -> float:
     """Concurrence of a single pure sector state's pair reduction."""
     return concurrence_wootters(pair_density([(1.0, state)], pair))
 
 
-# id(manifold) -> (manifold, profile), the last GROUND_CACHE_SIZE; held, so no id is reused
-_PROFILES: dict[int, tuple[GroundManifold, np.ndarray]] = {}
-
-
-def _concurrence_profile(manifold: GroundManifold) -> np.ndarray:
-    """Read-only concurrence of the mixture's pair (0, d) at index d - 1, d = 1..n//2.
+def concurrence_profile(states: Sequence[tuple]) -> np.ndarray:
+    """Read-only concurrence of the states' equal-weight mixture on the pair (0, d) at
+    index d - 1, d = 1..n//2; empty on a one-site ring.
 
     Momentum eigenstates mix to a translation-invariant rho(p, q) = rho(0, q - p); swapping
-    the sites (d to n - d) keeps the concurrence.  Each state, scaled by 1/sqrt(degeneracy),
+    the sites (d to n - d) keeps the concurrence.  Each state, scaled by 1/sqrt(len(states)),
     adds its reductions onto pairs (0, 1..n//2) in one ``_add_reductions`` call.
     """
-    if id(manifold) in _PROFILES:
-        return _PROFILES[id(manifold)][1]
-    distance = np.arange(1, manifold.states[0].basis.n // 2 + 1)
-    matrices = np.zeros((len(distance), 4, 4), dtype=complex)
-    for state in manifold.states:
-        _add_reductions(matrices, state.basis.bits,
-                        state.amplitudes / np.sqrt(manifold.degeneracy), 0, distance)
-    _check_densities(matrices)
-    profile = _wootters(matrices)
+    distance = np.arange(1, states[0].basis.n // 2 + 1)
+    profile = np.empty(0)
+    if len(distance):  # a one-site ring has no pair, and the checks need a matrix
+        matrices = np.zeros((len(distance), 4, 4), dtype=complex)
+        for state in states:
+            _add_reductions(matrices, state.basis.bits,
+                            state.amplitudes / np.sqrt(len(states)), 0, distance)
+        _check_densities(matrices)
+        profile = _wootters(matrices)
     profile.flags.writeable = False
-    if len(_PROFILES) >= GROUND_CACHE_SIZE:
-        del _PROFILES[next(iter(_PROFILES))]
-    _PROFILES[id(manifold)] = manifold, profile
     return profile
-
-
-def ground_concurrence(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
-                       pair: tuple[int, int] = (0, 1),
-                       tol: float = DEGENERACY_RTOL) -> float:
-    """Pair concurrence of the ground-manifold mixture, read from its distance profile."""
-    if n < 2:
-        raise ValueError("pairwise concurrence needs at least two sites")
-    p, q = pair
-    if not 0 <= p < q < n:  # before the solve, which can take seconds
-        raise ValueError(f"pair {pair} is not ordered within 0..{n - 1}")
-    manifold = ground_manifold(n, coupling, field, tol=tol)
-    return float(_concurrence_profile(manifold)[min(q - p, n - q + p) - 1])

@@ -9,11 +9,12 @@ mixture's pair amplitudes where the pipeline factors the pair density by its
 eigendecomposition, so a fault in either of the pipeline's does not pass
 unseen.  It cross-checks the momentum-block pipeline: ground energy,
 degeneracy, per-configuration probabilities and mixture concurrence agree
-to 1e-10.  The pipeline's concurrence is ``ground_concurrence`` at every
-distance d = 1..n//2, as the pair (0, d), and at the pair (1, 2), read from
-the per-solve profile: the values that the ``concurrence``, ``sweep`` and
-``extrapolate`` commands print.  The oracle reduces the ground mixture onto
-each of those pairs itself and solves them as one stack.
+to 1e-10.  The pipeline's concurrence is the ground solve's profile
+(``GroundManifold.concurrence``) at every distance d = 1..n//2, as the pair
+(0, d), and at the pair (1, 2): the array that ``ground_concurrence`` and the
+``concurrence``, ``sweep`` and ``extrapolate`` commands read.  The oracle
+reduces the ground mixture onto each of those pairs itself and solves them as
+one stack.
 
 H(J) = J * H(1), so each popcount block is decomposed once, at J = 1, and
 both signs of J, any field and the level scan read that one decomposition.
@@ -62,7 +63,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import ring_bonds
-from .concurrence import ground_concurrence
 from .hamiltonian import Coupling, FieldSetting
 from .spectra import DEGENERACY_RTOL, ground_manifold
 
@@ -402,15 +402,15 @@ def compare_with_pipeline(n: int, coupling: Coupling,
     """Cross-check ground energy, degeneracy, probabilities and the printed concurrences.
 
     The concurrence is compared at every distance d = 1..n//2, as the pair
-    (0, d), and at the pair (1, 2) when n >= 3, each read from the pipeline
-    through ``ground_concurrence``: the values the ``concurrence``, ``sweep``
-    and ``extrapolate`` commands print.  ``concurrence_delta`` is the
-    largest difference.
+    (0, d), and at the pair (1, 2) when n >= 3, each read from the ground
+    solve's profile at the pair's ring distance: the array the
+    ``concurrence``, ``sweep`` and ``extrapolate`` commands print from.
+    ``concurrence_delta`` is the largest difference.
     """
     pairs = [(0, d) for d in range(1, n // 2 + 1)] + [(1, 2)] * (n >= 3)
     report, oracle_c = _ground_level(n, coupling, field, tol, pairs)
     manifold = ground_manifold(n, coupling, field, tol=tol)
-    mixture_c = [ground_concurrence(n, coupling, field, pair, tol) for pair in pairs]
+    mixture_c = manifold.concurrence[[min(q - p, n - q + p) - 1 for p, q in pairs]]
 
     d = manifold.degeneracy
     pipeline_probs = np.zeros(1 << n)

@@ -1,4 +1,4 @@
-"""Dense Hermitian eigensolving and ground-manifold extraction.
+"""Dense Hermitian eigensolving, ground-manifold extraction and its concurrence.
 
 ``eigh`` wraps the LAPACK Hermitian solver with a symmetry check and a
 deterministic phase convention (largest component of each eigenvector made
@@ -42,14 +42,19 @@ reflection are ordered by last-bit differences of those amplitudes, so
 neither a real ground solve nor a momentum-reversal image (block n-m from
 block m, in the same sector) is used for them.
 
+Each ground solve ends by building its mixture's concurrence profile on the
+pairs (0, d), d = 1..n//2 (``concurrence.concurrence_profile``), and stores
+it on the result, so ``ground_concurrence`` and every command that prints a
+concurrence read one array per solve.
+
 Ground solves are reused within a process: ``ground_manifold`` keeps the
 results of its last ``GROUND_CACHE_SIZE`` distinct inputs and returns the
-same object when an input repeats.  Its amplitude arrays are read-only, so
-one caller cannot change what the next one reads.  Code that monkeypatches
-the solver internals (``eigh``, ``build_momentum_block``,
-``real_block_pieces``, ...) must call ``_ground_manifold.cache_clear()`` and
-``_unit_levels.cache_clear()`` first, or it may be handed results solved
-before the patch; code that patches how sectors are built (``ring_bonds``,
+same object when an input repeats.  Its amplitude and profile arrays are
+read-only, so one caller cannot change what the next one reads.  Code that
+monkeypatches the solver internals (``eigh``, ``build_momentum_block``,
+``real_block_pieces``, ``concurrence_profile``, ...) must call
+``_ground_manifold.cache_clear()`` and ``_unit_levels.cache_clear()`` first,
+or it may be handed results solved before the patch; code that patches how sectors are built (``ring_bonds``,
 ...) must call ``basis._ring_sectors.cache_clear()`` as well, the one cache
 that holds every sector.
 """
@@ -63,6 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import SectorBasis, check_ring_size, check_sector, enumerate_sector
+from .concurrence import check_pair, concurrence_profile
 from .hamiltonian import (Coupling, FieldSetting, MomentumBlock, build_momentum_block,
                           real_block_pieces, sector_energy_offset)
 
@@ -217,10 +223,15 @@ def lift_block_vector(block: MomentumBlock, vectors: np.ndarray) -> np.ndarray:
 
 
 class GroundManifold(NamedTuple):
-    """All states at the minimum energy, one amplitude vector per (k, m)."""
+    """All states at the minimum energy, one amplitude vector per (k, m).
+
+    ``concurrence`` is the read-only concurrence of the states' equal-weight
+    mixture on the pair (0, d) at index d - 1, d = 1..n//2.
+    """
 
     energy: float
     states: tuple[SectorState, ...]
+    concurrence: np.ndarray
 
     @property
     def degeneracy(self) -> int:
@@ -234,7 +245,8 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
     Scans every level of the ring (``ring_levels``), takes every level within
     ``tol`` times the spectral range of the minimum, and diagonalizes only
     the blocks holding one.  States are lifted to read-only sector amplitudes
-    and ordered by (k, m).  A repeated input returns the cached result of the
+    and ordered by (k, m), and their mixture's concurrence profile is built
+    from them (``concurrence_profile``).  A repeated input returns the cached result of the
     first call.  ``tol`` must be finite and nonnegative; 0 keeps only levels
     equal to the minimum.  J and b whose levels or spectral range overflow
     are refused with ValueError.
@@ -271,4 +283,17 @@ def _ground_manifold(n: int, coupling: Coupling, field: FieldSetting,
                                   momentum=m) for amplitudes in lifted[:counts[k, m]])
     # the energy of the decompositions the states come from (the scan's
     # eigenvalue-only minimum can differ from it in the last bits)
-    return GroundManifold(energy=float(min(energies)), states=tuple(states))
+    return GroundManifold(energy=float(min(energies)), states=tuple(states),
+                          concurrence=concurrence_profile(states))
+
+
+def ground_concurrence(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
+                       pair: tuple[int, int] = (0, 1),
+                       tol: float = DEGENERACY_RTOL) -> float:
+    """Pair concurrence of the ground-manifold mixture, read from its distance profile."""
+    if n < 2:
+        raise ValueError("pairwise concurrence needs at least two sites")
+    check_pair(pair, n)  # before the solve, which can take seconds
+    p, q = pair
+    profile = ground_manifold(n, coupling, field, tol=tol).concurrence
+    return float(profile[min(q - p, n - q + p) - 1])

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .concurrence import ground_concurrence
 from .hamiltonian import Coupling
 from .spectra import DEGENERACY_RTOL, ground_manifold
 
@@ -39,10 +38,9 @@ class SweepRow(NamedTuple):
 
 def _one_row(n: int, regime: str, distance: int, tol: float) -> SweepRow:
     started = time.perf_counter()
-    coupling = Coupling(j=REGIME_COUPLING[regime])
-    manifold = ground_manifold(n, coupling, tol=tol)
-    value = ground_concurrence(n, coupling, pair=(0, distance), tol=tol)
-    return SweepRow(n=n, regime=regime, distance=distance, concurrence=value,
+    manifold = ground_manifold(n, Coupling(j=REGIME_COUPLING[regime]), tol=tol)
+    return SweepRow(n=n, regime=regime, distance=distance,
+                    concurrence=float(manifold.concurrence[distance - 1]),
                     degeneracy=manifold.degeneracy, energy=manifold.energy,
                     seconds=time.perf_counter() - started)
 
@@ -88,7 +86,8 @@ class LimitFit(NamedTuple):
 def extrapolate(rows: list[SweepRow]) -> LimitFit:
     """Fit the 1/n model to sweep rows of a single parity, regime and distance."""
     if len(rows) < 3:
-        raise ValueError("extrapolation needs at least three rows")
+        raise ValueError("extrapolation needs at least three rows, got rings "
+                         + (" ".join(str(row.n) for row in rows) or "none"))
     if len({row.regime for row in rows}) != 1:
         raise ValueError("extrapolation rows must share one regime")
     if len({row.n % 2 for row in rows}) != 1:

@@ -22,12 +22,11 @@ import numpy as np
 import pytest
 
 from xxring.basis import enumerate_sector
-from xxring.concurrence import (concurrence_wootters, ground_concurrence, pair_density,
-                                state_concurrence)
+from xxring.concurrence import concurrence_wootters, pair_density, state_concurrence
 from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block
 from xxring.oracle import compare_with_pipeline, eigenvector_concurrence_scan
 from xxring.polarization import lp_table
-from xxring.spectra import SectorState, ground_manifold
+from xxring.spectra import SectorState, ground_concurrence, ground_manifold
 from xxring.sweeps import extrapolate, sweep
 
 from reference import build_sector_hamiltonian, concurrence_xstate

@@ -9,13 +9,21 @@ import numpy as np
 import pytest
 
 import xxring.cli as cli
-from xxring import __version__, concurrence
+from xxring import __version__, concurrence, spectra
 from xxring.hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from xxring.oracle import PipelineAgreement
 from xxring.spectra import DEGENERACY_RTOL, _unit_levels
 from xxring.sweeps import LimitFit, SweepRow
 
 from reference import full_hamiltonian, rows_json_whole
+
+
+@pytest.fixture
+def fresh_solves():
+    """No ground solve cached before the test, and none made under its patches kept after."""
+    spectra._ground_manifold.cache_clear()
+    yield
+    spectra._ground_manifold.cache_clear()
 
 
 def run_json(capsys, argv):
@@ -124,6 +132,20 @@ class TestPayloads:
     def test_concurrence_prints_exact_zero(self, capsys, argv):
         assert cli.run(["concurrence", *argv]) == 0
         assert '"concurrence": 0,' in capsys.readouterr().out
+
+    # a one-site ring has no pair, so its ground solve's concurrence profile is empty
+    @pytest.mark.parametrize("command, config, rows", [
+        ("ground", {}, [{"energy": 0, "degeneracy": 2, "k": 0, "m": 0},
+                        {"energy": 0, "degeneracy": 2, "k": 1, "m": 0}]),
+        ("lp", {"k": 0, "sector_weight": 0.5},
+         [{"orbit": "|->", "period": 1, "member_probability": 1, "orbit_probability": 1,
+           "clustering": 0, "dihedral_class": 0, "rank_correlation": None}]),
+    ])
+    def test_one_site_ring(self, capsys, command, config, rows):
+        code, doc = run_json(capsys, [command, "--n", "1"])
+        assert code == 0
+        assert doc["config"] == {"n": 1, "j": -1, "b": 0, "tol": 1e-09, **config}
+        assert doc["rows"] == rows
 
     def test_ground_command(self, capsys):
         code, doc = run_json(capsys, ["ground", "--n", "3", "--j", "1"])
@@ -450,6 +472,9 @@ class TestExitCodes:
         (["concurrence", "--n", "4", "--distance", "-1"], "--distance"),
         (["spectrum", "--n", "6", "--k", "7"], "up-spin count must be in 0..6, got 7"),
         (["spectrum", "--n", "6", "--m", "6"], "momentum index must be in 0..5, got 6"),
+        # three even sizes, of which the distance keeps two
+        (["extrapolate", "--n", "4..8", "--parity", "even", "--distance", "3"],
+         "extrapolation needs at least three rows, got rings 6 8\n"),
     ])
     def test_refuses_out_of_range_size_or_distance(self, capsys, argv, message):
         assert cli.run(argv) == 2
@@ -626,25 +651,26 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "compare_with_pipeline", broken)
         assert cli.run(["verify", "--n", "2..3"]) == 1
 
-    def test_verify_checks_the_printed_concurrence(self, capsys, monkeypatch):
+    def test_verify_checks_the_printed_concurrence(self, capsys, monkeypatch, fresh_solves):
         # concurrence, sweep and extrapolate print the profile's values, so a
-        # profile moved by 1e-9 (ten times verify's 1e-10) is a mismatch
-        profile = concurrence._concurrence_profile
-        monkeypatch.setattr(concurrence, "_concurrence_profile",
-                            lambda manifold: profile(manifold) + 1e-9)
+        # profile moved by 1e-9 (ten times verify's 1e-10) is a mismatch; the
+        # ground solve builds the profile through the name spectra binds
+        profile = spectra.concurrence_profile
+        monkeypatch.setattr(spectra, "concurrence_profile",
+                            lambda states: profile(states) + 1e-9)
         assert cli.run(["verify", "--n", "2..6"]) == 1
 
-    def test_verify_checks_the_pipeline_concurrence_solver(self, capsys, monkeypatch):
+    def test_verify_checks_the_pipeline_concurrence_solver(self, capsys, monkeypatch,
+                                                           fresh_solves):
         # the oracle computes its own concurrence, so a fault in the
         # pipeline's Wootters solver (here a scale of 1 + 1e-8) is a mismatch;
-        # an empty profile cache makes every profile go through the fault
+        # with no solve cached, every profile goes through the fault
         wootters = concurrence._wootters
-        monkeypatch.setattr(concurrence, "_PROFILES", {})
         monkeypatch.setattr(concurrence, "_wootters",
                             lambda matrices: wootters(matrices) * (1 + 1e-8))
         assert cli.run(["verify", "--n", "2..6"]) == 1
 
-    def test_verify_checks_every_distance(self, capsys, monkeypatch):
+    def test_verify_checks_every_distance(self, capsys, monkeypatch, fresh_solves):
         # a pipeline fault at every distance but the nearest (1e-8, a hundred
         # times verify's 1e-10) is a mismatch; the d = 1 values stay exact
         wootters = concurrence._wootters
@@ -654,7 +680,6 @@ class TestExitCodes:
             values[1:] += 1e-8
             return values
 
-        monkeypatch.setattr(concurrence, "_PROFILES", {})
         monkeypatch.setattr(concurrence, "_wootters", shifted)
         assert cli.run(["verify", "--n", "2..8"]) == 1
         rows = json.loads(capsys.readouterr().out)["rows"]

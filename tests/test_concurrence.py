@@ -2,17 +2,17 @@
 
 import re
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from xxring import cli, concurrence, spectra
 from xxring.basis import enumerate_sector
-from xxring.concurrence import (_PROFILES, PairDensity, _concurrence_profile, _wootters,
-                                concurrence_wootters, ground_concurrence, pair_density,
+from xxring.concurrence import (PairDensity, _wootters, concurrence_wootters, pair_density,
                                 state_concurrence)
 from xxring.hamiltonian import Coupling, FieldSetting
-from xxring.spectra import GROUND_CACHE_SIZE, SectorState, ground_manifold
+from xxring.spectra import GROUND_CACHE_SIZE, SectorState, ground_concurrence, ground_manifold
 
 from reference import concurrence_xstate, reduce_pure_by_unique
 
@@ -107,6 +107,20 @@ class TestPairDensity:
             bad = SectorState(basis=enumerate_sector(3, 1), amplitudes=amplitudes)
             with pytest.raises(ValueError, match="state amplitudes must be finite"):
                 pair_density([(1.0, bad)], (0, 1))
+
+    @pytest.mark.parametrize("pair", [(0, 1.0), (0.0, 1), (np.int64(0), np.float64(2))])
+    def test_refuses_a_pair_of_non_int_sites_before_reducing(self, monkeypatch, pair):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad pair must be refused before any reduction")
+
+        monkeypatch.setattr(concurrence, "_add_reductions", refuse)
+        with pytest.raises(ValueError, match=re.escape(f"pair {pair} is not ordered within 0..2")):
+            pair_density([(1.0, w_state(3))], pair)
+
+    def test_takes_numpy_integer_sites(self):
+        pair = (np.int64(0), np.int32(2))
+        np.testing.assert_array_equal(pair_density([(1.0, w_state(3))], pair).matrix,
+                                      pair_density([(1.0, w_state(3))], (0, 2)).matrix)
 
     @pytest.mark.parametrize("shape", [(4,), (2,), (3, 1)], ids=["dim+1", "dim-1", "column"])
     def test_refuses_amplitudes_not_shaped_by_the_basis(self, shape):
@@ -380,7 +394,7 @@ class TestGroundConcurrence:
 
 
 class TestConcurrenceProfile:
-    """``ground_concurrence`` reads one profile per manifold.  ``pair_density``
+    """``ground_concurrence`` reads the manifold's own profile.  ``pair_density``
     shares its reduction kernel and its Wootters route, so the reference is
     independent of both: the X-form closed form of the equal-weight sum of
     ``reduce_pure_by_unique``, whose groups ``np.unique`` numbers."""
@@ -406,27 +420,44 @@ class TestConcurrenceProfile:
 
     def test_profile_is_read_only_and_kept_for_the_manifold_object(self):
         manifold = ground_manifold(6, FERRO)
-        profile = _concurrence_profile(manifold)
+        profile = manifold.concurrence
         assert profile.shape == (3,) and not profile.flags.writeable
-        assert _concurrence_profile(manifold) is profile
+        with pytest.raises(ValueError):
+            profile[0] = 0.0
         spectra._ground_manifold.cache_clear()
         fresh = ground_manifold(6, FERRO)
         assert fresh is not manifold
-        assert _concurrence_profile(fresh) is not profile  # never a stale solve's profile
-        for i in range(GROUND_CACHE_SIZE + 5):
-            ground_concurrence(4, FERRO, FieldSetting(b=0.01 * (i + 1)))
-        assert len(_PROFILES) == GROUND_CACHE_SIZE
-        assert all(id(held) == key for key, (held, _) in _PROFILES.items())
+        assert fresh.concurrence is not profile  # a fresh solve carries its own profile
+        np.testing.assert_array_equal(fresh.concurrence, profile)
+
+    @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["ferro", "antiferro"])
+    def test_one_site_ring_has_an_empty_profile(self, coupling):
+        profile = ground_manifold(1, coupling).concurrence
+        assert profile.shape == (0,) and not profile.flags.writeable
+
+    def test_an_evicted_solve_is_freed(self):
+        spectra._ground_manifold.cache_clear()  # so each call below is a fresh solve
+        ground_concurrence(6, FERRO, FieldSetting(b=0.5))
+        amplitudes = weakref.ref(ground_manifold(6, FERRO, FieldSetting(b=0.5))
+                                 .states[0].amplitudes)
+        for i in range(GROUND_CACHE_SIZE):
+            ground_manifold(4, FERRO, FieldSetting(b=0.01 * (i + 1)))
+        assert amplitudes() is None  # nothing holds a solve the cache let go
 
     def test_refuses_a_pair_outside_the_ring_before_solving(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a bad pair must be refused before the ground solve")
 
-        monkeypatch.setattr(concurrence, "ground_manifold", refuse)
-        for pair in [(1, 0), (2, 2), (0, 5), (-1, 3)]:
+        monkeypatch.setattr(spectra, "ground_manifold", refuse)
+        for pair in [(1, 0), (2, 2), (0, 5), (-1, 3), (0, 1.0), (0.0, 2),
+                     (np.int64(1), np.float64(3))]:
             message = f"pair {pair} is not ordered within 0..4"
             with pytest.raises(ValueError, match=re.escape(message)):
                 ground_concurrence(5, FERRO, pair=pair)
+
+    def test_takes_numpy_integer_sites(self):
+        assert (ground_concurrence(5, FERRO, pair=(np.int64(1), np.int32(3)))
+                == ground_concurrence(5, FERRO, pair=(1, 3)))
 
     def test_stack_solve_equals_one_solve_per_matrix(self):
         rng = np.random.default_rng(11)

@@ -339,14 +339,17 @@ class TestGroundSolves:
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Names of the numpy eigensolvers called while the test runs."""
+    """Names of the numpy eigensolvers called while the test runs.
+
+    A call on a stack of matrices (the concurrence profile's) reads "<name> stack".
+    """
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name + " stack" * (np.ndim(a) > 2))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
@@ -431,9 +434,11 @@ class TestLevelTable:
         xxring.spectra._unit_levels.cache_clear()
         ground_manifold(n, FERRO)
         # one eigvalsh per real piece of the canonical blocks (k, m <= n/2),
-        # one eigh for the ground block and its spin flip
+        # one eigh for the ground block and its spin flip, and one on the
+        # concurrence profile's (n // 2, 4, 4) stack
         assert solver_calls.count("eigvalsh") == pieces
         assert solver_calls.count("eigh") == 1
+        assert solver_calls.count("eigh stack") == 1
         solver_calls.clear()
         ground_manifold(n, ANTIFERRO)
         assert "eigvalsh" not in solver_calls

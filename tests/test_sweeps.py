@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from xxring.concurrence import ground_concurrence
 from xxring.hamiltonian import Coupling
+from xxring.spectra import ground_concurrence
 from xxring.sweeps import REGIME_COUPLING, LimitFit, SweepRow, extrapolate, sweep
 
 

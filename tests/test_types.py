@@ -33,7 +33,7 @@ FIELDS = {
     MomentumBlock: ("basis", "m", "orbits", "matrix"),
     Spectrum: ("values", "vectors"),
     SectorState: ("basis", "amplitudes", "momentum"),
-    GroundManifold: ("energy", "states"),
+    GroundManifold: ("energy", "states", "concurrence"),
     PairDensity: ("matrix", "pair"),
     OrbitRow: ("representative", "pattern", "period", "member_probability",
                "orbit_probability", "clustering", "dihedral_class"),
