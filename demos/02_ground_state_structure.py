@@ -8,7 +8,7 @@ rounding: their probabilities can differ in the last bits, and those bits
 decide which of a tied pair is listed first.  (That is why the benchmark
 gate must compare tied rows as a set, ROADMAP item 1, and the orbit tables
 must stop depending on those bits, item 2, before a change that moves them,
-such as item 6's real ground solve, can land.)  The alternating pattern
+such as item 8's real ground solve, can land.)  The alternating pattern
 always dominates, the contiguous block is rarest.
 """
 

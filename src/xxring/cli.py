@@ -45,6 +45,7 @@ import numpy as np
 
 from . import __version__
 from .basis import check_ring_size, check_sector
+from .concurrence import ring_distance
 from .hamiltonian import Coupling, FieldSetting, check_momentum
 from .oracle import FULL_DIAGONALIZE_CAP, PipelineAgreement, compare_with_pipeline
 from .polarization import lp_table
@@ -301,7 +302,7 @@ def _cmd_concurrence(args) -> tuple[dict, Rows]:
     pair = _pair_arg(args, args.n)
     coupling, field = Coupling(j=args.j), FieldSetting(b=args.b)
     manifold = ground_manifold(args.n, coupling, field, tol=args.tol)
-    distance = min(pair[1] - pair[0], args.n - pair[1] + pair[0])
+    distance = ring_distance(pair, args.n)
     rows = _table(("n", "p", "q", "distance", "concurrence", "degeneracy", "energy"),
                   [(args.n, pair[0] + 1, pair[1] + 1, distance,
                     float(manifold.concurrence[distance - 1]), manifold.degeneracy,

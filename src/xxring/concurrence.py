@@ -15,15 +15,19 @@ roots of the eigenvalues of rho*rho~, spin-flipped rho~); the X-form closed
 form is a test reference (``tests/reference.py``) that must agree with it.
 
 One kernel, ``_add_reductions``, builds every pair-density matrix: it adds
-one sector state's X-form entries for the pairs (p, q), over a list of q,
-into a (pairs, 4, 4) stack.  ``pair_density`` calls it for one pair of a
-weighted mixture, and ``concurrence_profile`` calls it once per state of an
-equal-weight mixture for every distance d = 1..n//2; the ground solve
-(``spectra.ground_manifold``) stores that profile as the manifold's
-``concurrence``.  The checks and the Wootters route take a (..., 4, 4) stack
-too, so a profile is checked and solved at once.  One predicate,
-``_ordered_sites``, decides what a pair of sites is: two ints (numpy ints
-too) 0 <= p < q, and below n where the ring is known (``check_pair``).
+the X-form entries of a stack of states from one sector for the pairs
+(p, q), over a list of q, into a (pairs, 4, 4) stack.  ``pair_density``
+calls it once per state of a weighted mixture, for one pair, and
+``concurrence_profile`` calls it once per sector of an equal-weight mixture
+for every distance d = 1..n//2; the ground solve (``spectra.ground_manifold``)
+stores that profile as the manifold's ``concurrence``.  The checks and the
+Wootters route take a (..., 4, 4) stack too, so a profile is checked and
+solved at once.  One predicate, ``_ordered_sites``, decides what a pair of
+sites is: two ints (numpy ints too) 0 <= p < q, and below n where the ring
+is known.  One rule, ``ring_distance``, refuses any other pair of an n-site
+ring and gives a pair's ring distance, whose concurrence the profile holds
+at index distance - 1; ``pair_density`` and every reader of a profile go
+through it.
 This module reads sector states (``spectra.SectorState``) by their fields
 and imports nothing from the rest of the package.
 
@@ -34,6 +38,7 @@ pairwise entanglement of the odd rings relative to a single ground vector.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -80,10 +85,14 @@ def _ordered_sites(pair, n: float = np.inf) -> bool:
             and 0 <= pair[0] < pair[1] < n)
 
 
-def check_pair(pair: tuple[int, int], n: int) -> None:
-    """Refuse a pair that is not two int sites 0 <= p < q of an n-site ring."""
+def ring_distance(pair: tuple[int, int], n: int) -> int:
+    """Ring distance min(q - p, n - q + p) of two int sites 0 <= p < q of an n-site ring.
+
+    Any other pair is refused, so every pair of a one-site ring is.
+    """
     if not _ordered_sites(pair, n):
         raise ValueError(f"pair {pair} is not ordered within 0..{n - 1}")
+    return int(min(pair[1] - pair[0], n - pair[1] + pair[0]))
 
 
 def _check_densities(matrices: np.ndarray) -> None:
@@ -103,20 +112,24 @@ def _check_densities(matrices: np.ndarray) -> None:
 
 def _add_reductions(matrices: np.ndarray, bits: np.ndarray, amplitudes: np.ndarray,
                     p: int, qs: int | np.ndarray) -> None:
-    """Add one sector state's reductions onto the pairs (p, q), q in ``qs``, to a stack.
+    """Add the reductions of one sector's states onto the pairs (p, q), q in ``qs``, to a stack.
 
-    ``matrices[i]`` takes pair (p, qs[i]), q > p: the diagonal from one ``bincount`` of
-    |psi|^2 over (pair, cell), and the coherence [1, 2] from partners.  Up-down
-    configuration c pairs with down-up c - 2^p + 2^q, which is increasing in c, so the
-    i-th of the one pairs with the i-th of the other; [2, 1] is kept its conjugate.
+    ``amplitudes`` is (dim, states), one column per state, so the gathers copy whole rows
+    (with a state per row every gather would be strided).  ``matrices[i]`` takes pair
+    (p, qs[i]), q > p: the diagonal from one ``bincount`` of the states' summed |psi|^2 over
+    (pair, cell), and the coherence [1, 2] from partners, one ``vdot`` per pair.  Every pair
+    has the same number of up-down configurations, C(n - 2, k - 1).  Up-down configuration c
+    pairs with down-up c - 2^p + 2^q, which is increasing in c, so the i-th of the one pairs
+    with the i-th of the other; [2, 1] is kept its conjugate.
     """
     qs = np.reshape(qs, (-1, 1))
     cell = (1 - ((bits >> p) & 1)) * 2 + (1 - ((bits >> qs) & 1))  # uu, ud, du, dd
     diagonal = np.bincount((cell + 4 * np.arange(len(qs))[:, None]).ravel(),  # (pair, cell)
-                           np.resize(np.abs(amplitudes) ** 2, cell.size), 4 * len(qs))
+                           np.resize((np.abs(amplitudes) ** 2).sum(axis=1), cell.size),
+                           4 * len(qs))
     matrices[:, range(4), range(4)] += diagonal.reshape(-1, 4)
-    (rows, up_down), (_, down_up) = np.nonzero(cell == 1), np.nonzero(cell == 2)
-    np.add.at(matrices[:, 1, 2], rows, amplitudes[up_down] * amplitudes[down_up].conj())
+    up_down, down_up = (np.nonzero(cell == c)[1].reshape(len(qs), -1) for c in (1, 2))
+    matrices[:, 1, 2] += [np.vdot(amplitudes[d], amplitudes[u]) for u, d in zip(up_down, down_up)]
     matrices[:, 2, 1] = matrices[:, 1, 2].conj()
 
 
@@ -132,7 +145,7 @@ def pair_density(states: Sequence[tuple[float, tuple]], pair: tuple[int, int]) -
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"mixture weights sum to {weights.sum()}, not 1")
     n = states[0][1].basis.n
-    check_pair(pair, n)
+    ring_distance(pair, n)  # refuses a pair that is not on the ring
     p, q = pair
     rho = np.zeros((1, 4, 4), dtype=complex)
     for weight, state in states:
@@ -146,8 +159,8 @@ def pair_density(states: Sequence[tuple[float, tuple]], pair: tuple[int, int]) -
         norm = np.linalg.norm(state.amplitudes)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm {norm} is not 1")
-        _add_reductions(rho, state.basis.bits, np.sqrt(max(weight, 0.0)) * state.amplitudes,
-                        p, q)
+        _add_reductions(rho, state.basis.bits,
+                        np.sqrt(max(weight, 0.0)) * state.amplitudes[:, None], p, q)
     return PairDensity(matrix=rho[0], pair=(p, q))
 
 
@@ -183,16 +196,18 @@ def concurrence_profile(states: Sequence[tuple]) -> np.ndarray:
     index d - 1, d = 1..n//2; empty on a one-site ring.
 
     Momentum eigenstates mix to a translation-invariant rho(p, q) = rho(0, q - p); swapping
-    the sites (d to n - d) keeps the concurrence.  Each state, scaled by 1/sqrt(len(states)),
-    adds its reductions onto pairs (0, 1..n//2) in one ``_add_reductions`` call.
+    the sites (d to n - d) keeps the concurrence.  Each run of states from one sector (the
+    ground solve lists them by (k, m)), scaled by 1/sqrt(len(states)), adds its reductions
+    onto pairs (0, 1..n//2) in one ``_add_reductions`` call.
     """
     distance = np.arange(1, states[0].basis.n // 2 + 1)
     profile = np.empty(0)
     if len(distance):  # a one-site ring has no pair, and the checks need a matrix
         matrices = np.zeros((len(distance), 4, 4), dtype=complex)
-        for state in states:
-            _add_reductions(matrices, state.basis.bits,
-                            state.amplitudes / np.sqrt(len(states)), 0, distance)
+        for _, run in groupby(states, key=lambda state: state.k):
+            run = list(run)
+            _add_reductions(matrices, run[0].basis.bits, np.stack(
+                [state.amplitudes for state in run], axis=1) / np.sqrt(len(states)), 0, distance)
         _check_densities(matrices)
         profile = _wootters(matrices)
     profile.flags.writeable = False

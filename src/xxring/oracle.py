@@ -63,6 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import ring_bonds
+from .concurrence import ring_distance
 from .hamiltonian import Coupling, FieldSetting
 from .spectra import DEGENERACY_RTOL, ground_manifold
 
@@ -403,14 +404,14 @@ def compare_with_pipeline(n: int, coupling: Coupling,
 
     The concurrence is compared at every distance d = 1..n//2, as the pair
     (0, d), and at the pair (1, 2) when n >= 3, each read from the ground
-    solve's profile at the pair's ring distance: the array the
+    solve's profile at the pair's ``ring_distance``: the array the
     ``concurrence``, ``sweep`` and ``extrapolate`` commands print from.
     ``concurrence_delta`` is the largest difference.
     """
     pairs = [(0, d) for d in range(1, n // 2 + 1)] + [(1, 2)] * (n >= 3)
     report, oracle_c = _ground_level(n, coupling, field, tol, pairs)
     manifold = ground_manifold(n, coupling, field, tol=tol)
-    mixture_c = manifold.concurrence[[min(q - p, n - q + p) - 1 for p, q in pairs]]
+    mixture_c = manifold.concurrence[[ring_distance(pair, n) - 1 for pair in pairs]]
 
     d = manifold.degeneracy
     pipeline_probs = np.zeros(1 << n)

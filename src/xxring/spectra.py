@@ -45,7 +45,11 @@ block m, in the same sector) is used for them.
 Each ground solve ends by building its mixture's concurrence profile on the
 pairs (0, d), d = 1..n//2 (``concurrence.concurrence_profile``), and stores
 it on the result, so ``ground_concurrence`` and every command that prints a
-concurrence read one array per solve.
+concurrence read one array per solve.  The states come in (k, m) order, so
+the profile reduces the mixture once per sector, all of that sector's states
+in one stacked call.  A pair (p, q) reads the entry at its ring distance
+less one, and ``concurrence.ring_distance`` is the one rule for that
+distance (and for which pairs a ring has).
 
 Ground solves are reused within a process: ``ground_manifold`` keeps the
 results of its last ``GROUND_CACHE_SIZE`` distinct inputs and returns the
@@ -54,9 +58,10 @@ read-only, so one caller cannot change what the next one reads.  Code that
 monkeypatches the solver internals (``eigh``, ``build_momentum_block``,
 ``real_block_pieces``, ``concurrence_profile``, ...) must call
 ``_ground_manifold.cache_clear()`` and ``_unit_levels.cache_clear()`` first,
-or it may be handed results solved before the patch; code that patches how sectors are built (``ring_bonds``,
-...) must call ``basis._ring_sectors.cache_clear()`` as well, the one cache
-that holds every sector.
+or it may be handed results solved before the patch; code that patches how
+sectors are built (``ring_bonds``, ...) must call
+``basis._ring_sectors.cache_clear()`` as well, the one cache that holds
+every sector.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import SectorBasis, check_ring_size, check_sector, enumerate_sector
-from .concurrence import check_pair, concurrence_profile
+from .concurrence import concurrence_profile, ring_distance
 from .hamiltonian import (Coupling, FieldSetting, MomentumBlock, build_momentum_block,
                           real_block_pieces, sector_energy_offset)
 
@@ -291,9 +296,5 @@ def ground_concurrence(n: int, coupling: Coupling, field: FieldSetting = FieldSe
                        pair: tuple[int, int] = (0, 1),
                        tol: float = DEGENERACY_RTOL) -> float:
     """Pair concurrence of the ground-manifold mixture, read from its distance profile."""
-    if n < 2:
-        raise ValueError("pairwise concurrence needs at least two sites")
-    check_pair(pair, n)  # before the solve, which can take seconds
-    p, q = pair
-    profile = ground_manifold(n, coupling, field, tol=tol).concurrence
-    return float(profile[min(q - p, n - q + p) - 1])
+    distance = ring_distance(pair, n)  # before the solve, which can take seconds
+    return float(ground_manifold(n, coupling, field, tol=tol).concurrence[distance - 1])

@@ -3,14 +3,15 @@
 import re
 import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from xxring import cli, concurrence, spectra
 from xxring.basis import enumerate_sector
-from xxring.concurrence import (PairDensity, _wootters, concurrence_wootters, pair_density,
-                                state_concurrence)
+from xxring.concurrence import (PairDensity, _add_reductions, _wootters, concurrence_wootters,
+                                pair_density, ring_distance, state_concurrence)
 from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.spectra import GROUND_CACHE_SIZE, SectorState, ground_concurrence, ground_manifold
 
@@ -198,6 +199,20 @@ class TestPairReductionReference:
         monkeypatch.setattr(np, "unique", refuse)
         for p, q in [(0, 1), (0, 8), (3, 5), (7, 8)]:
             assert pair_density([(0.5, states[0]), (0.5, states[1])], (p, q))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_a_stacked_call_adds_what_its_states_add_one_by_one(self, n):
+        rng = np.random.default_rng(300 + n)
+        qs = np.arange(1, n)  # p = 0 and every q
+        for k in range(n + 1):
+            states = [random_state(rng, n, k) for _ in range(4)]
+            start = np.tile(np.eye(4, dtype=complex), (len(qs), 1, 1))
+            stacked, one_by_one = start.copy(), start.copy()
+            _add_reductions(stacked, states[0].basis.bits,
+                            np.stack([s.amplitudes for s in states], axis=1), 0, qs)
+            for state in states:
+                _add_reductions(one_by_one, state.basis.bits, state.amplitudes[:, None], 0, qs)
+            np.testing.assert_allclose(stacked, one_by_one, rtol=0, atol=1e-15)
 
     def test_mixture_across_two_sectors(self):
         rng = np.random.default_rng(7)
@@ -418,6 +433,39 @@ class TestConcurrenceProfile:
                 reference = reference_concurrence(manifold, (0, n - d))
                 assert abs(ground_concurrence(n, coupling, pair=(0, d)) - reference) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(6, 10))
+    @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["ferro", "antiferro"])
+    def test_wide_windows_equal_the_per_pair_reduction(self, n, coupling):
+        """n = 7..9 hold 12-34 states, up to 9 in one sector, so a sector's stack has many
+        rows; n = 6 holds 3, one per sector."""
+        manifold = ground_manifold(n, coupling, tol=0.2)
+        per_sector = Counter(state.k for state in manifold.states)
+        assert max(per_sector.values()) > 1 or n == 6
+        assert manifold.concurrence[0] > 0
+        for p in range(n):
+            for q in range(p + 1, n):
+                reference = reference_concurrence(manifold, (p, q))
+                assert abs(ground_concurrence(n, coupling, pair=(p, q), tol=0.2)
+                           - reference) <= 1e-12, (p, q)
+
+    def test_reduces_once_per_sector(self, monkeypatch):
+        widths = []
+
+        def counted(matrices, bits, amplitudes, p, qs):
+            widths.append(amplitudes.shape[1])
+            _add_reductions(matrices, bits, amplitudes, p, qs)
+
+        monkeypatch.setattr(concurrence, "_add_reductions", counted)
+        spectra._ground_manifold.cache_clear()
+        try:
+            manifold = ground_manifold(12, FERRO, tol=1.0)  # every level: 4,096 states
+        finally:
+            spectra._ground_manifold.cache_clear()
+        assert manifold.degeneracy == sum(widths) == 4096
+        assert len(widths) == 13  # one call per sector k = 0..12
+        # the all-level mixture is I / 2^n, so every pair density is I / 4
+        np.testing.assert_array_equal(manifold.concurrence, np.zeros(6))
+
     def test_profile_is_read_only_and_kept_for_the_manifold_object(self):
         manifold = ground_manifold(6, FERRO)
         profile = manifold.concurrence
@@ -454,6 +502,19 @@ class TestConcurrenceProfile:
             message = f"pair {pair} is not ordered within 0..4"
             with pytest.raises(ValueError, match=re.escape(message)):
                 ground_concurrence(5, FERRO, pair=pair)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_ring_distance_of_every_pair(self, n):
+        for p in range(n):
+            for q in range(n):
+                if p < q:
+                    assert ring_distance((p, q), n) == min((q - p) % n, (p - q) % n)
+                else:
+                    with pytest.raises(ValueError,
+                                       match=re.escape(f"is not ordered within 0..{n - 1}")):
+                        ring_distance((p, q), n)
+        with pytest.raises(ValueError, match=re.escape(f"pair (0, {n}) is not ordered")):
+            ring_distance((0, n), n)
 
     def test_takes_numpy_integer_sites(self):
         assert (ground_concurrence(5, FERRO, pair=(np.int64(1), np.int32(3)))
