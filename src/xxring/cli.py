@@ -6,8 +6,9 @@ returns its ``config`` and its ``Rows``, and ``run`` writes one payload: the
 Every command's rows have one shape, never a dict per row: a tuple of keys
 and one column per key, each a list of scalars or a one-dimensional numpy
 array.  ``spectrum`` takes its columns from the one level listing,
-``spectra.ring_levels``, which the ground scan reads too: the ``--m``
-mask, the overflow check and the exact-zero snap act on its arrays; the
+``spectra.ring_levels``, which the ground scan reads too, and sorts each
+block's levels once before it numbers them: the ``--m`` mask, the overflow
+check and the exact-zero snap act on the sorted arrays; the
 other commands transpose one value tuple per row, and ``sweep``, ``verify``
 and ``extrapolate`` take their keys from the fields of the library's result
 types (``SweepRow``, ``PipelineAgreement`` and ``ok``, ``LimitFit``).  One
@@ -278,7 +279,8 @@ def _cmd_spectrum(args) -> tuple[dict, Rows]:
     check_momentum(args.m or 0, args.n)
     coupling, field = Coupling(j=args.j), FieldSetting(b=args.b)
     k, m, energy = ring_levels(args.n, coupling, field, None if args.k is None else [args.k])
-    block = k * args.n + m  # ascending in listing order
+    block = k * args.n + m  # ascending: the listing comes in (k, m) order
+    energy = energy[np.lexsort((energy, block))]  # so only the energies move
     level = np.arange(len(energy)) - np.searchsorted(block, block)
     kept = slice(None) if args.m is None else m == args.m
     k, m, level, energy = k[kept], m[kept], level[kept], energy[kept]

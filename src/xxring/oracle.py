@@ -1,20 +1,21 @@
 """Brute-force reference path over the full 2^n-dimensional space.
 
-It deliberately avoids the translation-symmetry machinery: popcount blocks
-are built from ``np.arange(2**n)`` with numpy bit operations, eigenvectors
-stay in their blocks, and only the columns of the level group a caller reads
-are gathered into full-space vectors for an independent pair reduction.  It
-writes its own Zeeman offset and its own Wootters concurrence, from the
-mixture's pair amplitudes where the pipeline factors the pair density by its
-eigendecomposition, so a fault in either of the pipeline's does not pass
-unseen.  It cross-checks the momentum-block pipeline: ground energy,
-degeneracy, per-configuration probabilities and mixture concurrence agree
-to 1e-10.  The pipeline's concurrence is the ground solve's profile
-(``GroundManifold.concurrence``) at every distance d = 1..n//2, as the pair
-(0, d), and at the pair (1, 2): the array that ``ground_concurrence`` and the
-``concurrence``, ``sweep`` and ``extrapolate`` commands read.  The oracle
-reduces the ground mixture onto each of those pairs itself and solves them as
-one stack.
+It deliberately avoids the translation-symmetry machinery and shares no
+Hamiltonian code with the pipeline: popcount blocks are built from
+``np.arange(2**n)`` and the oracle's own bond list with numpy bit
+operations, eigenvectors stay in their blocks, and only the columns of the
+level group a caller reads are gathered into full-space vectors for an
+independent pair reduction.  It writes its own Zeeman offset and its own
+Wootters concurrence, from the mixture's pair amplitudes where the pipeline
+factors the pair density by its eigendecomposition, so a fault in either of
+the pipeline's does not pass unseen.  It cross-checks the momentum-block
+pipeline: ground energy, degeneracy, per-configuration probabilities and
+mixture concurrence agree to 1e-10.  The pipeline's concurrence is the
+ground solve's profile (``GroundManifold.concurrence``) at every distance
+d = 1..n//2, as the pair (0, d), and at the pair (1, 2): the array that
+``ground_concurrence`` and the ``concurrence``, ``sweep`` and
+``extrapolate`` commands read.  The oracle reduces the ground mixture onto
+each of those pairs itself and solves them as one stack.
 
 H(J) = J * H(1), so each popcount block is decomposed once, at J = 1, and
 both signs of J, any field and the level scan read that one decomposition.
@@ -35,9 +36,9 @@ character chi of the group, the orbit of configuration i holds the unit
 vector sum u(i)|i>, with u(i) = chi(g_i) / sqrt(|orbit|) and g_i taking the
 orbit's least member to i, when chi is trivial on i's stabilizer (otherwise
 u(i) = 0 and the orbit has no vector in that piece).  Piece entries sum
-u(i) u(j) over the hops, a block's levels merge its pieces' levels, and a
-level's eigenvector is gathered from its piece as v[i] = u(i) x[a(i)], a(i)
-being the orbit's column in the piece.
+u(i) u(j) over the hops, a block's levels are its pieces' levels, piece
+after piece, and a level's eigenvector is gathered from its piece as
+v[i] = u(i) x[a(i)], a(i) being the orbit's column in the piece.
 
 Eigenvectors are solved only for the blocks a caller reads.  At zero field
 the ground level lies in block n // 2 (or its complement) for both signs
@@ -62,7 +63,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import ring_bonds
 from .concurrence import ring_distance
 from .hamiltonian import Coupling, FieldSetting
 from .spectra import DEGENERACY_RTOL, ground_manifold
@@ -81,13 +81,15 @@ _REFLECTION_FLIP_CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
 def _hops(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending k-up configurations and the (row, column) indices of their unit hops.
 
-    One numpy step per bond; n = 2 lists its one bond twice, so each of its
-    hops appears twice, as its literal matrix entry of 2 requires.
+    One numpy step per bond (i, i + 1 mod n), a bond list the oracle writes
+    itself: n = 2 lists its one bond twice, so each of its hops appears
+    twice, as its literal matrix entry of 2 requires, and n = 1 lists a
+    self-bond, which has no hop.
     """
     full = np.arange(1 << n)
     configs = full[((full[:, None] >> np.arange(n)) & 1).sum(axis=1) == k]
     rows, columns = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for i, j in ring_bonds(n):
+    for i, j in ((i, (i + 1) % n) for i in range(n)):
         hop = np.flatnonzero(((configs >> i) ^ (configs >> j)) & 1)
         rows.append(np.searchsorted(configs, configs[hop] ^ ((1 << i) | (1 << j))))
         columns.append(hop)
@@ -151,11 +153,11 @@ def _unit_spectrum(n: int, /) -> tuple[tuple[tuple, ...], dict[int, tuple[np.nda
     """Read-only J = 1 decomposition of each canonical popcount block k <= n/2.
 
     Returns ``(blocks, vectors)``.  ``blocks[k]`` is ``(configs, w, pieces,
-    piece, local)``: the ascending k-up configurations, the levels w
-    ascending, the ``_pieces`` pairs, and for each level the piece it came
-    from and its column there (ties keep piece order).  ``vectors`` maps each
-    k solved so far to its pieces' eigenvectors; ``_unit_columns`` fills it
-    on first read.  Block n - k has no record: it is block k's complement.
+    piece, local)``: the ascending k-up configurations, the levels w of each
+    piece in turn, the ``_pieces`` pairs, and for each level the piece it
+    came from and its column there.  ``vectors`` maps each k solved so far
+    to its pieces' eigenvectors; ``_unit_columns`` fills it on first read.
+    Block n - k has no record: it is block k's complement.
 
     Block n // 2 is solved last, so its eigenvectors are not held while the
     other blocks' levels are solved.
@@ -170,10 +172,8 @@ def _unit_spectrum(n: int, /) -> tuple[tuple[tuple, ...], dict[int, tuple[np.nda
             parts = [np.linalg.eigvalsh(_piece_matrix(a, u, rows, columns))
                      for a, u in pieces]
         w = np.concatenate(parts)
-        order = np.argsort(w, kind="stable")
-        piece = np.repeat(np.arange(len(parts)), [len(part) for part in parts])[order]
-        local = np.concatenate([np.arange(len(part)) for part in parts])[order]
-        w = w[order]
+        piece = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+        local = np.concatenate([np.arange(len(part)) for part in parts])
         for array in (configs, w, piece, local):
             array.flags.writeable = False
         blocks.append((configs, w, pieces, piece, local))
@@ -181,7 +181,7 @@ def _unit_spectrum(n: int, /) -> tuple[tuple[tuple, ...], dict[int, tuple[np.nda
 
 
 def _unit_columns(n: int, k: int, columns: np.ndarray) -> np.ndarray:
-    """J = 1 eigenvectors of canonical block k <= n/2 at the given ascending-level columns.
+    """J = 1 eigenvectors of canonical block k <= n/2 at the given level columns.
 
     Each column is gathered from its piece, v[i] = u(i) x[a(i), c], so no
     d x d array is built.  A block's piece eigenvectors are solved on first
@@ -205,9 +205,10 @@ def _full_spectrum(n, coupling, field):
     Magnetization is conserved, so the full matrix is block diagonal by
     popcount; diagonalizing block-wise keeps every eigenvector exactly
     inside one sector and gives it an unambiguous k tag.  Block k reads
-    block min(k, n - k)'s J = 1 levels, scaled by J, their column order
-    reversed for J < 0.  Levels or a spectral range that overflow are
-    refused: every level would fall inside an infinite tolerance window.
+    block min(k, n - k)'s J = 1 levels, scaled by J, and one stable sort
+    over all 2^n levels orders them.  Levels or a spectral range that
+    overflow are refused: every level would fall inside an infinite
+    tolerance window.
     """
     if n > FULL_DIAGONALIZE_CAP:
         raise ValueError(f"full diagonalization is capped at n={FULL_DIAGONALIZE_CAP}")
@@ -218,12 +219,9 @@ def _full_spectrum(n, coupling, field):
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for k in range(n + 1):
             w = blocks[min(k, n - k)][1]
-            column = np.arange(len(w))
-            if coupling.j < 0:
-                w, column = w[::-1], column[::-1]
             values.append(coupling.j * w - field.b * (k - n / 2))  # Zeeman offset
             tags.append(np.full(len(w), k))
-            columns.append(column)
+            columns.append(np.arange(len(w)))
     values = np.concatenate(values)
     if not np.isfinite(float(values.max()) - float(values.min())):
         raise ValueError(f"energies overflow at J={coupling.j:g}, b={field.b:g}")

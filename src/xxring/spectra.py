@@ -13,10 +13,12 @@ complex conjugate of block m, so blocks (k, m), (n-k, m), (k, n-m) and
 The canonical blocks of a sector are solved together, once per process, at
 J = 1 and in real arithmetic: ``real_block_pieces`` gives each block in the
 basis that K R fixes (real, and split in two by R at m = 0 and n/2), each
-piece is checked to be symmetric, and the block's levels are the sorted
-union of its pieces' ``eigvalsh``.  The table lists block m > n/2 as a copy
-of block n-m's levels, so it holds every block m = 0..n-1 and no reader maps
-momenta; the listing scales it by J and adds the field offset.
+piece is checked to be symmetric, and the block's levels are its pieces'
+``eigvalsh``, piece after piece.  The table lists block m > n/2 as a copy of
+block n-m's levels, so it holds every block m = 0..n-1 and no reader maps
+momenta; the listing is J times the table plus the field offset, for either
+sign of J.  It sorts nothing: the ground scan reads levels in any order, and
+the ``spectrum`` command sorts the rows it prints.
 
 ``ground_manifold`` solves in two phases.  It scans the listing of every
 sector k = 0..n: the ground energy, the spectral range and the tolerance
@@ -131,43 +133,38 @@ def eigh(matrix: np.ndarray, count: int | None = None) -> Spectrum:
 def _unit_levels(n: int, k: int, /) -> tuple[np.ndarray, np.ndarray]:
     """J = 1 eigenvalues of blocks (k, m), m = 0..n-1, solved once per process.
 
-    Returns ``(levels, bounds)``, both read-only: block m's levels ascend in
-    ``levels[bounds[m]:bounds[m + 1]]``.  Each block m <= n/2 is the sorted
-    union of its real pieces' levels, every piece checked to be symmetric
-    first; block m > n/2, the complex conjugate of block n - m, repeats that
-    block's levels and is not solved again.
+    Returns ``(levels, momenta)``, both read-only: the levels of blocks
+    m = 0..n-1 one block after another, and the momentum m of each level.
+    Block m <= n/2 lists its real pieces' levels, every piece checked to be
+    symmetric first; block m > n/2, the complex conjugate of block n - m,
+    repeats that block's levels and is not solved again.
     """
-    blocks = []
-    for pieces in real_block_pieces(enumerate_sector(n, k)):
-        parts = [np.linalg.eigvalsh(_hermitian(piece)) for piece in pieces]
-        blocks.append(np.sort(np.concatenate(parts)) if parts else np.empty(0))
+    blocks = [[np.linalg.eigvalsh(_hermitian(piece)) for piece in pieces]
+              for pieces in real_block_pieces(enumerate_sector(n, k))]
     blocks += blocks[1:(n + 1) // 2][::-1]
-    levels = np.concatenate(blocks)
-    bounds = np.cumsum([0] + [len(block) for block in blocks])
-    levels.flags.writeable = bounds.flags.writeable = False
-    return levels, bounds
+    levels = np.concatenate([part for parts in blocks for part in parts])
+    momenta = np.repeat(np.arange(n), [sum(map(len, parts)) for parts in blocks])
+    levels.flags.writeable = momenta.flags.writeable = False
+    return levels, momenta
 
 
 def ring_levels(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
                 sectors=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every level of the given sectors (all k = 0..n by default) as ``(k, m, energy)`` arrays.
 
-    Rows come in (k, m) order, each block's levels ascending: J times sector
-    min(k, n-k)'s J = 1 table plus the sector's offset -b*(k - n/2).  For
-    J < 0 the reversed table lists blocks n-1..0, that is the levels of
-    m = 1..n-1 and then 0, so one roll by block 0's size restores m order.
-    Levels that overflow come out as inf or nan, unrefused: each caller
-    refuses, with ``check_finite_energies``, the levels it keeps.
+    Rows come in (k, m) order: J times sector min(k, n-k)'s J = 1 table
+    plus the sector's offset -b*(k - n/2).  Levels that overflow come out
+    as inf or nan, unrefused: each caller refuses, with
+    ``check_finite_energies``, the levels it keeps.
     """
     check_ring_size(n)
     columns = []
     for k in range(n + 1) if sectors is None else sectors:
         check_sector(n, k)
-        levels, bounds = _unit_levels(n, min(k, n - k))
+        levels, momenta = _unit_levels(n, min(k, n - k))
         with np.errstate(over="ignore", invalid="ignore"):  # refused by the caller
             energy = coupling.j * levels + sector_energy_offset(k, n, field)
-        columns.append((np.full(len(levels), k), np.repeat(np.arange(n), np.diff(bounds)),
-                        np.roll(energy[::-1], bounds[1]) if coupling.j < 0 else energy))
+        columns.append((np.full(len(levels), k), momenta, energy))
     return tuple(map(np.concatenate, zip(*columns)))
 
 

@@ -378,7 +378,8 @@ def window_counts_by_cumsum(n: int, coupling: Coupling, field: FieldSetting,
     offsets = [sector_energy_offset(k, n, field) for k in range(n + 1)]
     scan, lows, highs = [], [], []
     for k in range(n // 2 + 1):
-        levels, bounds = _unit_levels(n, k)
+        levels, momenta = _unit_levels(n, k)
+        bounds = np.searchsorted(momenta, np.arange(n + 1))
         values = coupling.j * levels
         scan.append((k, values, bounds))
         for sector in {k, n - k}:

@@ -90,18 +90,17 @@ def reference_render(document, fmt):
 def reference_spectrum_rows(n, j=-1.0, b=0.0, k=None, m=None, tol=DEGENERACY_RTOL):
     """``spectrum`` rows built level by level, one float and one dict per level.
 
-    Each block is sliced from its sector's J = 1 table, scaled by J (which
-    reverses it for J < 0) and shifted by the sector's field offset.
+    Each block is picked from its sector's J = 1 table by its momentum tags,
+    scaled by J, sorted and shifted by the sector's field offset.
     """
     field = FieldSetting(b=b)
     zero = tol * n * abs(j)
     rows = []
     for kk in range(n + 1) if k is None else [k]:
         offset = sector_energy_offset(kk, n, field)
-        levels, bounds = _unit_levels(n, min(kk, n - kk))
+        levels, momenta = _unit_levels(n, min(kk, n - kk))
         for mm in range(n) if m is None else [m]:
-            block = j * levels[bounds[mm]:bounds[mm + 1]]
-            for level, energy in enumerate(block[::-1] if j < 0 else block):
+            for level, energy in enumerate(np.sort(j * levels[momenta == mm])):
                 energy = float(energy) + offset
                 rows.append({"k": kk, "m": mm, "level": level,
                              "energy": 0.0 if abs(energy) <= zero else energy})

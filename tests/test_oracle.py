@@ -1,5 +1,6 @@
 """Full-space brute-force path and its agreement with the block pipeline."""
 
+import ast
 import re
 import sys
 import tracemalloc
@@ -136,6 +137,27 @@ class TestFullDiagonalize:
                                    -2 * np.sqrt(4 + 2 * np.sqrt(2)), atol=1e-10)
         assert report.ground_degeneracy == 1
         assert report.ground_sectors == (4,)
+
+    @pytest.mark.parametrize("j", [-1.0, 1.0, 0.5])
+    def test_two_site_closed_form(self, j):
+        # the one bond counted twice: block k = 1 is [[0, 2J], [2J, 0]], blocks 0 and 2 are 0
+        report = full_diagonalize(2, Coupling(j))
+        np.testing.assert_allclose(report.ground_energy, -2 * abs(j), rtol=0, atol=1e-12)
+
+    def test_imports_no_pipeline_hamiltonian(self):
+        # a fault in the pipeline's bonds, sectors or blocks must not reach the
+        # oracle too, or verify could not see it
+        package = set()  # (module, name) of every import from xxring
+        for node in ast.walk(ast.parse(open(xxring.oracle.__file__).read())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("xxring")):
+                package |= {((node.module or "").rpartition(".")[2], alias.name)
+                            for alias in node.names}
+            elif isinstance(node, ast.Import):
+                package |= {("", alias.name) for alias in node.names
+                            if alias.name.startswith("xxring")}
+        assert package == {("concurrence", "ring_distance"), ("hamiltonian", "Coupling"),
+                           ("hamiltonian", "FieldSetting"), ("spectra", "DEGENERACY_RTOL"),
+                           ("spectra", "ground_manifold")}
 
     def test_two_site_concurrence(self):
         report = full_diagonalize(2, FERRO)
@@ -338,7 +360,7 @@ class TestUnitSpectrum:
             assert np.array_equal(full[placed], all_columns(n, min(k, n - k))), label
             assert not np.delete(full, placed, axis=0).any(), label
             v = full[configs]
-            assert np.abs(w - np.linalg.eigvalsh(block)).max() <= 1e-12, label
+            assert np.abs(np.sort(w) - np.linalg.eigvalsh(block)).max() <= 1e-12, label
             assert np.abs(block @ v - v * w).max() <= 1e-12, label
             assert np.abs(v.T @ v - np.eye(len(w))).max() <= 1e-12, label
             # each column lies in one reflection piece: exactly even or odd
@@ -371,15 +393,17 @@ class TestUnitSpectrum:
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_half_filled_block_from_its_four_pieces(self, n):
-        w = _unit_spectrum(n)[0][n // 2][1]
+        _, w, _, piece, _ = _unit_spectrum(n)[0][n // 2]
         v = all_columns(n, n // 2)
         # the dense block, which test_popcount_block_is_the_literal_block
         # pins to the literal matrix
         _, block = popcount_block(n, n // 2, ANTIFERRO)
         assert np.abs(block @ v - v * w).max() <= 1e-12
         assert np.abs(v.T @ v - np.eye(len(w))).max() <= 1e-12
-        assert np.all(np.diff(w) >= 0)
-        assert np.abs(w - np.linalg.eigvalsh(block)).max() <= 1e-12
+        # the pieces' levels one piece after another, each piece's ascending
+        assert np.all(np.diff(piece) >= 0)
+        assert all(np.all(np.diff(w[piece == p]) >= 0) for p in range(4))
+        assert np.abs(np.sort(w) - np.linalg.eigvalsh(block)).max() <= 1e-12
         # spin inversion reverses the rows: each column is exactly even or odd
         # under it, half of them of each sign
         even = [np.array_equal(v[::-1, c], v[:, c]) for c in range(len(w))]
@@ -401,7 +425,7 @@ class TestUnitSpectrum:
         assert configs.tolist() == [1, 2]
         assert sorted(zip(rows.tolist(), columns.tolist())) == [(0, 1)] * 2 + [(1, 0)] * 2
         blocks, _ = _unit_spectrum(2)
-        np.testing.assert_allclose(blocks[1][1], [-2.0, 2.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.sort(blocks[1][1]), [-2.0, 2.0], rtol=0, atol=1e-12)
         assert [len(pieces) for _, _, pieces, _, _ in blocks] == [1, 2]
 
     @pytest.mark.parametrize("coupling", [FERRO, ANTIFERRO], ids=["-1.0", "1.0"])

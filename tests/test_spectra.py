@@ -424,8 +424,17 @@ class TestLevelTable:
                 basis = enumerate_sector(n, k)
                 for m in range(n):
                     direct = np.linalg.eigvalsh(build_momentum_block(basis, m, coupling).matrix)
-                    np.testing.assert_allclose(energy[(sector == k) & (momentum == m)], direct,
-                                               rtol=0, atol=1e-12)
+                    block = np.sort(energy[(sector == k) & (momentum == m)])
+                    np.testing.assert_allclose(block, direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("j", [-2.5, -1.0, 0.5])
+    def test_listing_is_j_times_the_unit_listing(self, j):
+        # H(J) = J H(1): the same rows for every J, each energy j times its J = 1 level
+        for n in range(1, 13):
+            unit_sector, unit_momentum, unit_energy = ring_levels(n, Coupling(1.0))
+            sector, momentum, energy = ring_levels(n, Coupling(j))
+            assert np.array_equal(sector, unit_sector) and np.array_equal(momentum, unit_momentum)
+            assert np.array_equal(energy, j * unit_energy), n
 
     @pytest.mark.parametrize("n, pieces", [(6, 16), (9, 23), (12, 52)])
     def test_each_block_solved_once_for_both_signs_and_spectrum(self, solver_calls,
