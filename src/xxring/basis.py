@@ -84,15 +84,19 @@ class SectorBasis(NamedTuple):
 
 
 def check_ring_size(n: int) -> None:
-    """Refuse ring sizes outside 1..RING_CAP."""
-    if not 1 <= n <= RING_CAP:
+    """Refuse ring sizes that are not ints (numpy integers too) in 1..RING_CAP.
+
+    A float is refused even when it is whole: 8.0 would pass the range test
+    and then index arrays and caches as if it were 8.
+    """
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= RING_CAP):
         raise ValueError(f"ring size must be in 1..{RING_CAP}, got {n}")
 
 
 def check_sector(n: int, k: int) -> None:
-    """Refuse a ring size outside 1..RING_CAP or an up-spin count outside 0..n."""
+    """Refuse a bad ring size, then an up-spin count that is not an int in 0..n."""
     check_ring_size(n)
-    if not 0 <= k <= n:
+    if not (isinstance(k, (int, np.integer)) and 0 <= k <= n):
         raise ValueError(f"up-spin count must be in 0..{n}, got {k}")
 
 

@@ -12,10 +12,10 @@ check and the exact-zero snap act on the sorted arrays; the
 other commands transpose one value tuple per row, and ``sweep``, ``verify``
 and ``extrapolate`` take their keys from the fields of the library's result
 types (``SweepRow``, ``PipelineAgreement`` and ``ok``, ``LimitFit``).  One
-function, ``_to_json``, writes the JSON: each row as a flat object, from one
-template per row filled ``_JSON_SLICE`` rows at a time by a single ``%``
-each; the CSV and table writers print one line per row under a header of
-the keys.
+function, ``_to_json``, writes the JSON: each row as a flat object, every
+column converted once and one template per row joined and filled by a
+single ``%``; the CSV and table writers print one line per row under a
+header of the keys.
 Floats are printed with 12 significant digits and a fixed field order, so
 identical invocations produce identical payloads apart from two timing
 fields: ``runtime_ms`` in ``meta`` and the ``seconds`` of each sweep row.
@@ -39,7 +39,7 @@ import math
 import sys
 import time
 from functools import lru_cache
-from itertools import chain, count
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -52,8 +52,6 @@ from .oracle import FULL_DIAGONALIZE_CAP, PipelineAgreement, compare_with_pipeli
 from .polarization import lp_table
 from .spectra import DEGENERACY_RTOL, check_finite_energies, ground_manifold, ring_levels
 from .sweeps import LimitFit, SweepRow, extrapolate, sweep
-
-_JSON_SLICE = 4096  # rows the JSON writer converts and fills at a time
 
 
 class Rows(NamedTuple):
@@ -99,15 +97,14 @@ def _template(keys: tuple, indent: int, conversions: tuple | None = None) -> str
     return "{\n" + fields + "\n" + "  " * indent + "}"
 
 
-def _columns(rows: Rows, scalar, start: int = 0,
-             stop: int | None = None) -> list[tuple[str, list]]:
-    """Each column of ``rows[start:stop]`` as a ``%`` conversion and the values it converts.
+def _columns(rows: Rows, scalar) -> list[tuple[str, list]]:
+    """Each column of ``rows`` as a ``%`` conversion and the values it converts.
 
-    TypeError is raised first unless the whole of ``rows`` is one list or
-    one-dimensional array per key, all of one length.  A float array keeps
-    its values for ``%.12g``, negative zero made positive by adding 0.0, and
-    an integer array for ``%d``: the text ``_json_scalar`` writes for them.
-    Any other column is written with ``%s`` from ``scalar`` of each value.
+    TypeError is raised first unless ``rows`` is one list or one-dimensional
+    array per key, all of one length.  A float array keeps its values for
+    ``%.12g``, negative zero made positive by adding 0.0, and an integer
+    array for ``%d``: the text ``_json_scalar`` writes for them.  Any other
+    column is written with ``%s`` from ``scalar`` of each value.
     """
     if not isinstance(rows, Rows):
         raise TypeError(f"expected Rows, not {type(rows).__name__}")
@@ -118,7 +115,6 @@ def _columns(rows: Rows, scalar, start: int = 0,
         raise TypeError("rows need one list or 1-d array per key, all of one length")
     converted = []
     for column in rows.columns:
-        column = column[start:stop]
         kind = column.dtype.kind if isinstance(column, np.ndarray) else ""
         if kind == "f":
             converted.append(("%.12g", (column + 0.0).tolist()))
@@ -133,27 +129,20 @@ def _columns(rows: Rows, scalar, start: int = 0,
 def _to_json(document: dict) -> str:
     """The payload as JSON: scalars, flat dicts and ``Rows`` under one dict.
 
-    ``Rows`` are written as flat objects at indent 2, ``_JSON_SLICE`` rows
-    at a time: a slice's values are converted, one template per row is
-    joined and filled by a single ``%``, and only the slice's text is kept,
-    so the converted values and templates of one slice are alive at a time.
+    ``Rows`` are written as flat objects at indent 2: every column is
+    converted once, one template per row is joined, and the whole list is
+    filled by a single ``%``.
     """
     values = []
     for value in document.values():
         if isinstance(value, dict):
             values.append(_template(tuple(value), 1) % tuple(map(_json_scalar, value.values())))
         elif isinstance(value, Rows):
-            text = "["
-            for start in count(0, _JSON_SLICE):
-                columns = _columns(value, _json_scalar, start, start + _JSON_SLICE)
-                if not (columns and columns[0][1]):
-                    break
-                template = _template(value.keys, 2, tuple(c for c, _ in columns))
-                text += (",\n    " if start else "\n    ") + ",\n    ".join(
-                    [template] * len(columns[0][1])) % tuple(
-                    chain.from_iterable(zip(*(column for _, column in columns))))
-            values.append(text + "\n  ]" if start else "[]")
-            del text  # one copy of the rows' text at a time
+            columns = _columns(value, _json_scalar)
+            count = len(columns[0][1]) if columns else 0
+            template = _template(value.keys, 2, tuple(c for c, _ in columns))
+            values.append(("[\n    " + ",\n    ".join([template] * count) + "\n  ]" if count
+                           else "[]") % tuple(chain.from_iterable(zip(*(c for _, c in columns)))))
         else:
             values.append(_json_scalar(value))
     return _template(tuple(document), 0) % tuple(values)

@@ -21,18 +21,18 @@ sign of J.  It sorts nothing: the ground scan reads levels in any order, and
 the ``spectrum`` command sorts the rows it prints.
 
 ``ground_manifold`` solves in two phases.  It scans the listing of every
-sector k = 0..n: the ground energy, the spectral range and the tolerance
-window come from its energies, and one ``Counter`` over the (k, m) of the
-levels inside the window counts each block's window levels.  Then only
-blocks reaching the window are solved with eigenvectors, at the given J,
-as complex blocks, and each solve is lifted in one call.  One ``eigh``
-serves both sectors of a spin-flip pair: the spin flip commutes with H and
-with the translations, and lists sector n-k as sector k's complements in
-reverse order, so a state of block (n-k, m) is the lifted state of block
-(k, m) reversed, at the same level and momentum.  The lower sector of the
-pair is the one solved.  Exact ground-level degeneracies are
-symmetry-protected, so the default tolerance of 1e-9 times the spectral
-range separates them cleanly from solver noise.
+sector k = 0..n: the ground energy (the listing's minimum, which the result
+reports), the spectral range and the tolerance window come from its
+energies, and one ``Counter`` over the (k, m) of the levels inside the
+window counts each block's window levels.  Then only blocks reaching the
+window are solved with eigenvectors, at the given J, as complex blocks, and
+each solve is lifted in one call.  One ``eigh`` serves both sectors of a
+spin-flip pair: the spin flip commutes with H and with the translations, and
+lists sector n-k as sector k's complements in reverse order, so a state of
+block (n-k, m) is the lifted state of block (k, m) reversed, at the same
+level and momentum.  The lower sector of the pair is the one solved.  Exact
+ground-level degeneracies are symmetry-protected, so the default tolerance
+of 1e-9 times the spectral range separates them cleanly from solver noise.
 Blocks are built on ``enumerate_sector``'s sectors, which each process builds
 once per ring size, all n + 1 in one pass, and shares read-only, so the scan
 and the ground solve read the same orbit arrays and hop rows.
@@ -227,8 +227,10 @@ def lift_block_vector(block: MomentumBlock, vectors: np.ndarray) -> np.ndarray:
 class GroundManifold(NamedTuple):
     """All states at the minimum energy, one amplitude vector per (k, m).
 
-    ``concurrence`` is the read-only concurrence of the states' equal-weight
-    mixture on the pair (0, d) at index d - 1, d = 1..n//2.
+    ``energy`` is the minimum of the level listing (``ring_levels``) that
+    the ground scan reads, bit for bit.  ``concurrence`` is the read-only
+    concurrence of the states' equal-weight mixture on the pair (0, d) at
+    index d - 1, d = 1..n//2.
     """
 
     energy: float
@@ -255,6 +257,7 @@ def ground_manifold(n: int, coupling: Coupling, field: FieldSetting = FieldSetti
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    check_ring_size(n)  # before the cache, which takes 8.0 for 8
     return _ground_manifold(n, coupling, field, tol)
 
 
@@ -268,25 +271,19 @@ def _ground_manifold(n: int, coupling: Coupling, field: FieldSetting,
     inside = levels - e0 <= window
     counts = Counter(zip(sector[inside].tolist(), momentum[inside].tolist()))  # per (k, m)
 
-    solved, states, energies = {}, [], []
+    solved, states = {}, []
     for k, m in sorted(counts):
         if (n - k, m) in solved:  # the spin flip of a lower sector's solve
-            values, lifted = solved[n - k, m]
             # sector n - k lists sector k's complements in reverse
-            lifted = lifted[:counts[k, m], ::-1].copy()
+            lifted = solved[n - k, m][:counts[k, m], ::-1].copy()
         else:
             block = build_momentum_block(enumerate_sector(n, k), m, coupling)
-            values, vectors = eigh(block.matrix, max(counts[k, m], counts.get((n - k, m), 0)))
-            lifted = lift_block_vector(block, vectors)
-            solved[k, m] = values, lifted
+            count = max(counts[k, m], counts.get((n - k, m), 0))
+            lifted = solved[k, m] = lift_block_vector(block, eigh(block.matrix, count).vectors)
         lifted.flags.writeable = False
-        energies.append(values[0] + sector_energy_offset(k, n, field))
         states.extend(SectorState(basis=enumerate_sector(n, k), amplitudes=amplitudes,
                                   momentum=m) for amplitudes in lifted[:counts[k, m]])
-    # the energy of the decompositions the states come from (the scan's
-    # eigenvalue-only minimum can differ from it in the last bits)
-    return GroundManifold(energy=float(min(energies)), states=tuple(states),
-                          concurrence=concurrence_profile(states))
+    return GroundManifold(energy=e0, states=tuple(states), concurrence=concurrence_profile(states))
 
 
 def ground_concurrence(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),

@@ -11,12 +11,13 @@ matrix-free product, the basis that makes a momentum block real, the dense
 levels one level at a time, the pair reduction that numbers configuration
 groups with ``np.unique``, and the X-form concurrence.
 
-Five more keep an earlier form of a library path, so the tests can pin the
-library's arrays and payloads to it bit for bit: a sector built on its own
-(orbits numbered by ``np.unique``, reflections and hop targets found with
+Four more keep an earlier form of a library path, so the tests can pin the
+library's arrays to it bit for bit: a sector built on its own (orbits
+numbered by ``np.unique``, reflections and hop targets found with
 ``searchsorted``), orbit reports summed one orbit at a time, the ground
-window counted one sector at a time with ``cumsum``, Spearman ranks read
-from ``np.unique``, and JSON rows filled into one template for all rows.
+window counted one sector at a time with ``cumsum``, and Spearman ranks read
+from ``np.unique``.  Every Hamiltonian here swaps spins across ``bonds``,
+its own list of the ring's bonds, not the library's.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from xxring.basis import SectorBasis, rotation_order, ring_bonds
-from xxring.cli import _columns, _json_scalar, _template
+from xxring.basis import SectorBasis, rotation_order
 from xxring.concurrence import PairDensity
 from xxring.hamiltonian import Coupling, FieldSetting, sector_energy_offset
 from xxring.oracle import FULL_DIAGONALIZE_CAP
@@ -39,6 +38,14 @@ from xxring.polarization import (EQUAL_PROBABILITY_ATOL, OrbitReport, OrbitRow, 
 from xxring.spectra import GroundManifold, _unit_levels
 
 X_OFFDIAG_TOL = 1e-10
+
+
+def bonds(n: int) -> list[tuple[int, int]]:
+    """The ring's bonds (i, i+1 mod n), none dropped.
+
+    n = 2 lists its one bond twice; the self-bond (0, 0) of n = 1 swaps nothing.
+    """
+    return [(i, (i + 1) % n) for i in range(n)]
 
 
 def rotate(bits: int, t: int, n: int) -> int:
@@ -167,7 +174,7 @@ def build_sector_hamiltonian(basis: SectorBasis, coupling: Coupling) -> np.ndarr
     n = basis.n
     h = np.zeros((basis.dim, basis.dim))
     for a, c in enumerate(basis.bits.tolist()):
-        for i, j in ring_bonds(n):
+        for i, j in bonds(n):
             if ((c >> i) & 1) != ((c >> j) & 1):
                 h[index_of(basis, c ^ ((1 << i) | (1 << j))), a] += coupling.j
     return h
@@ -182,7 +189,7 @@ def apply_hamiltonian(basis: SectorBasis, coupling: Coupling, v: np.ndarray) -> 
     for a, c in enumerate(basis.bits.tolist()):
         if v[a] == 0:
             continue
-        for i, j in ring_bonds(basis.n):
+        for i, j in bonds(basis.n):
             if ((c >> i) & 1) != ((c >> j) & 1):
                 out[index_of(basis, c ^ ((1 << i) | (1 << j)))] += coupling.j * v[a]
     return out
@@ -235,7 +242,7 @@ def full_hamiltonian(n: int, coupling: Coupling) -> np.ndarray:
     dim = 1 << n
     h = np.zeros((dim, dim))
     for c in range(dim):
-        for i, j in ring_bonds(n):
+        for i, j in bonds(n):
             if ((c >> i) & 1) != ((c >> j) & 1):
                 h[c ^ ((1 << i) | (1 << j)), c] += coupling.j
     return h
@@ -246,7 +253,7 @@ def popcount_block(n: int, k: int, coupling: Coupling) -> tuple[np.ndarray, np.n
     full = np.arange(1 << n)
     configs = full[((full[:, None] >> np.arange(n)) & 1).sum(axis=1) == k]
     block = np.zeros((len(configs), len(configs)))
-    for i, j in ring_bonds(n):
+    for i, j in bonds(n):
         hop = np.flatnonzero(((configs >> i) ^ (configs >> j)) & 1)
         rows = np.searchsorted(configs, configs[hop] ^ ((1 << i) | (1 << j)))
         block[rows, hop] += coupling.j  # one entry per hop; n = 2 lists its bond twice
@@ -330,7 +337,7 @@ def sector_by_unique(n: int, k: int) -> SectorBasis:
     reps, orbit, period = np.unique(least[bits], return_inverse=True, return_counts=True)
     shift = shifts[bits]
     image = np.searchsorted(bits, mirrored[reps])
-    i, j = np.array(ring_bonds(n), dtype=np.int64).reshape(-1, 2).T
+    i, j = np.array(bonds(n), dtype=np.int64).reshape(-1, 2).T
     a, bond = np.nonzero(((reps[:, None] >> i) & 1) != ((reps[:, None] >> j) & 1))
     swapped = np.searchsorted(bits, reps[a] ^ ((1 << i[bond]) | (1 << j[bond])))
     b = orbit[swapped]
@@ -408,15 +415,3 @@ def rank_correlation_by_unique(x, y) -> float | None:
         ranks.append((np.cumsum(counts) - (counts - 1) / 2)[inverse])
     return float(np.corrcoef(*ranks)[1, 0])
 
-
-def rows_json_whole(rows) -> str:
-    """The rows ``cli._to_json`` writes, comma-joined, each converted and filled at once.
-
-    The writer fills ``_JSON_SLICE`` rows at a time; this fills every row
-    into one template, the text between the ``[`` and ``]`` of the rows.
-    """
-    columns = _columns(rows, _json_scalar)
-    count = len(columns[0][1]) if columns else 0
-    template = _template(rows.keys, 2, tuple(c for c, _ in columns))
-    return ",\n    ".join([template] * count) % tuple(
-        chain.from_iterable(zip(*(values for _, values in columns))))

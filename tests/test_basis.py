@@ -40,6 +40,15 @@ class TestSectorEnumeration:
         with pytest.raises(ValueError):
             enumerate_sector(0, 0)
 
+    @pytest.mark.parametrize("n, k", [(6, 2.0), (6.0, 2), (np.float64(6), 2), (6, "2")],
+                             ids=["float-k", "float-n", "float64-n", "str-k"])
+    def test_refuses_sizes_and_counts_that_are_not_whole_numbers(self, n, k):
+        assert enumerate_sector(6, np.int64(2)) is enumerate_sector(6, 2)
+        cached = xxring.basis._ring_sectors.cache_info()
+        with pytest.raises(ValueError):
+            enumerate_sector(n, k)
+        assert xxring.basis._ring_sectors.cache_info() == cached  # refused before the cache
+
     @pytest.mark.parametrize("n", range(1, 15))
     def test_configs_equal_the_combinations_listing(self, n):
         for k in range(n + 1):

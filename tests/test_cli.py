@@ -15,7 +15,7 @@ from xxring.oracle import PipelineAgreement
 from xxring.spectra import DEGENERACY_RTOL, _unit_levels
 from xxring.sweeps import LimitFit, SweepRow
 
-from reference import full_hamiltonian, rows_json_whole
+from reference import full_hamiltonian
 
 
 @pytest.fixture
@@ -352,9 +352,10 @@ class TestJsonWriter:
         for fmt in ("csv", "table"):
             assert cli._render(document, fmt) == reference_render(document, fmt)
 
-    @pytest.mark.parametrize("count", [0, 1, cli._JSON_SLICE - 1, cli._JSON_SLICE,
-                                       cli._JSON_SLICE + 1, 2 * cli._JSON_SLICE + 1])
+    @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
     def test_slices_equal_the_whole_template(self, count):
+        # row counts about 4096, the slice size of an earlier writer that
+        # filled the rows a slice at a time
         rng = np.random.default_rng(count)
         rows = Rows(("k", "energy", "pattern", "ok", "corr", "m"),
                     (np.arange(count, dtype=np.int64) - 3, rng.normal(size=count) * 1e3,
@@ -362,20 +363,28 @@ class TestJsonWriter:
                      [i % 3 == 0 for i in range(count)],
                      [None if i % 5 else 0.25 * i - 1.0 for i in range(count)],
                      list(range(count))))
-        whole = rows_json_whole(rows)
-        assert cli._to_json({"rows": rows}) == (
-            f'{{\n  "rows": [\n    {whole}\n  ]\n}}' if count else '{\n  "rows": []\n}')
-        document = {"command": "c", "config": {}, "rows": rows, "meta": {}}
-        assert cli._to_json(document) == reference_to_json(document)
+        for document in ({"rows": rows}, {"command": "c", "config": {}, "rows": rows, "meta": {}}):
+            assert cli._to_json(document) == reference_to_json(document)
 
-    def test_every_paper_listing_is_one_slice(self):
-        # spectrum --n 12, the largest listing of the paper's tables, has 2^12 rows
-        assert cli._JSON_SLICE >= 1 << 12
+    def test_spectrum_above_the_old_slice_size(self, capsys, monkeypatch):
+        documents, render = [], cli._render
+
+        def capture(document, fmt):
+            documents.append(document)
+            return render(document, fmt)
+
+        monkeypatch.setattr(cli, "_render", capture)
+        assert cli.run(["spectrum", "--n", "13"]) == 0
+        out = capsys.readouterr().out
+        [document] = documents
+        assert len(document["rows"].columns[0]) == 8192
+        assert out == reference_to_json(document) + "\n"
+        assert len(json.loads(out)["rows"]) == 8192
 
     def test_a_slice_checks_the_shape_of_all_rows(self):
         rows = Rows(("a", "b"), ([1, 2, 3], [1.0, 2.0]))
         with pytest.raises(TypeError):
-            cli._columns(rows, cli._json_scalar, 0, 2)
+            cli._columns(rows, cli._json_scalar)
 
     def test_array_columns_print_as_their_scalars(self):
         """``%.12g`` of an array's floats and ``%d`` of its ints, as ``_json_scalar`` writes them."""

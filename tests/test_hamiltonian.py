@@ -1,5 +1,7 @@
 """Sector Hamiltonians, momentum blocks, and their symmetries."""
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from xxring.basis import enumerate_sector, ring_bonds
 from xxring.hamiltonian import (Coupling, FieldSetting, build_momentum_block, real_block_pieces,
                                 sector_energy_offset)
 
-from reference import (apply_hamiltonian, build_sector_hamiltonian, kr_basis,
+import reference
+from reference import (apply_hamiltonian, bonds, build_sector_hamiltonian, kr_basis,
                        orbit_representative, rotate, set_walk_orbits)
 
 FERRO = Coupling(-1.0)
@@ -48,6 +51,15 @@ class TestRingBonds:
         assert ring_bonds(1) == []
         assert ring_bonds(2) == [(0, 1), (1, 0)]  # the single bond, twice
         assert len(ring_bonds(6)) == 6
+
+    def test_the_reference_swaps_across_its_own_bonds(self):
+        # a fault in ring_bonds must not reach the literal Hamiltonians too,
+        # or the tests that compare the blocks with them could not see it
+        tree = ast.parse(open(reference.__file__).read())
+        names = {getattr(node, field, None) for node in ast.walk(tree)
+                 for field in ("id", "attr", "name")}
+        assert "ring_bonds" not in names
+        assert bonds(1) == [(0, 0)] and all(bonds(n) == ring_bonds(n) for n in range(2, 9))
 
 
 class TestSectorHamiltonian:
@@ -127,7 +139,7 @@ def reference_hop_table(basis, orbits):
     hops = []
     for a, orb in enumerate(orbits):
         c = orb.representative
-        for i, j in ring_bonds(n):
+        for i, j in bonds(n):
             if ((c >> i) & 1) == ((c >> j) & 1):
                 continue
             rep, shift = orbit_representative(c ^ ((1 << i) | (1 << j)), n)

@@ -11,8 +11,8 @@ from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block, rea
 import xxring.cli
 import xxring.spectra
 from xxring.oracle import full_diagonalize
-from xxring.spectra import (DEGENERACY_RTOL, eigh, ground_manifold, lift_block_vector,
-                            ring_levels)
+from xxring.spectra import (DEGENERACY_RTOL, eigh, ground_concurrence, ground_manifold,
+                            lift_block_vector, ring_levels)
 
 from reference import (apply_hamiltonian, build_sector_hamiltonian, index_of, set_walk_orbits,
                        window_counts_by_cumsum)
@@ -402,6 +402,16 @@ class TestGroundCache:
         for a, b in zip(warm.states, cold.states):
             np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
+    @pytest.mark.parametrize("n", [8.0, np.float64(8.0)], ids=["float", "float64"])
+    def test_refuses_a_ring_size_that_is_not_a_whole_number(self, n):
+        # the cache takes 8.0 for 8, so the size is checked before it
+        xxring.spectra._ground_manifold.cache_clear()
+        for _ in range(2):  # with no solve cached, then after the n = 8 solve
+            for solve in (ground_manifold, ground_concurrence):
+                with pytest.raises(ValueError, match=r"ring size must be in 1\.\.20, got 8\.0"):
+                    solve(n, ANTIFERRO)
+            ground_manifold(8, ANTIFERRO)
+
     def test_amplitudes_are_read_only(self):
         for state in ground_manifold(5, ANTIFERRO).states:
             with pytest.raises(ValueError):
@@ -435,6 +445,12 @@ class TestLevelTable:
             sector, momentum, energy = ring_levels(n, Coupling(j))
             assert np.array_equal(sector, unit_sector) and np.array_equal(momentum, unit_momentum)
             assert np.array_equal(energy, j * unit_energy), n
+
+    @pytest.mark.parametrize("j", [-1.0, 1.0])
+    def test_ground_energy_is_the_listing_minimum(self, j):
+        for n in range(1, 13):
+            coupling = Coupling(j)
+            assert ground_manifold(n, coupling).energy == ring_levels(n, coupling)[2].min(), n
 
     @pytest.mark.parametrize("n, pieces", [(6, 16), (9, 23), (12, 52)])
     def test_each_block_solved_once_for_both_signs_and_spectrum(self, solver_calls,
