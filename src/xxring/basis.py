@@ -29,6 +29,7 @@ orbit and its mirror form one dihedral class.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -173,10 +174,11 @@ def enumerate_sector(n: int, k: int, /) -> SectorBasis:
 
     The first call for a ring size builds all n + 1 of its sectors in one
     pass (``_ring_sectors``); every call for a sector returns the same
-    ``SectorBasis``.
+    ``SectorBasis``.  A numpy-integer n reads the sectors of the int it
+    equals, which carry that int as their ``n``.
     """
     check_sector(n, k)
-    return _ring_sectors(n)[k]
+    return _ring_sectors(operator.index(n))[k]
 
 
 def rotation_order(basis: SectorBasis) -> np.ndarray:

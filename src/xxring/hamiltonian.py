@@ -126,8 +126,13 @@ class MomentumBlock(NamedTuple):
 
 
 def check_momentum(m: int, n: int) -> None:
-    """Refuse a momentum index outside 0..n-1."""
-    if not 0 <= m < n:
+    """Refuse a momentum index that is not an int (numpy integers too) in 0..n-1.
+
+    A float is refused even when it is whole, as ``basis.check_ring_size``
+    refuses one: 2.5 would select no orbit and 2.0 would build block 2
+    tagged with a float momentum.
+    """
+    if not (isinstance(m, (int, np.integer)) and 0 <= m < n):
         raise ValueError(f"momentum index must be in 0..{n - 1}, got {m}")
 
 

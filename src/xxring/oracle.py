@@ -38,26 +38,56 @@ orbit's least member to i, when chi is trivial on i's stabilizer (otherwise
 u(i) = 0 and the orbit has no vector in that piece).  Piece entries sum
 u(i) u(j) over the hops, a block's levels are its pieces' levels, piece
 after piece, and a level's eigenvector is gathered from its piece as
-v[i] = u(i) x[a(i)], a(i) being the orbit's column in the piece.
+v[i] = u(i) x[a(i)], a(i) being the orbit's column in the piece.  One
+pass over the 2^n configurations per ring size (``_ring``) gives each
+configuration's popcount, its index in its popcount block, its mirror
+image and its sublattice parity P, the parity of the up spins on odd
+sites; every block's hop list and pieces are lookups in it.
+
+Half of an even ring's solves are saved by the sublattice sign S =
+(-1)^P.  When every hop of a block flips P, S anticommutes with the block
+(an even ring is bipartite: Lieb, Schultz & Mattis, Ann. Phys. 16, 407
+(1961)).  The premise is checked exactly on each block's hop list: it
+holds on every even ring and fails on every odd ring, whose bond (n - 1,
+0) joins two even sites, and a block without hops (k = 0) is taken as
+failing it.  Such blocks are solved piece by piece.  A group element g
+commutes with S up to a sign s(g), -1 when g flips P (R when k is odd, C
+when n/2 is odd), so S maps piece chi onto piece chi * s with its levels
+negated, and the stabilizers, on which s is 1, leave both pieces the same
+columns.  When s is not trivial the pieces pair up: the first of a pair is
+solved, and the other reads its levels negated and reversed and its
+eigenvectors, column j from column d - 1 - j times (-1)^P of the column's
+least member.  When s is trivial, S maps each piece onto itself, which is
+then [[0, B], [B^T, 0]] in its P = 0 and P = 1 columns: its levels are
+-sigma, |d0 - d1| zeros and sigma, sigma the singular values of B, and its
+eigenvectors (u, -v) / sqrt 2 and (u, v) / sqrt 2 from ``np.linalg.svd(B)``,
+with the extra columns of U or V for the zeros.  Of the 15 pieces of
+blocks 0..6 at n = 12, 4 are solved whole, 3 are read from a partner and 8
+are solved by the SVD.
 
 Eigenvectors are solved only for the blocks a caller reads.  At zero field
 the ground level lies in block n // 2 (or its complement) for both signs
-of J, so ``_unit_spectrum(n)`` takes every other block's levels from
-``np.linalg.eigvalsh`` of its pieces and runs ``np.linalg.eigh`` on the
-pieces of block n // 2 alone.  ``_unit_columns(n, k, columns)`` solves any
+of J, so ``_unit_spectrum(n)`` takes every other block's levels alone
+(``eigvalsh``, or ``svd`` without U and V) and solves eigenvectors for the
+pieces of block n // 2 only.  ``_unit_columns(n, k, columns)`` solves any
 other block's pieces on first read (a field that moves the ground level, or
 the level scan) and keeps their eigenvectors beside the levels.
 
 The process keeps the decomposition for one ring size at a time, as
-read-only arrays.  Code that monkeypatches the hop list (``_hops``), the
-pieces (``_pieces``, ``_piece_matrix``) or a solver (``np.linalg.eigh``,
-``np.linalg.eigvalsh``) must call ``_unit_spectrum.cache_clear()`` first,
-which drops the levels, the pieces and their eigenvectors together, or it
-may be handed a decomposition made before the patch.
+read-only arrays, and the per-ring pass beside it.  Code that monkeypatches
+the hop list (``_hops``), the pieces (``_pieces``, ``_piece_matrix``,
+``_bipartite``) or a solver (``np.linalg.eigh``, ``np.linalg.eigvalsh``,
+``np.linalg.svd``) must call ``_unit_spectrum.cache_clear()`` first, which
+drops the levels, the pieces and their eigenvectors together, or it may be
+handed a decomposition made before the patch; code that patches the
+per-ring pass must call ``_ring.cache_clear()`` as well.  The public entry
+points refuse a ring size that is not an int or a numpy integer before any
+work, and key a numpy integer as the int it equals.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -78,6 +108,25 @@ _REFLECTION_FLIP_CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
                                         [1, 1, -1, -1], [1, -1, -1, 1]])
 
 
+@lru_cache(maxsize=1)
+def _ring(n: int, /) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only popcount, index in its popcount block, mirror image and P of each configuration.
+
+    One pass over the 2^n configurations per ring size.  The index counts
+    the configurations of the same popcount below it, the mirror image is
+    the configuration under R (site i -> n - 1 - i), and P is the parity of
+    the up spins on odd sites.
+    """
+    full = np.arange(1 << n)
+    bits = (full[:, None] >> np.arange(n)) & 1
+    count = bits.sum(axis=1)
+    index = np.cumsum(count[:, None] == np.arange(n + 1), axis=0)[full, count] - 1
+    ring = (count, index, bits[:, ::-1] @ (1 << np.arange(n)), bits[:, 1::2].sum(axis=1) & 1)
+    for array in ring:
+        array.flags.writeable = False
+    return ring
+
+
 def _hops(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending k-up configurations and the (row, column) indices of their unit hops.
 
@@ -86,48 +135,54 @@ def _hops(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     twice, as its literal matrix entry of 2 requires, and n = 1 lists a
     self-bond, which has no hop.
     """
-    full = np.arange(1 << n)
-    configs = full[((full[:, None] >> np.arange(n)) & 1).sum(axis=1) == k]
+    count, index, _, _ = _ring(n)
+    configs = np.flatnonzero(count == k)
     rows, columns = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for i, j in ((i, (i + 1) % n) for i in range(n)):
         hop = np.flatnonzero(((configs >> i) ^ (configs >> j)) & 1)
-        rows.append(np.searchsorted(configs, configs[hop] ^ ((1 << i) | (1 << j))))
+        rows.append(index[configs[hop] ^ ((1 << i) | (1 << j))])
         columns.append(hop)
     return configs, np.concatenate(rows), np.concatenate(columns)
 
 
-def _pieces(n: int, k: int, configs: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Read-only piece column a(i) and coefficient u(i) of every configuration, per piece.
+def _pieces(n: int, k: int, configs: np.ndarray, rows: np.ndarray, columns: np.ndarray):
+    """The pieces of block k, the P of each piece's columns, and each piece's partner.
 
-    One pair per character of <R> (or of <R, C> when 2k = n) whose piece is
-    not empty, in character-table order.  Every group element is its own
-    inverse, so the one taking i to its orbit's least member takes that
-    member back to i.
+    ``pieces`` holds one read-only pair (a, u), the piece column a(i) and
+    coefficient u(i) of every configuration, per character of <R> (or of
+    <R, C> when 2k = n) whose piece is not empty, in character-table order.
+    Every group element is its own inverse, so the one taking i to its
+    orbit's least member takes that member back to i.  A column's P is that
+    of its orbit's least member.  When every hop flips P, ``partners`` gives
+    the position of the piece chi * s that S maps each piece onto, s being
+    -1 on the elements that flip P; otherwise it holds None for every piece.
     """
-    index = np.arange(len(configs))
-    mirrored = np.zeros_like(configs)
-    for site in range(n):
-        mirrored |= ((configs >> site) & 1) << (n - 1 - site)
-    r = np.searchsorted(configs, mirrored)
+    _, index, mirror, parity = _ring(n)
+    p, i, r = parity[configs], np.arange(len(configs)), index[mirror[configs]]
     if 2 * k == n:  # C reverses the ascending index
-        images = np.stack([index, r, index[::-1], r[::-1]])
-        characters = _REFLECTION_FLIP_CHARACTERS
+        images, characters = np.stack([i, r, i[::-1], r[::-1]]), _REFLECTION_FLIP_CHARACTERS
     else:
-        images, characters = np.stack([index, r]), _REFLECTION_CHARACTERS
-    fixed = images == index  # stabilizer membership, by element
+        images, characters = np.stack([i, r]), _REFLECTION_CHARACTERS
+    fixed = images == i  # stabilizer membership, by element
     least = images.min(axis=0)
     to_least = images.argmin(axis=0)
     scale = np.sqrt(fixed.sum(axis=0) / len(images))  # 1 / sqrt(|orbit|)
-    pieces = []
+    pieces, parities, position = [], [], {}
     for chi in characters:
         allowed = ~(fixed & (chi[:, None] < 0)).any(axis=0)
-        leaders = allowed & (least == index)
+        leaders = allowed & (least == i)
         if leaders.any():
             a = np.where(allowed, np.cumsum(leaders)[least] - 1, 0)
             u = np.where(allowed, chi[to_least] * scale, 0.0)
             a.flags.writeable = u.flags.writeable = False
+            position[tuple(chi)] = len(pieces)
             pieces.append((a, u))
-    return tuple(pieces)
+            parities.append(p[leaders])
+    s = np.where((p[images] != p).all(axis=1), -1, 1)
+    bipartite = rows.size > 0 and bool((p[rows] != p[columns]).all())
+    partners = [position[tuple(chi * s)] if bipartite else None
+                for chi in characters if tuple(chi) in position]
+    return tuple(pieces), parities, partners
 
 
 def _piece_matrix(a: np.ndarray, u: np.ndarray, rows: np.ndarray,
@@ -139,13 +194,54 @@ def _piece_matrix(a: np.ndarray, u: np.ndarray, rows: np.ndarray,
     return flat.reshape(dim, dim)
 
 
-def _eigh_pieces(pieces, rows: np.ndarray, columns: np.ndarray) -> tuple[tuple, tuple]:
-    """Levels and read-only eigenvectors of each piece, each matrix dropped after its solve."""
-    parts, vectors = zip(*(np.linalg.eigh(_piece_matrix(a, u, rows, columns))
-                           for a, u in pieces))
-    for x in vectors:
-        x.flags.writeable = False
-    return parts, vectors
+def _bipartite(piece: np.ndarray, parity: np.ndarray, vectors: bool):
+    """Ascending levels, and eigenvectors if asked, of a piece [[0, B], [B^T, 0]].
+
+    B couples the piece's P = 0 columns to its P = 1 columns.  With B =
+    U sigma V^T, the levels are -sigma, |d0 - d1| zeros and sigma, with
+    eigenvectors (u, -v) / sqrt 2, the extra columns of U or of V, and
+    (u, v) / sqrt 2.
+    """
+    even, odd = parity == 0, parity == 1
+    solved = np.linalg.svd(piece[np.ix_(even, odd)], compute_uv=vectors)
+    sigma = solved[1] if vectors else solved
+    m, d = len(sigma), len(piece)
+    w = np.concatenate([-sigma, np.zeros(d - 2 * m), sigma[::-1]])
+    if not vectors:
+        return w, None
+    top, bottom = np.zeros((d, len(solved[0]))), np.zeros((d, len(solved[2])))
+    top[even], bottom[odd] = solved[0], solved[2].T
+    h = np.sqrt(0.5)
+    return w, np.hstack([(top[:, :m] - bottom[:, :m]) * h, top[:, m:], bottom[:, m:],
+                         (top[:, :m] + bottom[:, :m])[:, ::-1] * h])
+
+
+def _solve(n: int, k: int, vectors: bool):
+    """Block k's configurations, pieces, and each piece's levels and eigenvectors (or None).
+
+    A piece that S maps onto an earlier one reads that piece's levels,
+    negated and reversed, and its eigenvectors, column j from column d - 1 - j
+    times (-1)^P; a piece that S maps onto itself is solved by ``_bipartite``;
+    any other by ``eigh`` or ``eigvalsh``.  Each matrix is dropped after its
+    solve, and the eigenvectors are read-only.
+    """
+    configs, rows, columns = _hops(n, k)
+    pieces, parities, partners = _pieces(n, k, configs, rows, columns)
+    parts, xs = [], []
+    for (a, u), parity, q in zip(pieces, parities, partners):
+        if q is not None and q < len(parts):
+            w, x = -parts[q][::-1], xs[q]
+            x = None if x is None else (1 - 2 * parity)[:, None] * x[:, ::-1]
+        elif q == len(parts):
+            w, x = _bipartite(_piece_matrix(a, u, rows, columns), parity, vectors)
+        else:
+            matrix = _piece_matrix(a, u, rows, columns)
+            w, x = np.linalg.eigh(matrix) if vectors else (np.linalg.eigvalsh(matrix), None)
+        if x is not None:
+            x.flags.writeable = False
+        parts.append(w)
+        xs.append(x)
+    return configs, pieces, parts, tuple(xs)
 
 
 @lru_cache(maxsize=1)
@@ -164,13 +260,9 @@ def _unit_spectrum(n: int, /) -> tuple[tuple[tuple, ...], dict[int, tuple[np.nda
     """
     blocks, vectors = [], {}
     for k in range(n // 2 + 1):
-        configs, rows, columns = _hops(n, k)
-        pieces = _pieces(n, k, configs)
+        configs, pieces, parts, xs = _solve(n, k, k == n // 2)
         if k == n // 2:
-            parts, vectors[k] = _eigh_pieces(pieces, rows, columns)
-        else:
-            parts = [np.linalg.eigvalsh(_piece_matrix(a, u, rows, columns))
-                     for a, u in pieces]
+            vectors[k] = xs
         w = np.concatenate(parts)
         piece = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
         local = np.concatenate([np.arange(len(part)) for part in parts])
@@ -190,7 +282,7 @@ def _unit_columns(n: int, k: int, columns: np.ndarray) -> np.ndarray:
     blocks, vectors = _unit_spectrum(n)
     _, _, pieces, piece, local = blocks[k]
     if k not in vectors:
-        vectors[k] = _eigh_pieces(pieces, *_hops(n, k)[1:])[1]
+        vectors[k] = _solve(n, k, True)[3]
     out = np.zeros((len(piece), len(columns)))
     piece, local = piece[columns], local[columns]
     for p, ((a, u), x) in enumerate(zip(pieces, vectors[k])):
@@ -239,6 +331,18 @@ def _columns(n: int, tags: np.ndarray, columns: np.ndarray) -> np.ndarray:
         rows = configs if 2 * k <= n else (1 << n) - 1 - configs
         out[np.ix_(rows, picked)] = _unit_columns(n, min(k, n - k), columns[picked])
     return out
+
+
+def _ring_size(n) -> int:
+    """n as an int; a ring size that is not an int or a numpy integer is refused.
+
+    The public entry points call it before any work, so 6.0 is refused with
+    the ValueError the pipeline gives it, and a numpy integer is keyed in the
+    caches as the int it equals.
+    """
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"ring size must be an int, got {n!r}")
+    return operator.index(n)
 
 
 def _check_tol(tol: float) -> None:
@@ -336,7 +440,7 @@ def _ground_level(n: int, coupling: Coupling, field: FieldSetting, tol: float,
 def full_diagonalize(n: int, coupling: Coupling, field: FieldSetting = FieldSetting(),
                      tol: float = DEGENERACY_RTOL) -> FullSpectrumReport:
     """Ground-level structure from the popcount-blocked full spectrum."""
-    return _ground_level(n, coupling, field, tol, [(0, 1)])[0]
+    return _ground_level(_ring_size(n), coupling, field, tol, [(0, 1)])[0]
 
 
 class LevelRow(NamedTuple):
@@ -361,6 +465,7 @@ def eigenvector_concurrence_scan(n: int, coupling: Coupling,
     Degenerate levels are mixed with equal weights, the only
     basis-independent per-level choice.
     """
+    n = _ring_size(n)
     if n > SCAN_CAP:
         raise ValueError(f"level scan is capped at n={SCAN_CAP}")
     _check_tol(tol)
@@ -406,6 +511,7 @@ def compare_with_pipeline(n: int, coupling: Coupling,
     ``concurrence``, ``sweep`` and ``extrapolate`` commands print from.
     ``concurrence_delta`` is the largest difference.
     """
+    n = _ring_size(n)
     pairs = [(0, d) for d in range(1, n // 2 + 1)] + [(1, 2)] * (n >= 3)
     report, oracle_c = _ground_level(n, coupling, field, tol, pairs)
     manifold = ground_manifold(n, coupling, field, tol=tol)

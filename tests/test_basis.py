@@ -49,6 +49,12 @@ class TestSectorEnumeration:
             enumerate_sector(n, k)
         assert xxring.basis._ring_sectors.cache_info() == cached  # refused before the cache
 
+    def test_numpy_integer_size_reads_the_int_sectors(self):
+        # the cache keyed np.int64(6) apart from 6 and built a second copy of
+        # all seven sectors, whose n was an np.int64
+        assert enumerate_sector(np.int64(6), 2) is enumerate_sector(6, 2)
+        assert all(type(enumerate_sector(np.int32(6), k).n) is int for k in range(7))
+
     @pytest.mark.parametrize("n", range(1, 15))
     def test_configs_equal_the_combinations_listing(self, n):
         for k in range(n + 1):

@@ -287,6 +287,16 @@ class TestMomentumBlocks:
         with pytest.raises(ValueError):
             build_momentum_block(basis, 4, FERRO)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, np.float64(2), "2"],
+                             ids=["half", "float", "float64", "str"])
+    def test_refuses_momenta_that_are_not_whole_numbers(self, m):
+        # 2.5 gave an empty block and 2.0 built block 2 with m = 2.0
+        basis = enumerate_sector(6, 2)
+        with pytest.raises(ValueError, match="momentum index must be in 0..5"):
+            build_momentum_block(basis, m, ANTIFERRO)
+        block = build_momentum_block(basis, np.int64(2), ANTIFERRO)
+        assert np.array_equal(block.matrix, build_momentum_block(basis, 2, ANTIFERRO).matrix)
+
     def test_blocks_are_hermitian(self):
         for n in range(2, 11):
             basis = enumerate_sector(n, n // 2)

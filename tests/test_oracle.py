@@ -14,7 +14,7 @@ from xxring.basis import enumerate_sector
 from xxring.concurrence import PairDensity, concurrence_wootters, pair_density
 from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.oracle import (_columns, _concurrence, _degenerate_groups, _full_spectrum, _hops,
-                           _pair_amplitudes, _piece_matrix, _unit_columns,
+                           _pair_amplitudes, _piece_matrix, _ring, _unit_columns,
                            _unit_spectrum, compare_with_pipeline,
                            eigenvector_concurrence_scan, full_diagonalize)
 from xxring.spectra import DEGENERACY_RTOL, SectorState
@@ -232,6 +232,30 @@ class TestFullDiagonalize:
             with pytest.raises(ValueError, match=message):
                 check(10, FERRO, tol=tol)  # the level scan's cap
 
+    @pytest.mark.parametrize("n", [6.0, np.float64(6), "6"], ids=["float", "float64", "str"])
+    def test_refuses_ring_sizes_that_are_not_ints(self, monkeypatch, n):
+        # 6.0 raised TypeError from range or np.arange, where the pipeline
+        # refuses it with ValueError; now refused before any work
+        def decompose(n):
+            raise AssertionError(f"decomposed n={n!r} before checking it")
+
+        monkeypatch.setattr(xxring.oracle, "_unit_spectrum", decompose)
+        monkeypatch.setattr(xxring.oracle, "ground_manifold", decompose)
+        for check in (full_diagonalize, eigenvector_concurrence_scan, compare_with_pipeline):
+            with pytest.raises(ValueError, match=re.escape(f"ring size must be an int, got {n!r}")):
+                check(n, FERRO)
+
+    def test_numpy_integer_ring_size_is_the_int(self):
+        # np.int64(6) was cached apart from 6, and reported as n = np.int64(6)
+        _unit_spectrum.cache_clear()
+        reports = [full_diagonalize(np.int64(6), FERRO), full_diagonalize(6, FERRO),
+                   compare_with_pipeline(np.int32(6), FERRO),
+                   eigenvector_concurrence_scan(np.int64(6), FERRO)]
+        assert [type(report.n) for report in reports] == [int] * 4
+        assert _unit_spectrum.cache_info().misses == 1
+        assert reports[0][:5] == reports[1][:5] and reports[2].ok
+        assert np.array_equal(reports[0].config_probabilities, reports[1].config_probabilities)
+
     @pytest.mark.filterwarnings("error")  # overflow is refused, not warned about
     @pytest.mark.parametrize("n, j, b", [(2, 1.0, 1e308), (4, 1e308, 0.0), (4, 1e308, -1e308)])
     def test_refuses_energies_that_overflow(self, n, j, b):
@@ -264,11 +288,16 @@ class TestFullDiagonalize:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """(solver, dimension, calling module) of every np.linalg.eigh, eigvalsh and svd call."""
+    """(solver, shape, calling module, calling function) of every eigh, eigvalsh and svd call.
+
+    An ``svd`` call made with ``compute_uv=False`` is recorded as ``svdvals``.
+    """
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
         def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, len(a), sys._getframe(1).f_globals["__name__"]))
+            frame = sys._getframe(1)
+            label = "svdvals" if _name == "svd" and not kwargs.get("compute_uv", True) else _name
+            calls.append((label, np.shape(a), frame.f_globals["__name__"], frame.f_code.co_name))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -276,19 +305,22 @@ def solves(monkeypatch):
 
 
 def block_solves(calls):
-    """(solver, dimension) of the oracle's calls that solve a piece of a popcount block.
+    """(solver, shape) of the oracle's calls that solve a piece of a popcount block.
 
     Each oracle concurrence also solves the 4 x 4 middle factors of its
-    pairs, one stack per call, with ``svd``; pieces are symmetric and solved
-    with ``eigh`` or ``eigvalsh``.
+    pairs with one ``svd`` call from ``_concurrence`` (a 3-D stack for the
+    ground level's pairs, one 2-D factor per level in the level scan); a
+    piece is solved with ``eigh`` or ``eigvalsh``, or with ``svd`` of its
+    2-D off-diagonal block B.
     """
-    return [(solver, dim) for solver, dim, module in calls
-            if module == "xxring.oracle" and solver != "svd"]
+    return [(solver, shape) for solver, shape, module, function in calls
+            if module == "xxring.oracle" and function != "_concurrence"]
 
 
 def pair_solves(calls):
     """Number of the oracle's own concurrence solves (one stack each) among the calls."""
-    return sum(solver == "svd" and module == "xxring.oracle" for solver, _, module in calls)
+    return sum(module == "xxring.oracle" and function == "_concurrence"
+               for _, _, module, function in calls)
 
 
 def mirror_site(bits, n):
@@ -296,13 +328,21 @@ def mirror_site(bits, n):
     return rotate(reflect(bits, n), n - 1, n)
 
 
-def piece_dimensions(n, k):
-    """Dimension of each non-empty piece of block k, in character-table order.
+def sublattice_parity(bits, n):
+    """P: the parity of the number of up spins on the odd sites."""
+    return sum((bits >> site) & 1 for site in range(1, n, 2)) % 2
 
-    A character chi of the group appears (1/|G|) sum_g chi(g) |Fix(g)| times
-    in its permutation action on the k-up configurations: the reflection R
-    on every block, and R with spin inversion C on the half-filled block of
-    an even ring.  Fixed points are counted one configuration at a time.
+
+def character_counts(n, k, parity=None):
+    """How often each character of the group appears on the k-up configurations, in table order.
+
+    A character chi appears (1/|G|) sum_g chi(g) |Fix(g)| times in the
+    permutation action on the configurations: the reflection R on every
+    block, and R with spin inversion C on the half-filled block of an even
+    ring.  Fixed points are counted one configuration at a time, over the
+    configurations of sublattice parity ``parity`` only when one is given
+    (a set the group must map onto itself).  Returns the counts, the
+    characters and the group elements.
     """
     flip = (1 << n) - 1
     elements = [lambda c: c, lambda c: mirror_site(c, n)]
@@ -310,10 +350,57 @@ def piece_dimensions(n, k):
     if 2 * k == n:
         elements += [lambda c: flip ^ c, lambda c: mirror_site(flip ^ c, n)]
         characters = [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1)]
-    configs = [c for c in range(1 << n) if c.bit_count() == k]
+    configs = [c for c in range(1 << n) if c.bit_count() == k
+               and parity in (None, sublattice_parity(c, n))]
     fixed = [sum(g(c) == c for c in configs) for g in elements]
-    dims = [sum(x * f for x, f in zip(chi, fixed)) // len(elements) for chi in characters]
-    return [d for d in dims if d]
+    counts = [sum(x * f for x, f in zip(chi, fixed)) // len(elements) for chi in characters]
+    return counts, characters, elements
+
+
+def piece_dimensions(n, k):
+    """Dimension of each non-empty piece of block k, in character-table order."""
+    return [d for d in character_counts(n, k)[0] if d]
+
+
+def sublattice_plan(n, k):
+    """How each non-empty piece of block k is solved, in table order, the reference plan.
+
+    When the block has hops and every hop flips P (every hop of an even
+    ring does), S = (-1)^P anticommutes with the block and maps piece chi
+    onto piece chi * s, s(g) = -1 on the elements that flip P.  Of a pair of
+    pieces the first in table order is solved whole ("whole") and the other
+    reads it: its entry is the solved piece's position.  A piece that S maps
+    onto itself is solved by the SVD of its d0 x d1 block between P = 0 and
+    P = 1 columns: its entry is ("svd", (d0, d1)).  Any other piece is
+    solved whole.  Returns the entries and the pieces' dimensions.
+    """
+    counts, characters, elements = character_counts(n, k)
+    configs, block = popcount_block(n, k, ANTIFERRO)
+    parity = [sublattice_parity(c, n) for c in configs.tolist()]
+    rows, columns = np.nonzero(block)
+    bipartite = rows.size > 0 and all(parity[i] != parity[j] for i, j in zip(rows, columns))
+    s = [-1 if all(sublattice_parity(g(c), n) != p for c, p in zip(configs.tolist(), parity))
+         else 1 for g in elements]
+    kept = [chi for chi, d in zip(characters, counts) if d]
+    plan = []
+    for chi in kept:
+        partner = kept.index(tuple(x * y for x, y in zip(chi, s)))
+        if not bipartite or partner > kept.index(chi):
+            plan.append("whole")
+        elif partner < kept.index(chi):
+            plan.append(partner)
+        else:
+            plan.append(("svd", tuple(character_counts(n, k, p)[0][characters.index(chi)]
+                                      for p in (0, 1))))
+    return plan, [d for d in counts if d]
+
+
+def expected_solves(n, k, vectors):
+    """(solver, shape) of each solve of block k's pieces, in piece order, by the reference plan."""
+    plan, dims = sublattice_plan(n, k)
+    return [(("svd" if vectors else "svdvals"), step[1]) if isinstance(step, tuple)
+            else ("eigh" if vectors else "eigvalsh", (d, d))
+            for step, d in zip(plan, dims) if not isinstance(step, int)]
 
 
 def all_columns(n, k):
@@ -327,20 +414,32 @@ class TestUnitSpectrum:
         _unit_spectrum.cache_clear()
         full_diagonalize(n, FERRO)
         full_diagonalize(n, ANTIFERRO)
-        # one solve per non-empty piece: two for each block 0 < k < n/2, four
-        # for block n/2 of an even ring, and one for k = 0, whose single
-        # configuration is its own mirror image.  The levels of blocks
-        # k < n // 2 upward, then block n // 2 with its eigenvectors.  Blocks
-        # k > n/2 are complements, not solved, and both ground levels lie in
-        # block n // 2 or its complement, so no other eigenvectors are read
-        expected = [("eigvalsh", dim) for k in range(n // 2) for dim in piece_dimensions(n, k)]
-        expected += [("eigh", dim) for dim in piece_dimensions(n, n // 2)]
+        # one solve per non-empty piece that S does not map onto an earlier
+        # one: the levels of blocks k < n // 2 upward, then block n // 2 with
+        # its eigenvectors.  Blocks k > n/2 are complements, not solved, and
+        # both ground levels lie in block n // 2 or its complement, so no
+        # other eigenvectors are read
+        expected = [solve for k in range(n // 2) for solve in expected_solves(n, k, False)]
+        expected += expected_solves(n, n // 2, True)
         assert block_solves(solves) == expected
+        # two pieces for each block 0 < k < n/2, four for block n/2 of an
+        # even ring, and one for k = 0, whose single configuration is its own
+        # mirror image
         counts = [1] + [2] * (n // 2 - 1) + [4 if n % 2 == 0 else 2]
         assert [len(piece_dimensions(n, k)) for k in range(n // 2 + 1)] == counts
         assert [sum(piece_dimensions(n, k)) for k in range(n // 2 + 1)] == [
             comb(n, k) for k in range(n // 2 + 1)]
         assert pair_solves(solves) == 2  # one concurrence solve per call
+
+    def test_sublattice_schedule_at_twelve_sites(self):
+        # odd k pairs the reflection pieces (R flips P) and solves one of
+        # them, even k splits each by P, and n / 2 = 6 is even, so C keeps P
+        # and the four half-filled pieces go to the SVD too
+        solvers = [[solver for solver, _ in expected_solves(12, k, False)] for k in range(7)]
+        assert solvers == ([["eigvalsh"]] + [["eigvalsh"], ["svdvals"] * 2] * 2
+                           + [["eigvalsh"], ["svdvals"] * 4])
+        assert expected_solves(12, 6, True) == [("svd", (121, 131)), ("svd", (105, 105)),
+                                                ("svd", (105, 115)), ("svd", (121, 121))]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_block_is_decomposed(self, n):
@@ -434,9 +533,11 @@ class TestUnitSpectrum:
         full_diagonalize(8, coupling)
         solves.clear()
         eigenvector_concurrence_scan(8, coupling)
-        # every level is read: the pieces of blocks k < 4, on first read
-        assert sorted(block_solves(solves)) == sorted(
-            ("eigh", dim) for k in range(4) for dim in piece_dimensions(8, k))
+        # every level is read: the pieces of blocks k < 4, on first read,
+        # blocks 1 and 3 one piece of two, blocks 2 by P
+        expected = [solve for k in range(4) for solve in expected_solves(8, k, True)]
+        assert sorted(block_solves(solves)) == sorted(expected)
+        assert [solver for solver, _ in expected] == ["eigh", "eigh", "svd", "svd", "eigh"]
         solves.clear()
         scan = eigenvector_concurrence_scan(8, coupling)
         assert block_solves(solves) == []
@@ -454,23 +555,82 @@ class TestUnitSpectrum:
         read = {min(k, n - k) for k in report.ground_sectors}
         assert n // 2 not in read, report.ground_sectors
         assert sorted(block_solves(solves)) == sorted(
-            ("eigh", dim) for k in read for dim in piece_dimensions(n, k))
+            solve for k in read for solve in expected_solves(n, k, True))
         solves.clear()
         full_diagonalize(n, coupling, FieldSetting(b))
         assert block_solves(solves) == []
         assert compare_with_pipeline(n, coupling, FieldSetting(b)).ok
 
     def test_arrays_are_read_only(self):
-        blocks, vectors = _unit_spectrum(5)
-        columns = [all_columns(5, k) for k in range(3)]  # solves every block
-        arrays = []
+        # n = 6 reads pieces solved whole (k = 0), read from their partner
+        # (k = 1, 3) and solved by the SVD (k = 2)
+        blocks, vectors = _unit_spectrum(6)
+        columns = [all_columns(6, k) for k in range(4)]  # solves every block
+        arrays = list(_ring(6))
         for configs, w, pieces, piece, local in blocks:
             arrays += [configs, w, piece, local] + [array for pair in pieces for array in pair]
         arrays += [x for pieces in vectors.values() for x in pieces]
-        assert sorted(vectors) == [0, 1, 2] and len(columns) == len(blocks) == 3
+        assert sorted(vectors) == [0, 1, 2, 3] and len(columns) == len(blocks) == 4
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_ring_pass_is_the_reference_bookkeeping(self, n):
+        count, index, mirror, parity = _ring(n)
+        expected_index = [sum(b.bit_count() == c.bit_count() for b in range(c))
+                          for c in range(1 << n)]
+        assert count.tolist() == [c.bit_count() for c in range(1 << n)]
+        assert index.tolist() == expected_index
+        assert mirror.tolist() == [mirror_site(c, n) for c in range(1 << n)]
+        assert parity.tolist() == [sublattice_parity(c, n) for c in range(1 << n)]
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_piece_against_the_dense_block(self, n):
+        # each piece's levels are those of the dense block restricted to the
+        # piece, however they were solved, and every column of the block is
+        # an orthonormal eigenvector of the dense block
+        blocks, _ = _unit_spectrum(n)
+        for k, (_, w, pieces, piece, _) in enumerate(blocks):
+            configs, block = popcount_block(n, k, ANTIFERRO)
+            label = f"n={n} k={k}"
+            for p, (a, u) in enumerate(pieces):
+                basis = np.zeros((len(configs), a.max() + 1))
+                basis[np.arange(len(configs)), a] = u
+                reference = np.linalg.eigvalsh(basis.T @ block @ basis)
+                assert np.abs(w[piece == p] - reference).max() <= 1e-12, (label, p)
+            assert np.abs(np.sort(w) - np.linalg.eigvalsh(block)).max() <= 1e-12, label
+            v = all_columns(n, k)
+            assert np.abs(block @ v - v * w).max() <= 1e-12, label
+            assert np.abs(v.T @ v - np.eye(len(w))).max() <= 1e-12, label
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_partner_levels_are_negated_and_reversed(self, n):
+        # S maps piece chi onto chi * s and anticommutes with the block, so
+        # the partner's levels are exactly the solved piece's, negated
+        blocks, _ = _unit_spectrum(n)
+        pairs = []
+        for k, (_, w, _, piece, _) in enumerate(blocks):
+            for p, step in enumerate(sublattice_plan(n, k)[0]):
+                if isinstance(step, int):
+                    assert np.array_equal(w[piece == p], -w[piece == step][::-1]), (n, k, p)
+                    pairs.append(k)
+        # R flips P on odd k; C flips it when n / 2 is odd, pairing the
+        # half-filled pieces two by two (n = 2 has two of the four)
+        half = [n // 2] * (len(piece_dimensions(n, n // 2)) // 2) if n // 2 % 2 else []
+        assert pairs == [k for k in range(1, n // 2, 2)] + half
+
+    @pytest.mark.parametrize("n", range(3, 14, 2))
+    def test_odd_rings_make_no_sublattice_solve(self, solves, n):
+        # the bond (n - 1, 0) joins two even sites, so its hops keep P and
+        # every piece is solved whole, with its eigenvectors when read
+        _unit_spectrum.cache_clear()
+        _unit_spectrum(n)
+        for k in range(n // 2):
+            _unit_columns(n, k, np.arange(1))
+        assert [solver for solver, _ in block_solves(solves)] == (
+            ["eigvalsh"] * sum(len(piece_dimensions(n, k)) for k in range(n // 2))
+            + ["eigh"] * sum(len(piece_dimensions(n, k)) for k in range(n // 2 + 1)))
 
 
 class TestPairReduction:
