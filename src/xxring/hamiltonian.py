@@ -13,16 +13,14 @@ period p is
 
     |a(m)> = (1/sqrt(n^2/p)) * sum_t exp(-2*pi*i*m*t/n) T^t |a>,
 
-which is nonzero iff m*p = 0 (mod n).  A uniform field b couples only to
-the conserved total magnetization, so it enters as the per-sector scalar
-offset -b*(k - n/2) and never as a matrix term.  A block reads its orbits
-and hops from the sector's ``SectorBasis``, which ``enumerate_sector`` builds
-once per process, with every other sector of the ring in the same pass, and
+which is nonzero iff m*p = 0 (mod n).  A block reads its orbits and hops
+from the sector's ``SectorBasis``, which ``enumerate_sector`` builds once
+per process, with every other sector of the ring in the same pass, and
 shares read-only, so every block of a sector, at every J, uses the same
 orbit arrays and hop rows.  ``ring_bonds`` and the hop rows live in
-``basis``, since neither depends on J.  Only momentum
-blocks are built; the dense sector matrix and the matrix-free product that
-cross-check them are test references (``tests/reference.py``).
+``basis``, since neither depends on J.  Only momentum blocks are built; the
+dense sector matrix and the matrix-free product that cross-check them are
+test references (``tests/reference.py``).
 
 ``build_momentum_block`` gives the complex block at any J and
 ``real_block_pieces`` every canonical block m = 0..n//2 of a sector at J = 1
@@ -50,7 +48,6 @@ from .basis import SectorBasis
 _HALF = np.sqrt(0.5)
 # smallest normal float; subnormal J or b products keep too few digits
 _TINY = float(np.finfo(float).tiny)
-_PIECE_BUDGET = 1 << 15  # matrix entries of the pieces assembled at once
 
 
 class _CouplingFields(NamedTuple):
@@ -100,11 +97,6 @@ class FieldSetting(_FieldSettingFields):
     @classmethod
     def _make(cls, iterable):  # so ``_replace`` checks its input too
         return cls(*iterable)
-
-
-def sector_energy_offset(k: int, n: int, field: FieldSetting) -> float:
-    """Zeeman shift of every level in the k-up sector: -b*(k - n/2)."""
-    return -field.b * (k - n / 2)
 
 
 class MomentumBlock(NamedTuple):
@@ -176,9 +168,9 @@ def real_block_pieces(basis: SectorBasis):
     cos(pi*m*S/n + g*pi/2) with S = x_a - x_b + 2t and g = g_a - g_b: four
     terms per hop, less those through the second column that a self-mirrored
     orbit lacks.  A generator: these terms are built from the sector's hop
-    rows on the first step and dropped with it.  Blocks are summed a few
-    momenta at a time into orbit-by-orbit matrices of at most about
-    ``_PIECE_BUDGET`` entries, and the pieces are read out of them.
+    rows on the first step and dropped with it.  Each block is summed into an
+    orbit-by-orbit matrix, one ``np.bincount`` of the terms, and its pieces
+    are read out of it.
     """
     n, period = basis.n, basis.period
     count = len(period)
@@ -205,23 +197,16 @@ def real_block_pieces(basis: SectorBasis):
     half_turns = np.pi * np.arange(2 * n) / n
     cosines = np.concatenate([np.cos(half_turns), -np.sin(half_turns),
                               -np.cos(half_turns), np.sin(half_turns)])
-    momenta = np.arange(n // 2 + 1)
-    admissible = momenta[:, None] * period % n == 0  # (momentum, column)
-    odd = ((2 * momenta % n == 0)[:, None]
-           & (follower | lone & (2 * momenta[:, None] * mirror_shift // n % 2 == 1)))
     # every term is added at every momentum: one that touches an inadmissible
     # column, or joins an even column to an odd one, lands outside the pieces
-    whole = (admissible.all(axis=1) & ~odd.any(axis=1)).tolist()  # one piece, every orbit
-    step = max(1, _PIECE_BUDGET // count ** 2)  # momenta assembled together
-    for first in range(0, len(momenta), step):
-        m = momenta[first:first + step, None]
-        values = weight * cosines[turn + m * angle % (2 * n)]
-        flat = ((m - first) * count ** 2 + cell).ravel()
-        blocks = np.bincount(flat, weights=values.ravel(), minlength=len(m) * count ** 2)
-        for i, block in enumerate(blocks.reshape(len(m), count, count), first):
-            if whole[i]:
-                yield [block]
-                continue
-            columns = (np.flatnonzero(admissible[i] & ~odd[i]),
-                       np.flatnonzero(admissible[i] & odd[i]))
-            yield [block[c][:, c] for c in columns if len(c)]
+    for m in range(n // 2 + 1):
+        block = np.bincount(cell, weights=weight * cosines[turn + m * angle % (2 * n)],
+                            minlength=count ** 2).reshape(count, count)
+        keep = [m * period % n == 0]  # the admissible columns
+        if 2 * m % n == 0:  # R keeps the block: its even columns, then its odd ones
+            odd = follower | lone & (2 * m * mirror_shift // n % 2 == 1)
+            keep = [keep[0] & ~odd, keep[0] & odd]
+        if keep[0].all():  # one piece, every orbit
+            yield [block]
+            continue
+        yield [block[c][:, c] for c in map(np.flatnonzero, keep) if len(c)]

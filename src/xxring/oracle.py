@@ -74,7 +74,10 @@ other block's pieces on first read (a field that moves the ground level, or
 the level scan) and keeps their eigenvectors beside the levels.
 
 The process keeps the decomposition for one ring size at a time, as
-read-only arrays, and the per-ring pass beside it.  Code that monkeypatches
+read-only arrays, and the per-ring pass beside it.  Each cache empties
+itself when it builds a ring size (``cache_clear``, which also resets its
+``cache_info()``), so the previous ring is released before the next one is
+built and two rings are never held together.  Code that monkeypatches
 the hop list (``_hops``), the pieces (``_pieces``, ``_piece_matrix``,
 ``_bipartite``) or a solver (``np.linalg.eigh``, ``np.linalg.eigvalsh``,
 ``np.linalg.svd``) must call ``_unit_spectrum.cache_clear()`` first, which
@@ -115,8 +118,9 @@ def _ring(n: int, /) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     One pass over the 2^n configurations per ring size.  The index counts
     the configurations of the same popcount below it, the mirror image is
     the configuration under R (site i -> n - 1 - i), and P is the parity of
-    the up spins on odd sites.
+    the up spins on odd sites.  The previous ring's arrays are released first.
     """
+    _ring.cache_clear()  # a one-slot lru_cache evicts only once the new entry is in
     full = np.arange(1 << n)
     bits = (full[:, None] >> np.arange(n)) & 1
     count = bits.sum(axis=1)
@@ -256,8 +260,10 @@ def _unit_spectrum(n: int, /) -> tuple[tuple[tuple, ...], dict[int, tuple[np.nda
     Block n - k has no record: it is block k's complement.
 
     Block n // 2 is solved last, so its eigenvectors are not held while the
-    other blocks' levels are solved.
+    other blocks' levels are solved, and the previous ring's record is
+    released before any block is.
     """
+    _unit_spectrum.cache_clear()  # a one-slot lru_cache evicts only once the new entry is in
     blocks, vectors = [], {}
     for k in range(n // 2 + 1):
         configs, pieces, parts, xs = _solve(n, k, k == n // 2)

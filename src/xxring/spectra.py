@@ -17,8 +17,11 @@ piece is checked to be symmetric, and the block's levels are its pieces'
 ``eigvalsh``, piece after piece.  The table lists block m > n/2 as a copy of
 block n-m's levels, so it holds every block m = 0..n-1 and no reader maps
 momenta; the listing is J times the table plus the field offset, for either
-sign of J.  It sorts nothing: the ground scan reads levels in any order, and
-the ``spectrum`` command sorts the rows it prints.
+sign of J.  A uniform field b couples only to the conserved total
+magnetization, so it enters as the per-sector scalar offset -b*(k - n/2),
+which ``ring_levels`` writes, and never as a matrix term.  The listing sorts
+nothing: the ground scan reads levels in any order, and the ``spectrum``
+command sorts the rows it prints.
 
 ``ground_manifold`` solves in two phases.  It scans the listing of every
 sector k = 0..n: the ground energy (the listing's minimum, which the result
@@ -77,7 +80,7 @@ import numpy as np
 from .basis import SectorBasis, check_ring_size, check_sector, enumerate_sector
 from .concurrence import concurrence_profile, ring_distance
 from .hamiltonian import (Coupling, FieldSetting, MomentumBlock, build_momentum_block,
-                          real_block_pieces, sector_energy_offset)
+                          real_block_pieces)
 
 HERMITICITY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-9
@@ -163,7 +166,7 @@ def ring_levels(n: int, coupling: Coupling, field: FieldSetting = FieldSetting()
         check_sector(n, k)
         levels, momenta = _unit_levels(n, min(k, n - k))
         with np.errstate(over="ignore", invalid="ignore"):  # refused by the caller
-            energy = coupling.j * levels + sector_energy_offset(k, n, field)
+            energy = coupling.j * levels - field.b * (k - n / 2)
         columns.append((np.full(len(levels), k), momenta, energy))
     return tuple(map(np.concatenate, zip(*columns)))
 

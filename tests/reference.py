@@ -31,7 +31,7 @@ import numpy as np
 
 from xxring.basis import SectorBasis, rotation_order
 from xxring.concurrence import PairDensity
-from xxring.hamiltonian import Coupling, FieldSetting, sector_energy_offset
+from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.oracle import FULL_DIAGONALIZE_CAP
 from xxring.polarization import (EQUAL_PROBABILITY_ATOL, OrbitReport, OrbitRow, _labels,
                                  _rank_correlation, clustering_scores)
@@ -382,7 +382,7 @@ def window_counts_by_cumsum(n: int, coupling: Coupling, field: FieldSetting,
 
     Blocks that hold no window level are left out.
     """
-    offsets = [sector_energy_offset(k, n, field) for k in range(n + 1)]
+    offsets = [-field.b * (k - n / 2) for k in range(n + 1)]  # the Zeeman offset
     scan, lows, highs = [], [], []
     for k in range(n // 2 + 1):
         levels, momenta = _unit_levels(n, k)

@@ -10,7 +10,7 @@ import pytest
 
 import xxring.cli as cli
 from xxring import __version__, concurrence, spectra
-from xxring.hamiltonian import Coupling, FieldSetting, sector_energy_offset
+from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.oracle import PipelineAgreement
 from xxring.spectra import DEGENERACY_RTOL, _unit_levels
 from xxring.sweeps import LimitFit, SweepRow
@@ -97,7 +97,7 @@ def reference_spectrum_rows(n, j=-1.0, b=0.0, k=None, m=None, tol=DEGENERACY_RTO
     zero = tol * n * abs(j)
     rows = []
     for kk in range(n + 1) if k is None else [k]:
-        offset = sector_energy_offset(kk, n, field)
+        offset = -field.b * (kk - n / 2)  # the Zeeman offset
         levels, momenta = _unit_levels(n, min(kk, n - kk))
         for mm in range(n) if m is None else [m]:
             for level, energy in enumerate(np.sort(j * levels[momenta == mm])):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from xxring.basis import enumerate_sector, ring_bonds
-from xxring.hamiltonian import (Coupling, FieldSetting, build_momentum_block, real_block_pieces,
-                                sector_energy_offset)
+from xxring.hamiltonian import Coupling, FieldSetting, build_momentum_block, real_block_pieces
+from xxring.spectra import _unit_levels, ring_levels
 
 import reference
 from reference import (apply_hamiltonian, bonds, build_sector_hamiltonian, kr_basis,
@@ -345,9 +345,14 @@ class TestSpectrumSymmetries:
             np.testing.assert_allclose(b3, 3 * b1, atol=1e-15)
 
 
+def sector_energies(n, k, field):
+    """The J = 1 listing of sector k, field offset included."""
+    return ring_levels(n, ANTIFERRO, field, sectors=[k])[2]
+
+
 class TestFieldOffset:
     def test_zero_field(self):
-        assert sector_energy_offset(2, 5, FieldSetting()) == 0.0
+        np.testing.assert_array_equal(sector_energies(5, 2, FieldSetting()), _unit_levels(5, 2)[0])
 
     @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_rejected(self, b):
@@ -355,5 +360,7 @@ class TestFieldOffset:
             FieldSetting(b=b)
 
     def test_signed_shift(self):
-        assert sector_energy_offset(2, 3, FieldSetting(b=0.1)) == pytest.approx(-0.05)
-        assert sector_energy_offset(1, 3, FieldSetting(b=0.1)) == pytest.approx(0.05)
+        # -b * (k - n/2) at n = 3, b = 0.1: down by 0.05 in sector 2, up by 0.05 in sector 1
+        for k, shift in ((2, -0.05), (1, 0.05)):
+            moved = sector_energies(3, k, FieldSetting(b=0.1)) - sector_energies(3, k, FieldSetting())
+            assert moved == pytest.approx(shift), k

@@ -4,6 +4,7 @@ import ast
 import re
 import sys
 import tracemalloc
+import weakref
 from math import comb
 
 import numpy as np
@@ -245,14 +246,26 @@ class TestFullDiagonalize:
             with pytest.raises(ValueError, match=re.escape(f"ring size must be an int, got {n!r}")):
                 check(n, FERRO)
 
-    def test_numpy_integer_ring_size_is_the_int(self):
-        # np.int64(6) was cached apart from 6, and reported as n = np.int64(6)
+    def test_numpy_integer_ring_size_is_the_int(self, monkeypatch):
+        # np.int64(6) was cached apart from 6, and reported as n = np.int64(6);
+        # decompositions are counted by their solves, since the cache resets
+        # its cache_info() when it builds a ring
+        calls = []
+
+        def solve(n, k, vectors, _solve=xxring.oracle._solve):
+            calls.append((n, k, vectors))
+            return _solve(n, k, vectors)
+
         _unit_spectrum.cache_clear()
+        monkeypatch.setattr(xxring.oracle, "_solve", solve)
         reports = [full_diagonalize(np.int64(6), FERRO), full_diagonalize(6, FERRO),
                    compare_with_pipeline(np.int32(6), FERRO),
                    eigenvector_concurrence_scan(np.int64(6), FERRO)]
         assert [type(report.n) for report in reports] == [int] * 4
-        assert _unit_spectrum.cache_info().misses == 1
+        assert {type(n) for n, _, _ in calls} == {int}
+        # only a decomposition solves levels alone, blocks 0..n//2 - 1 once each
+        assert [call for call in calls if not call[2]] == [(6, 0, False), (6, 1, False),
+                                                           (6, 2, False)]
         assert reports[0][:5] == reports[1][:5] and reports[2].ok
         assert np.array_equal(reports[0].config_probabilities, reports[1].config_probabilities)
 
@@ -560,6 +573,23 @@ class TestUnitSpectrum:
         full_diagonalize(n, coupling, FieldSetting(b))
         assert block_solves(solves) == []
         assert compare_with_pipeline(n, coupling, FieldSetting(b)).ok
+
+    def test_previous_ring_released_before_the_next_is_built(self, monkeypatch):
+        # a one-slot lru_cache evicts only once the new entry is in, so ring
+        # n = 8, block 4's piece eigenvectors included, was held while n = 9
+        # was decomposed
+        _unit_spectrum.cache_clear()
+        held = weakref.ref(_unit_spectrum(8)[1][4][0])
+        assert held() is not None
+        alive = []
+
+        def solve(n, k, vectors, _solve=xxring.oracle._solve):
+            alive.append(held() is not None)
+            return _solve(n, k, vectors)
+
+        monkeypatch.setattr(xxring.oracle, "_solve", solve)
+        _unit_spectrum(9)
+        assert alive[0] is False
 
     def test_arrays_are_read_only(self):
         # n = 6 reads pieces solved whole (k = 0), read from their partner
