@@ -31,7 +31,11 @@ print(" - the two rows with clustering 41/12 = 3.4167 tie in probability even")
 print("   though they are not reflections of each other (classes differ);")
 print(" - probability is not strictly monotone in the clustering score: the")
 print("   period-4 orbit |j,j+1,j+4,j+5> outweighs the |j,j+2,j+3,j+5> row")
-print("   despite its larger score, so the trend is qualitative, not a law.")
+print("   despite its larger score, so the score's trend is qualitative;")
+print(" - the exact law is the chord law of Dyson's beta = 2 gas: a member with")
+print("   up sites x has P = n^-k prod_{l<l'} 4 sin^2(pi (x_l - x_l') / n), which")
+print("   the tests check on every table up to n = 14; ROADMAP item 4 replaces")
+print("   the score with its log-chord energy -sum ln(2 sin(pi |x_l - x_l'| / n)).")
 print()
 
 report = lp_table(5, Coupling(-1.0))

@@ -37,8 +37,8 @@ import numpy as np
 
 # largest ring accepted.  Sectors enumerate in well under a second up to here,
 # but dense ground solves grow fast: at J = +-1 with one BLAS thread on a
-# 2-core x86-64 VM (Python 3.11, numpy 2.4, OpenBLAS), n = 16 takes 1.3-1.5 s
-# and n = 17 6.8-10.2 s, n = 18..20 minutes to hours; the 2^n oracle stops at
+# 2-core x86-64 VM (Python 3.11, numpy 2.4, OpenBLAS), n = 16 takes 1.5-1.9 s
+# and n = 17 7.7-13.3 s, n = 18..20 minutes to hours; the 2^n oracle stops at
 # n = 14.
 RING_CAP = 20
 

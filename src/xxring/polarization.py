@@ -7,8 +7,14 @@ is the sum of inverse ring distances over all pairs of up sites; it is a
 diagnostic for how bunched the up spins are (the contiguous block scores
 highest, the maximally spread pattern lowest) and tracks the probabilities
 only qualitatively, so the report includes a rank correlation rather than
-asserting monotonicity.  Orbits related by reflection always share the
-score, and the probability up to rounding.
+asserting monotonicity.  The exact relation is the chord law of Dyson's
+beta = 2 gas: a member with up sites x has probability
+n^-k prod_{l<l'} 4 sin^2(pi (x_l - x_l') / n), a function of the pairwise
+gaps alone, which the tests check on every table up to n = 14.  ROADMAP
+item 4 replaces the score with its log-chord energy
+E(x) = -sum_{l<l'} ln(2 sin(pi |x_l - x_l'| / n)), so that P = n^-k e^(-2E).
+Orbits related by reflection always share the score, and the probability
+up to rounding.
 """
 
 from __future__ import annotations
@@ -28,44 +34,39 @@ def _rank_correlation(x, y) -> float | None:
     """Spearman's coefficient of two columns, None where it is undefined.
 
     Values are snapped to the equal-probability grid so exact symmetry ties
-    rank as ties, and tied values share the mean of their 1-based positions.
-    Each column is ranked by one stable sort: a run of equal grid values
-    starting at position s with length c ranks s + (c + 1)/2, an exact
-    half-integer.  A constant column, a single row included, leaves the
-    coefficient undefined.
+    rank as ties, and tied values share the mean of their 1-based positions:
+    a grid value held c times, with C values at or below it, ranks
+    C - (c - 1)/2, an exact half-integer.  A constant column, a single row
+    included, leaves the coefficient undefined.
     """
     ranks = []
     for values in (x, y):
         grid = np.round(np.asarray(values) / EQUAL_PROBABILITY_ATOL)
-        order = np.argsort(grid, kind="stable")
-        ordered = grid[order]
-        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        if len(starts) == 1:
+        _, inverse, counts = np.unique(grid, return_inverse=True, return_counts=True)
+        if len(counts) == 1:
             return None
-        counts = np.diff(np.append(starts, len(grid)))
-        rank = np.empty(len(grid))
-        rank[order] = np.repeat(starts + (counts + 1) / 2, counts)
-        ranks.append(rank)
+        ranks.append((np.cumsum(counts) - (counts - 1) / 2)[inverse])
     return float(np.corrcoef(*ranks)[1, 0])
 
 
-def _up_matrix(configs, n: int) -> np.ndarray:
-    """Row i holds the bits of configs[i], site 0 first."""
-    return (np.asarray(configs, dtype=np.int64).reshape(-1, 1) >> np.arange(n)) & 1
+def _sites(configs, n: int) -> np.ndarray:
+    """Row i holds the up sites of configs[i], ascending; mixed popcounts are refused."""
+    up = (np.asarray(configs, dtype=np.int64).reshape(-1, 1) >> np.arange(n)) & 1
+    if (up.sum(axis=1) != up[:1].sum()).any():
+        raise ValueError("the configurations must share one popcount")
+    return np.nonzero(up)[1].reshape(len(up), up[:1].sum())
 
 
 def clustering_scores(configs, n: int) -> np.ndarray:
     """Sum of 1/ring-distance over all pairs of up sites, per configuration.
 
-    The pairs at ring distance d are the up sites that the rotation by d
-    moves onto up sites; at d = n/2 that rotation meets each pair twice.
+    The configurations must share one popcount; two up sites whose indices
+    differ by g are min(g, n - g) apart on the ring.
     """
-    up = _up_matrix(configs, n)
-    score = np.zeros(len(up))
-    for d in range(1, n // 2 + 1):
-        pairs = (up & np.roll(up, -d, axis=1)).sum(axis=1)
-        score += (pairs // 2 if 2 * d == n else pairs) / d
-    return score
+    sites = _sites(configs, n)
+    first, second = np.triu_indices(sites.shape[1], 1)
+    gaps = sites[:, second] - sites[:, first]
+    return (1 / np.minimum(gaps, n - gaps)).sum(axis=1)
 
 
 def _labels(configs, n: int) -> list[str]:
@@ -73,12 +74,8 @@ def _labels(configs, n: int) -> list[str]:
 
     The configurations must share one popcount; ``|->`` when it is 0.
     """
-    up = _up_matrix(configs, n)
-    if not up.any():
-        return ["|->"] * len(up)
-    sites = np.nonzero(up)[1].reshape(len(up), -1)
-    parts = ["j"] + [f"j+{offset}" for offset in range(1, n)]
-    return ["|" + ",".join([parts[o] for o in row]) + ">"
+    sites = _sites(configs, n)
+    return ["|" + ",".join([f"j+{o}" if o else "j" for o in row]) + ">" if row else "|->"
             for row in (sites - sites[:, :1]).tolist()]
 
 

@@ -126,8 +126,9 @@ def eigh(matrix: np.ndarray, count: int | None = None) -> Spectrum:
     (all by default); the phases are fixed only on the columns returned.
     """
     matrix = np.asarray(matrix)
-    if count is not None and not 0 <= count <= len(matrix):
-        raise ValueError(f"count {count} is outside 0..{len(matrix)}, the matrix dimension")
+    if count is not None and not (isinstance(count, (int, np.integer))
+                                  and 0 <= count <= len(matrix)):
+        raise ValueError(f"count {count} is not an int in 0..{len(matrix)}, the matrix dimension")
     values, vectors = np.linalg.eigh(_hermitian(matrix))
     return Spectrum(values=values, vectors=_fix_phases(vectors, count))
 

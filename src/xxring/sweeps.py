@@ -49,19 +49,22 @@ def sweep(n_min: int, n_max: int, parity: str = "all", regime: str = "ferro",
           distance: int = 1, tol: float = DEGENERACY_RTOL) -> list[SweepRow]:
     """One concurrence row per ring size in [n_min, n_max].
 
-    Sizes of the other parity and sizes below ``2 * distance`` are skipped,
-    so every row's pair (0, distance) is at ring distance ``distance``; a
-    range that keeps no size is refused.  The regime sets J = -1 or +1,
-    at zero field.
+    The sizes and the distance must be ints (numpy integers too), as ring
+    sizes are.  Sizes of the other parity and sizes below ``2 * distance``
+    are skipped, so every row's pair (0, distance) is at ring distance
+    ``distance``; a range that keeps no size is refused.  The regime sets
+    J = -1 or +1, at zero field.
     """
     if regime not in REGIME_COUPLING:
         raise ValueError(f"regime must be one of {sorted(REGIME_COUPLING)}")
     if parity not in ("all", "even", "odd"):
         raise ValueError("parity must be 'all', 'even' or 'odd'")
-    if not 2 <= n_min <= n_max <= SWEEP_CAP:
-        raise ValueError(f"sweep range must satisfy 2 <= n_min <= n_max <= {SWEEP_CAP}")
-    if distance < 1:
-        raise ValueError("pair distance must be at least 1")
+    if not (isinstance(n_min, (int, np.integer)) and isinstance(n_max, (int, np.integer))
+            and 2 <= n_min <= n_max <= SWEEP_CAP):
+        raise ValueError(f"sweep range must be ints with 2 <= n_min <= n_max <= {SWEEP_CAP}, "
+                         f"got {n_min}..{n_max}")
+    if not (isinstance(distance, (int, np.integer)) and distance >= 1):
+        raise ValueError(f"pair distance must be an int of at least 1, got {distance}")
     sizes = [n for n in range(n_min, n_max + 1)
              if parity == "all" or n % 2 == (0 if parity == "even" else 1)]
     if not sizes:

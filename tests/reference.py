@@ -11,13 +11,13 @@ matrix-free product, the basis that makes a momentum block real, the dense
 levels one level at a time, the pair reduction that numbers configuration
 groups with ``np.unique``, and the X-form concurrence.
 
-Four more keep an earlier form of a library path, so the tests can pin the
+Three more keep an earlier form of a library path, so the tests can pin the
 library's arrays to it bit for bit: a sector built on its own (orbits
 numbered by ``np.unique``, reflections and hop targets found with
-``searchsorted``), orbit reports summed one orbit at a time, the ground
-window counted one sector at a time with ``cumsum``, and Spearman ranks read
-from ``np.unique``.  Every Hamiltonian here swaps spins across ``bonds``,
-its own list of the ring's bonds, not the library's.
+``searchsorted``), orbit reports summed one orbit at a time, and the ground
+window counted one sector at a time with ``cumsum``.  Every Hamiltonian here
+swaps spins across ``bonds``, its own list of the ring's bonds, not the
+library's.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from xxring.basis import SectorBasis, rotation_order
 from xxring.concurrence import PairDensity
 from xxring.hamiltonian import Coupling, FieldSetting
 from xxring.oracle import FULL_DIAGONALIZE_CAP
-from xxring.polarization import (EQUAL_PROBABILITY_ATOL, OrbitReport, OrbitRow, _labels,
-                                 _rank_correlation, clustering_scores)
+from xxring.polarization import (OrbitReport, OrbitRow, _labels, _rank_correlation,
+                                 clustering_scores)
 from xxring.spectra import GroundManifold, _unit_levels
 
 X_OFFDIAG_TOL = 1e-10
@@ -402,16 +402,3 @@ def window_counts_by_cumsum(n: int, coupling: Coupling, field: FieldSetting,
                 for momentum in {m, -m % n}:
                     counts[sector, momentum] = int(inside[bounds[m + 1]] - inside[bounds[m]])
     return counts
-
-
-def rank_correlation_by_unique(x, y) -> float | None:
-    """``polarization._rank_correlation`` with each column ranked through ``np.unique``."""
-    ranks = []
-    for values in (x, y):
-        grid = np.round(np.asarray(values) / EQUAL_PROBABILITY_ATOL)
-        _, inverse, counts = np.unique(grid, return_inverse=True, return_counts=True)
-        if len(counts) == 1:
-            return None
-        ranks.append((np.cumsum(counts) - (counts - 1) / 2)[inverse])
-    return float(np.corrcoef(*ranks)[1, 0])
-

@@ -1,5 +1,6 @@
 """Clustering scores and orbit-probability reports of the ground mixture."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +13,7 @@ from xxring.polarization import (_labels, _rank_correlation, clustering_scores, 
 from xxring.spectra import ground_manifold
 
 from reference import (clustering_score, config_label, dihedral_classes, index_of,
-                       orbit_report_by_split, rank_correlation_by_unique, reflect, rotate,
-                       set_walk_orbits)
+                       orbit_report_by_split, reflect, rotate, set_walk_orbits)
 
 FERRO = Coupling(-1.0)
 
@@ -35,6 +35,20 @@ def spearman_by_hand(xs, ys):
     mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
     cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
     return cov / math.sqrt(sum((a - mx) ** 2 for a in rx) * sum((b - my) ** 2 for b in ry))
+
+
+def checked_rank_correlation(x, y):
+    """``_rank_correlation(x, y)`` after checking it against ``spearman_by_hand``.
+
+    A column that is constant on the grid must give None, any other pair
+    Spearman's coefficient within 1e-12.
+    """
+    value = _rank_correlation(x, y)
+    if len(set(grid(x))) == 1 or len(set(grid(y))) == 1:
+        assert value is None
+    else:
+        assert value == pytest.approx(spearman_by_hand(x, y), abs=1e-12)
+    return value
 
 
 def score(bits, n):
@@ -59,6 +73,16 @@ class TestClusteringScore:
     def test_trivial_configurations(self):
         assert score(0, 6) == 0.0
         assert score(1, 6) == 0.0
+
+    @pytest.mark.parametrize("configs", [[0b11, 0b1], [0b11, 0b1, 0b111]],
+                             ids=["counts differ", "same total"])
+    def test_mixed_popcounts_refused(self, configs):
+        # the second case has as many up sites as a 3 x 2 array: read row by
+        # row it would score {0, 1}, {0, 0} and {1, 2}, with no error
+        with pytest.raises(ValueError, match="share one popcount"):
+            clustering_scores(configs, 4)
+        with pytest.raises(ValueError, match="share one popcount"):
+            _labels(configs, 4)
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_scores_equal_the_pair_loop(self, n):
@@ -197,18 +221,15 @@ class TestOrbitReports:
         assert report.rank_correlation == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 15))
-    def test_rank_correlation_equals_the_unique_ranks(self, n):
-        # ranks are exact half-integers both ways, so np.corrcoef reads the
-        # same inputs: every orbit table of every ground sector gives == values
+    def test_rank_correlation_of_every_table_is_spearmans(self, n):
         undefined = []
         for j in (-1.0, 1.0, 0.5):
             for b in (0.0, 0.3):
                 manifold = ground_manifold(n, Coupling(j), FieldSetting(b))
                 for k in sorted({s.k for s in manifold.states}):
                     rows = orbit_probabilities(manifold, enumerate_sector(n, k)).rows
-                    columns = ([r.clustering for r in rows], [r.member_probability for r in rows])
-                    value = _rank_correlation(*columns)
-                    assert value == rank_correlation_by_unique(*columns), (j, b, k)
+                    value = checked_rank_correlation([r.clustering for r in rows],
+                                                     [r.member_probability for r in rows])
                     if value is None:
                         undefined.append(len(rows))
         # n = 2 and 3 give one-row tables, undefined; larger rings none
@@ -220,18 +241,36 @@ class TestOrbitReports:
         ([3.0, 1.0, 2.0], [0.2, 0.2 + 1e-11, 0.2 - 1e-11]),  # constant on the grid
         ([3.0, 1.0, 2.0, 2.0, 5.0], [0.1, 0.4, 0.4, 0.3, 0.1]),
     ])
-    def test_rank_correlation_edge_cases_equal_the_unique_ranks(self, x, y):
-        assert _rank_correlation(x, y) == rank_correlation_by_unique(x, y)
-        if len(set(grid(x))) == 1 or len(set(grid(y))) == 1:
-            assert _rank_correlation(x, y) is None
+    def test_rank_correlation_edge_cases_are_spearmans(self, x, y):
+        checked_rank_correlation(x, y)
 
-    def test_rank_correlation_of_tied_random_columns_equals_the_unique_ranks(self):
+    def test_rank_correlation_of_tied_random_columns_is_spearmans(self):
         rng = np.random.default_rng(7)
         for size in (2, 3, 10, 80, 500):
             for _ in range(20):
                 x = rng.integers(0, 6, size) * 0.125
                 y = rng.integers(0, 4, size) * 1e-3 + rng.normal(0, 1e-12, size)
-                assert _rank_correlation(x, y) == rank_correlation_by_unique(x, y)
+                checked_rank_correlation(x.tolist(), y.tolist())
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_rows_follow_the_chord_law(self, n):
+        # each ground state fills consecutive Jordan-Wigner momenta, so a member
+        # with up sites x has P = n^-k prod_{l<l'} 4 sin^2(pi (x_l - x_l') / n),
+        # Dyson's beta = 2 gas; odd rings at zero field split the mixture
+        # evenly between two sectors
+        for j in (-1.0, 1.0, 0.5):
+            for b in (0.0, 0.3):
+                report = lp_table(n, Coupling(j), FieldSetting(b))
+                probs = [row.member_probability for row in report.rows]
+                assert probs == sorted(probs), (j, b)
+                assert report.sector_weight == pytest.approx(
+                    0.5 if n % 2 and b == 0 else 1.0, abs=1e-12), (j, b)
+                for row in report.rows:
+                    sites = [s for s in range(n) if row.representative >> s & 1]
+                    chord = math.prod(4 * math.sin(math.pi * (q - p) / n) ** 2
+                                      for p, q in itertools.combinations(sites, 2))
+                    assert row.member_probability == pytest.approx(
+                        chord / n ** report.k, rel=0, abs=1e-12), (j, b, row.pattern)
 
     def test_odd_ring_reports_conditional_distribution(self):
         report = lp_table(3, FERRO)

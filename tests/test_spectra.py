@@ -35,13 +35,19 @@ class TestEigh:
         with pytest.raises(ValueError):
             eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
-    @pytest.mark.parametrize("count", [-1, 4], ids=["-1", "dim+1"])
-    def test_refuses_count_outside_the_dimension(self, count):
+    @pytest.mark.parametrize("count", [-1, 4, 1.5, 2.0], ids=["-1", "dim+1", "1.5", "2.0"])
+    def test_refuses_count_outside_the_dimension(self, count, monkeypatch):
         # a negative count would slice columns off the end; one above the
-        # dimension would index past it
-        with pytest.raises(ValueError, match=rf"count {count} is outside 0\.\.3"):
-            eigh(np.diag([3.0, -1.0, 2.0]), count)
-        assert [eigh(np.eye(3), c).vectors.shape for c in (0, 3)] == [(3, 0), (3, 3)]
+        # dimension would index past it; a float, even a whole one, is refused
+        # as a ring size is, and all of them before the matrix is solved
+        def solve(matrix):
+            raise AssertionError("solved before the count was checked")
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", solve)
+            with pytest.raises(ValueError, match=rf"count {count} is not an int in 0\.\.3"):
+                eigh(np.diag([3.0, -1.0, 2.0]), count)
+        assert [eigh(np.eye(3), c).vectors.shape for c in (0, 3, np.int64(2))] == [
+            (3, 0), (3, 3), (3, 2)]
 
     def test_residual_and_orthonormality(self):
         rng = np.random.default_rng(11)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import xxring.sweeps
 from xxring.hamiltonian import Coupling
 from xxring.spectra import ground_concurrence
 from xxring.sweeps import REGIME_COUPLING, LimitFit, SweepRow, extrapolate, sweep
@@ -72,6 +73,26 @@ class TestSweep:
             sweep(4, 8, parity="no-such")
         with pytest.raises(ValueError):
             sweep(4, 8, distance=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_min": 4.0, "n_max": 8}, "sweep range must be ints"),
+        ({"n_min": 4, "n_max": 8.0}, "sweep range must be ints"),
+        ({"n_min": 4, "n_max": 8, "distance": 1.5}, "pair distance must be an int"),
+        ({"n_min": 4, "n_max": 8, "distance": 2.0}, "pair distance must be an int"),
+    ])
+    def test_refuses_values_that_are_not_ints_before_solving(self, kwargs, message,
+                                                             monkeypatch):
+        # ring sizes follow the same rule: a whole float is refused too
+        def solve(*args):
+            raise AssertionError("solved before the values were checked")
+        monkeypatch.setattr(xxring.sweeps, "_one_row", solve)
+        with pytest.raises(ValueError, match=message):
+            sweep(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        rows = sweep(np.int64(4), np.int64(6), distance=np.int64(2))
+        assert [(r.n, r.concurrence) for r in rows] == [
+            (r.n, r.concurrence) for r in sweep(4, 6, distance=2)]
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"n_min": 4, "n_max": 6, "distance": 9}, "--distance 9"),
